@@ -10,8 +10,8 @@ transformations F -> F (x) M factor uniquely through the quotient.
 Control objects add further relation blocks (one per object and control),
 shrinking the quotient; a monoidal structure on the diagram induces a
 bialgebra, and declared duals induce an antipode.  Well-definedness of every
-induced map is not trusted: it is a solvability assertion followed by an
-exact axiom check.
+induced map is not trusted: it is an exact test that the map kills the
+relations, followed by an exact axiom check.
 """
 
 from __future__ import annotations
@@ -34,12 +34,13 @@ from .exactlinalg import (
     NoSolution,
     Space,
     cokernel,
+    compose_kron,
     direct_sum_space,
     dual,
     dual_space,
     identity,
     invert_map,
-    solve_factor,
+    kron_compose,
     swap_map,
     tensor,
     tensor_space,
@@ -127,6 +128,7 @@ class CoendResult:
     carrier: Space
     pi: LinearMap
     section: LinearMap
+    rel: LinearMap
     injections: dict[str, LinearMap]
     coalgebra: Coalgebra
     delta: dict[str, LinearMap]
@@ -184,7 +186,7 @@ def control_lambda(d: Diagram, ctrl: ControlData, x: str) -> LinearMap:
     fx = d.spaces[x]
     block = cohom(fx, fx, f)
     xi = ctrl.xi[x]
-    chain = tensor(identity(ctrl.space, f), block.coev) @ xi
+    chain = kron_compose(identity(ctrl.space, f), block.coev, xi)
     return coact(chain, tensor_space(ctrl.space, fx), block.carrier)
 
 
@@ -263,6 +265,7 @@ def coend_of_diagram(d: Diagram, controls: list[ControlData] | None = None) -> C
         carrier=pi.cod,
         pi=pi,
         section=section,
+        rel=rel,
         injections=injections,
         coalgebra=None,
         delta={},
@@ -270,7 +273,7 @@ def coend_of_diagram(d: Diagram, controls: list[ControlData] | None = None) -> C
     )
     result.coalgebra = coalgebra_on_coend(result)
     result.delta = {
-        x: tensor(identity(d.spaces[x], f), injections[x]) @ blocks[x].coev
+        x: kron_compose(identity(d.spaces[x], f), injections[x], blocks[x].coev)
         for x in d.objects
     }
     return result
@@ -344,15 +347,36 @@ def _blockwise_counit(r: CoendResult) -> LinearMap:
     return LinearMap(f, r.nspace, unit_space(), (tuple(row),))
 
 
+def _descend(r: CoendResult, target: LinearMap, pair: bool = False) -> LinearMap:
+    """The unique psi with psi o pi = target (psi o (pi (x) pi) = target when
+    pair is set), as target o s for the section s of pi.
+
+    Since ker(pi) = im(rel), psi exists exactly when target kills the
+    relations; for pi (x) pi the kernel is im(rel) (x) N + N (x) im(rel).
+    Raises NoSolution otherwise, as solve_factor would.
+    """
+    if pair:
+        idn = identity(r.nspace, r.field)
+        kills = [compose_kron(target, r.rel, idn), compose_kron(target, idn, r.rel)]
+    else:
+        kills = [target @ r.rel]
+    if not all(k.is_zero_map() for k in kills):
+        raise NoSolution("kernel of 'through' is not contained in kernel of 'target'")
+    if pair:
+        return compose_kron(target, r.section, r.section)
+    return target @ r.section
+
+
 def coalgebra_on_coend(r: CoendResult) -> Coalgebra:
     """The coalgebra induced on the quotient by the blockwise comatrix
-    structure; solvability is asserted, then the axioms are verified."""
+    structure; well-definedness is tested exactly, then the axioms are
+    verified."""
     f = r.field
     delta_n = _blockwise_delta(r)
     eps_n = _blockwise_counit(r)
     try:
-        delta_q = solve_factor(tensor(r.pi, r.pi) @ delta_n, r.pi)
-        eps_q = solve_factor(eps_n, r.pi)
+        delta_q = _descend(r, kron_compose(r.pi, r.pi, delta_n))
+        eps_q = _descend(r, eps_n)
     except NoSolution as exc:
         raise WellDefinednessFailure(
             f"induced coalgebra is not well defined: {exc}"
@@ -368,12 +392,12 @@ def comodule_on(r: CoendResult, x: str) -> Comodule:
     """The comodule (F(X), (id (x) i_X) o coev) over the coend coalgebra;
     verifies the axioms and the naturality of the whole family."""
     f = r.field
-    rho = tensor(identity(r.diagram.spaces[x], f), r.injections[x]) @ r.blocks[x].coev
+    rho = kron_compose(identity(r.diagram.spaces[x], f), r.injections[x], r.blocks[x].coev)
     com = Comodule(r.diagram.spaces[x], r.coalgebra, rho)
     problems = com.check()
     idq = identity(r.carrier, f)
     for m in r.diagram.morphisms:
-        if tensor(m.map, idq) @ r.delta[m.dom] != r.delta[m.cod] @ m.map:
+        if kron_compose(m.map, idq, r.delta[m.dom]) != r.delta[m.cod] @ m.map:
             problems.append(f"universal family is not natural at {m.name}")
     if problems:
         raise WellDefinednessFailure("; ".join(problems))
@@ -394,7 +418,7 @@ def _check_natural_on_diagram(d: Diagram, t: Transformation, m_space: Space) -> 
             return False
     idm = identity(m_space, f)
     for m in d.morphisms:
-        if tensor(m.map, idm) @ t[m.dom] != t[m.cod] @ m.map:
+        if kron_compose(m.map, idm, t[m.dom]) != t[m.cod] @ m.map:
             return False
     return True
 
@@ -415,7 +439,7 @@ def cowedge_to_nat(r: CoendResult, w: dict[str, LinearMap], m_space: Space) -> T
     f = r.field
     t = Transformation(
         {
-            x: tensor(identity(r.diagram.spaces[x], f), w[x]) @ r.blocks[x].coev
+            x: kron_compose(identity(r.diagram.spaces[x], f), w[x], r.blocks[x].coev)
             for x in r.diagram.objects
         }
     )
@@ -436,7 +460,7 @@ def factor_through_coend(r: CoendResult, t: Transformation, m_space: Space) -> L
         rows.append(tuple(row))
     assembled = LinearMap(f, r.nspace, m_space, tuple(rows))
     try:
-        return solve_factor(assembled, r.pi)
+        return _descend(r, assembled)
     except NoSolution:
         raise NaturalityFailure(
             "cowedge does not descend to the quotient"
@@ -453,7 +477,7 @@ def epi_to_c_coend(r: CoendResult, r_c: CoendResult) -> LinearMap:
     if r.nspace.dim != r_c.nspace.dim or r.diagram.objects != r_c.diagram.objects:
         raise ValueError("coends were not computed from the same diagram")
     try:
-        h = solve_factor(r_c.pi, r.pi)
+        h = _descend(r, r_c.pi)
     except NoSolution:
         raise WellDefinednessFailure(
             "the second coend does not refine the first"
@@ -465,7 +489,7 @@ def epi_to_c_coend(r: CoendResult, r_c: CoendResult) -> LinearMap:
         if h @ r.injections[x] != r_c.injections[x]:
             problems.append(f"injection square fails at {x}")
     ca, cb = r.coalgebra, r_c.coalgebra
-    if cb.delta @ h != tensor(h, h) @ ca.delta:
+    if cb.delta @ h != kron_compose(h, h, ca.delta):
         problems.append("induced map does not respect comultiplication")
     if cb.counit @ h != ca.counit:
         problems.append("induced map does not respect counit")
@@ -549,7 +573,7 @@ def bialgebra_from_monoidal(r: CoendResult, mon: MonoidalDiagram) -> Bialgebra:
         f, tensor_space(r.nspace, r.nspace), r.nspace, tuple(tuple(row) for row in mu)
     )
     try:
-        m_q = solve_factor(r.pi @ mu_n, tensor(r.pi, r.pi))
+        m_q = _descend(r, r.pi @ mu_n, pair=True)
     except NoSolution:
         raise WellDefinednessFailure(
             "multiplication does not descend to the quotient"
@@ -557,8 +581,7 @@ def bialgebra_from_monoidal(r: CoendResult, mon: MonoidalDiagram) -> Bialgebra:
     if mon.unit not in d.objects:
         raise WellDefinednessFailure("monoidal unit is not a diagram object")
     xi_u = mon.xi_unit
-    unit_incl = tensor(dual(invert_map(xi_u)), xi_u)
-    u_q = r.injections[mon.unit] @ unit_incl
+    u_q = compose_kron(r.injections[mon.unit], dual(invert_map(xi_u)), xi_u)
     bialg = Bialgebra(r.carrier, r.coalgebra.delta, r.coalgebra.counit, m_q, u_q)
     problems = bialg.check()
     if problems:
@@ -601,8 +624,7 @@ def antipode_from_monoidal(r: CoendResult, mon: MonoidalDiagram, bialg: Bialgebr
         if dmap.dom.dim != fxs.dim or dmap.cod.dim != fx.dim or dmap.rank() != fx.dim:
             raise MissingDual(f"dual identification at {x!r} is not an isomorphism")
         flip = swap_map(dual_space(fx), fx, f)
-        ident = tensor(dual(dmap), invert_map(dmap))
-        block_map = ident @ flip
+        block_map = kron_compose(dual(dmap), invert_map(dmap), flip)
         for u in range(r.blocks[x].carrier.dim):
             for i2, val in enumerate(block_map.col(u)):
                 if not f.is_zero(val):
@@ -611,7 +633,7 @@ def antipode_from_monoidal(r: CoendResult, mon: MonoidalDiagram, bialg: Bialgebr
                     )
     sigma_n = LinearMap(f, r.nspace, r.nspace, tuple(tuple(row) for row in sigma))
     try:
-        s_q = solve_factor(r.pi @ sigma_n, r.pi)
+        s_q = _descend(r, r.pi @ sigma_n)
     except NoSolution:
         raise WellDefinednessFailure(
             "antipode does not descend to the quotient"

@@ -15,9 +15,13 @@ from dataclasses import dataclass
 from .exactlinalg import (
     LinearMap,
     Space,
+    _apply,
+    _apply2,
+    _cols,
     dual,
     dual_space,
     identity,
+    kron_compose,
     swap_map,
     tensor,
     tensor_space,
@@ -97,7 +101,7 @@ def cocompose(x: Space, y: Space, z: Space, field) -> LinearMap:
     of the composite (coev_{Z,Y} (x) id) o coev_{X,Z}."""
     inner = cohom(x, z, field)
     outer = cohom(z, y, field)
-    chain = tensor(outer.coev, identity(inner.carrier, field)) @ inner.coev
+    chain = kron_compose(outer.coev, identity(inner.carrier, field), inner.coev)
     return coact(chain, y, tensor_space(outer.carrier, inner.carrier))
 
 
@@ -111,55 +115,14 @@ def cohom_collapse_iso(x: Space, y: Space, z: Space, field) -> LinearMap:
     """
     inner = cohom(x, y, field)
     outer = cohom(inner.carrier, z, field)
-    chain = tensor(identity(y, field), outer.coev) @ inner.coev
+    chain = kron_compose(identity(y, field), outer.coev, inner.coev)
     return coact(chain, tensor_space(y, z), outer.carrier)
 
 
 # ---------------------------------------------------------------------------
-# sparse columnwise evaluation (keeps axiom checks cheap at dimension ~36+,
-# where dense triple tensor products would be enormous)
+# coalgebras, comodules, bialgebras, Hopf algebras; the checks evaluate
+# columnwise on sparse vectors (see exactlinalg._apply2)
 # ---------------------------------------------------------------------------
-
-def _cols(m: LinearMap):
-    """Columns of m as sparse dicts row -> value."""
-    f = m.field
-    out = [dict() for _ in range(m.dom.dim)]
-    for i, row in enumerate(m.entries):
-        for j, a in enumerate(row):
-            if not f.is_zero(a):
-                out[j][i] = a
-    return out
-
-
-def _apply(cols, vec: dict, f) -> dict:
-    out: dict = {}
-    for j, c in vec.items():
-        for i, a in cols[j].items():
-            v = f.add(out.get(i, f.zero()), f.mul(c, a))
-            if f.is_zero(v):
-                out.pop(i, None)
-            else:
-                out[i] = v
-    return out
-
-
-def _apply2(cols1, n2, cols2, m2, vec: dict, f) -> dict:
-    """Apply (m1 (x) m2) to a sparse vector over dom1 (x) dom2; n2/m2 are the
-    domain/codomain dimensions of the second factor."""
-    out: dict = {}
-    for k, c in vec.items():
-        j1, j2 = divmod(k, n2)
-        for r1, a1 in cols1[j1].items():
-            ca1 = f.mul(c, a1)
-            for r2, a2 in cols2[j2].items():
-                idx = r1 * m2 + r2
-                v = f.add(out.get(idx, f.zero()), f.mul(ca1, a2))
-                if f.is_zero(v):
-                    out.pop(idx, None)
-                else:
-                    out[idx] = v
-    return out
-
 
 def _id_cols(n, f):
     return [{i: f.one()} for i in range(n)]
@@ -168,10 +131,6 @@ def _id_cols(n, f):
 def _unit_vec(i, f):
     return {i: f.one()}
 
-
-# ---------------------------------------------------------------------------
-# coalgebras, comodules, bialgebras, Hopf algebras
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Coalgebra:
@@ -427,15 +386,13 @@ def tensor_comodule(a: Comodule, b: Comodule, bialg: Bialgebra) -> Comodule:
     swap the middle legs, multiply."""
     f = bialg.field
     h = bialg.carrier
-    ida = identity(a.space, f)
-    idb = identity(b.space, f)
-    idh = identity(h, f)
-    rho = (
-        tensor(tensor(ida, idb), bialg.mult)
-        @ tensor(tensor(ida, swap_map(h, b.space, f)), idh)
-        @ tensor(a.rho, b.rho)
+    ab = tensor_space(a.space, b.space)
+    middle = tensor(identity(a.space, f), swap_map(h, b.space, f))
+    rho = kron_compose(
+        identity(ab, f), bialg.mult,
+        kron_compose(middle, identity(h, f), tensor(a.rho, b.rho)),
     )
-    return Comodule(tensor_space(a.space, b.space), Coalgebra(h, bialg.delta, bialg.counit), rho)
+    return Comodule(ab, Coalgebra(h, bialg.delta, bialg.counit), rho)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +413,7 @@ def coend_object(x: Space, field) -> CoendObject:
     ch = cohom(x, x, field)
     e = ch.carrier
     delta = coact(
-        tensor(ch.coev, identity(e, field)) @ ch.coev,
+        kron_compose(ch.coev, identity(e, field), ch.coev),
         x,
         tensor_space(e, e),
     )
@@ -478,7 +435,7 @@ def induce_coaction(phi: LinearMap, c: Coalgebra):
     ce = coend_object(x, f)
     e = ce.cohom.carrier
     rho_phi = coact(
-        tensor(ce.cohom.coev, identity(c.carrier, f)) @ phi,
+        kron_compose(ce.cohom.coev, identity(c.carrier, f), phi),
         x,
         tensor_space(e, c.carrier),
     )
@@ -486,13 +443,13 @@ def induce_coaction(phi: LinearMap, c: Coalgebra):
     Comodule(e, c, rho_phi).require_valid()
     _require_coalgebra_morphism(z, ce.coalgebra, c)
     # z is recovered from rho_phi by stripping the coend leg with the counit
-    if z != tensor(ce.coalgebra.counit, identity(c.carrier, f)) @ rho_phi:
+    if z != kron_compose(ce.coalgebra.counit, identity(c.carrier, f), rho_phi):
         raise AxiomError("induced coaction does not collapse to coact(phi)")
     return rho_phi, z
 
 
 def _require_coalgebra_morphism(z: LinearMap, src: Coalgebra, dst: Coalgebra):
-    if dst.delta @ z != tensor(z, z) @ src.delta:
+    if dst.delta @ z != kron_compose(z, z, src.delta):
         raise AxiomError("map does not respect comultiplication")
     if dst.counit @ z != src.counit:
         raise AxiomError("map does not respect counit")
@@ -500,7 +457,7 @@ def _require_coalgebra_morphism(z: LinearMap, src: Coalgebra, dst: Coalgebra):
 
 def is_coalgebra_morphism(z: LinearMap, src: Coalgebra, dst: Coalgebra) -> bool:
     return (
-        dst.delta @ z == tensor(z, z) @ src.delta
+        dst.delta @ z == kron_compose(z, z, src.delta)
         and dst.counit @ z == src.counit
     )
 
@@ -557,14 +514,13 @@ def cohom_coactions(h: HopfAlgebra, xcom: Comodule, ycom: Comodule) -> CohomCoac
     hs = h.carrier
     ide = identity(e, f)
     idh = identity(hs, f)
-    rho_right = coact(
-        tensor(ch.coev, idh) @ xcom.rho, y, tensor_space(e, hs)
-    )
+    coev_rho_x = kron_compose(ch.coev, idh, xcom.rho)
+    rho_right = coact(coev_rho_x, y, tensor_space(e, hs))
     rho_left_tilde = coact(
-        tensor(ycom.rho, ide) @ ch.coev, y, tensor_space(hs, e)
+        kron_compose(ycom.rho, ide, ch.coev), y, tensor_space(hs, e)
     )
-    rho_left = tensor(ide, h.antipode) @ swap_map(hs, e, f) @ rho_left_tilde
-    rho = tensor(ide, h.mult) @ tensor(rho_left, idh) @ rho_right
+    rho_left = kron_compose(ide, h.antipode, swap_map(hs, e, f) @ rho_left_tilde)
+    rho = kron_compose(ide, h.mult, kron_compose(rho_left, idh, rho_right))
     hcoalg = Coalgebra(hs, h.delta, h.counit)
     for name, r in [("right", rho_right), ("left", rho_left), ("combined", rho)]:
         problems = Comodule(e, hcoalg, r).check()
@@ -572,6 +528,6 @@ def cohom_coactions(h: HopfAlgebra, xcom: Comodule, ycom: Comodule) -> CohomCoac
             raise AxiomError(f"{name} coaction on cohom fails: " + "; ".join(problems))
     # coev must intertwine rho_X with the tensor coaction on Y (x) cohom
     target = tensor_comodule(ycom, Comodule(e, hcoalg, rho), h)
-    if target.rho @ ch.coev != tensor(ch.coev, idh) @ xcom.rho:
+    if target.rho @ ch.coev != coev_rho_x:
         raise AxiomError("coevaluation is not a comodule morphism for the combined coaction")
     return CohomCoactions(ch, rho_right, rho_left, rho)

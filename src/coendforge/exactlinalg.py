@@ -1,8 +1,13 @@
-"""Exact scalar arithmetic and dense linear algebra over Q, F_p and p-adic-flavored Q.
+"""Exact scalar arithmetic and linear algebra over Q, F_p and p-adic-flavored Q.
 
 Everything here is exact: rationals are `fractions.Fraction`, prime-field
 elements are reduced ints, and the p-adic flavor stores exact rationals whose
 valuations are computed on demand.  No floating point anywhere.
+
+Maps are stored as dense matrices, but Kronecker products are applied
+lazily: `kron_compose(a, b, m)` equals `tensor(a, b) @ m` and
+`compose_kron(m, a, b)` equals `m @ tensor(a, b)`, both computed column by
+column from sparse columns without ever building a (x) b.
 
 Conventions fixed once and shared by every other module:
   * matrices are stored row-major; column j is the image of the j-th domain
@@ -31,14 +36,36 @@ class ScalarError(ValueError):
 # scalar fields
 # ---------------------------------------------------------------------------
 
+# Sorenson and Webster (Math. Comp. 86, 2017): Miller-Rabin with the first 13
+# prime bases is deterministic for every n below this bound.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic primality test; raises ScalarError above the range in
+    which the fixed Miller-Rabin bases are proven to decide."""
+    if p >= _MR_BOUND:
+        raise ScalarError(f"modulus {p} exceeds the supported bound {_MR_BOUND}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -389,10 +416,6 @@ class LinearMap:
     def rank(self) -> int:
         return echelon(self)[0]
 
-    def same_matrix(self, other: "LinearMap") -> bool:
-        """Bit-identical comparison (shape and every entry)."""
-        return self == other
-
 
 def _dot(f, xs, ys):
     acc = f.zero()
@@ -551,6 +574,102 @@ def tensor(a: LinearMap, b: LinearMap) -> LinearMap:
                     row.extend(f.mul(x, y) for y in b.entries[i2])
             rows.append(tuple(row))
     return LinearMap(f, dom, cod, tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# sparse columnwise evaluation and lazy Kronecker products: axiom checks and
+# (a (x) b) o m push one sparse column at a time through both factors, so the
+# dense a (x) b (millions of cells at dimension ~36+) is never built
+# ---------------------------------------------------------------------------
+
+def _cols(m: LinearMap):
+    """Columns of m as sparse dicts row -> value."""
+    f = m.field
+    out = [dict() for _ in range(m.dom.dim)]
+    for i, row in enumerate(m.entries):
+        for j, a in enumerate(row):
+            if not f.is_zero(a):
+                out[j][i] = a
+    return out
+
+
+def _rows(m: LinearMap):
+    """Rows of m as sparse dicts column -> value (the columns of m^T)."""
+    f = m.field
+    return [{j: a for j, a in enumerate(row) if not f.is_zero(a)} for row in m.entries]
+
+
+def _apply(cols, vec: dict, f) -> dict:
+    out: dict = {}
+    for j, c in vec.items():
+        for i, a in cols[j].items():
+            v = f.add(out.get(i, f.zero()), f.mul(c, a))
+            if f.is_zero(v):
+                out.pop(i, None)
+            else:
+                out[i] = v
+    return out
+
+
+def _apply2(cols1, n2, cols2, m2, vec: dict, f) -> dict:
+    """Apply (m1 (x) m2) to a sparse vector over dom1 (x) dom2; n2/m2 are the
+    domain/codomain dimensions of the second factor."""
+    out: dict = {}
+    for k, c in vec.items():
+        j1, j2 = divmod(k, n2)
+        for r1, a1 in cols1[j1].items():
+            ca1 = f.mul(c, a1)
+            for r2, a2 in cols2[j2].items():
+                idx = r1 * m2 + r2
+                v = f.add(out.get(idx, f.zero()), f.mul(ca1, a2))
+                if f.is_zero(v):
+                    out.pop(idx, None)
+                else:
+                    out[idx] = v
+    return out
+
+
+def _check_kron(a: LinearMap, b: LinearMap, m: LinearMap, dom_dim: int, cod_dim: int):
+    """The errors tensor and @ raise, in the order they raise them."""
+    if a.field != b.field:
+        raise ScalarError("tensoring maps over different fields")
+    if m.field != a.field:
+        raise ScalarError("composing maps over different fields")
+    if dom_dim != cod_dim:
+        raise ValueError(
+            f"composition mismatch: dom dim {dom_dim} vs cod dim {cod_dim}"
+        )
+
+
+def kron_compose(a: LinearMap, b: LinearMap, m: LinearMap) -> LinearMap:
+    """tensor(a, b) @ m, computed without building a (x) b: each sparse
+    column of m is pushed through both factors at once, which is the
+    identity (A (x) B) vec(X) = vec(B X A^T) read column by column."""
+    _check_kron(a, b, m, a.dom.dim * b.dom.dim, m.cod.dim)
+    f = a.field
+    cod = tensor_space(a.cod, b.cod)
+    acols, bcols, n2, m2 = _cols(a), _cols(b), b.dom.dim, b.cod.dim
+    out = [[f.zero()] * m.dom.dim for _ in range(cod.dim)]
+    for j, col in enumerate(_cols(m)):
+        for i, v in _apply2(acols, n2, bcols, m2, col, f).items():
+            out[i][j] = v
+    return LinearMap(f, m.dom, cod, tuple(tuple(r) for r in out))
+
+
+def compose_kron(m: LinearMap, a: LinearMap, b: LinearMap) -> LinearMap:
+    """m @ tensor(a, b), by the same kernel transposed: row i of the result
+    is (a^T (x) b^T) applied to row i of m."""
+    _check_kron(a, b, m, m.dom.dim, a.cod.dim * b.cod.dim)
+    f = a.field
+    dom = tensor_space(a.dom, b.dom)
+    arows, brows, n2, m2 = _rows(a), _rows(b), b.cod.dim, b.dom.dim
+    out = []
+    for row in _rows(m):
+        dense = [f.zero()] * dom.dim
+        for j, v in _apply2(arows, n2, brows, m2, row, f).items():
+            dense[j] = v
+        out.append(tuple(dense))
+    return LinearMap(f, dom, m.cod, tuple(out))
 
 
 def dual(m: LinearMap) -> LinearMap:

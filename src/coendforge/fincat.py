@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactlinalg import LinearMap, Space, identity, tensor, tensor_space
+from .exactlinalg import LinearMap, Space, compose_kron, identity, tensor, tensor_space
 
 
 @dataclass(frozen=True)
@@ -375,14 +375,14 @@ def check_monoidal(F: DiagramFunctor) -> ValidationReport:
             for c in cat.objects:
                 ab = mon.tensor_obj[(a, b)]
                 bc = mon.tensor_obj[(b, c)]
-                left = F.xi(ab, c) @ tensor(F.xi(a, b), identity(F.space(c), fld))
-                right = F.xi(a, bc) @ tensor(identity(F.space(a), fld), F.xi(b, c))
+                left = compose_kron(F.xi(ab, c), F.xi(a, b), identity(F.space(c), fld))
+                right = compose_kron(F.xi(a, bc), identity(F.space(a), fld), F.xi(b, c))
                 if left != right:
                     problems.append(f"xi associativity fails at ({a}, {b}, {c})")
     for a in cat.objects:
         # K (x) F(a) and F(a) (x) K are identified with F(a) by flat indexing
-        left_unit = F.xi(mon.unit, a) @ tensor(xi_u, identity(F.space(a), fld))
-        right_unit = F.xi(a, mon.unit) @ tensor(identity(F.space(a), fld), xi_u)
+        left_unit = compose_kron(F.xi(mon.unit, a), xi_u, identity(F.space(a), fld))
+        right_unit = compose_kron(F.xi(a, mon.unit), identity(F.space(a), fld), xi_u)
         if left_unit != identity(F.space(a), fld):
             problems.append(f"left unit square fails at {a}")
         if right_unit != identity(F.space(a), fld):
@@ -390,7 +390,7 @@ def check_monoidal(F: DiagramFunctor) -> ValidationReport:
     for (fname, gname), hname in mon.tensor_mor.items():
         mf, mg = cat.morphisms[fname], cat.morphisms[gname]
         lhs = F.map(hname) @ F.xi(mf.dom, mg.dom)
-        rhs = F.xi(mf.cod, mg.cod) @ tensor(F.map(fname), F.map(gname))
+        rhs = compose_kron(F.xi(mf.cod, mg.cod), F.map(fname), F.map(gname))
         if lhs != rhs:
             problems.append(f"xi naturality fails at ({fname}, {gname})")
     return ValidationReport(not problems, problems)

@@ -31,8 +31,8 @@ from .exactlinalg import (
     image_basis,
     invert_map,
     kernel,
+    kron_compose,
     padic_valuation,
-    tensor,
 )
 from .fincat import DiagramFunctor, Transformation
 
@@ -571,7 +571,7 @@ def bounded_coend(F: DiagramFunctor, certify=True) -> BoundedCoendResult:
     t_inv = invert_map(t)
     qq_weights = tuple(a + b for a in q_weights for b in q_weights)
     comult_norm = operator_norm(
-        tensor(t, t) @ r.coalgebra.delta @ t_inv,
+        kron_compose(t, t, r.coalgebra.delta @ t_inv),
         dom_weights=q_weights, cod_weights=qq_weights,
     )
     counit_norm = operator_norm(
@@ -581,7 +581,7 @@ def bounded_coend(F: DiagramFunctor, certify=True) -> BoundedCoendResult:
     for x in r.diagram.objects:
         fx = r.diagram.spaces[x]
         comp_norm = operator_norm(
-            tensor(identity(fx, f), t) @ r.delta[x],
+            kron_compose(identity(fx, f), t, r.delta[x]),
             dom_weights=fx.effective_weights(),
             cod_weights=tuple(a + b for a in fx.effective_weights()
                               for b in q_weights),

@@ -35,9 +35,11 @@ from .exactlinalg import (
     LinearMap,
     NoSolution,
     Space,
+    compose_kron,
     identity,
     invert_map,
     kernel,
+    kron_compose,
     solve_through_injection,
     tensor,
 )
@@ -147,7 +149,7 @@ class ComoduleCategory:
             ma, mb = self.objects[a], self.objects[b]
             idc = identity(self.base.carrier, f)
             for k, g in enumerate(basis):
-                if tensor(g, idc) @ ma.rho != mb.rho @ g:
+                if kron_compose(g, idc, ma.rho) != mb.rho @ g:
                     problems.append(f"morphism {k} in hom({a}, {b}) does not intertwine")
         for (a, b), basis_ab in self.homs.items():
             for (b2, c), basis_bc in self.homs.items():
@@ -245,7 +247,7 @@ def reconstruct_bialgebra(b: Bialgebra, seeds: dict[str, Comodule],
         t = tensor_comodule(seeds[x], seeds[y], b)
         target = seeds[name]
         idc = identity(b.carrier, f)
-        if tensor(xi, idc) @ t.rho != target.rho @ xi:
+        if kron_compose(xi, idc, t.rho) != target.rho @ xi:
             raise ValueError(f"xi at ({x}, {y}) is not a comodule morphism")
     res = reconstruct_coalgebra(Coalgebra(b.carrier, b.delta, b.counit), seeds)
     mon = MonoidalDiagram(
@@ -259,7 +261,7 @@ def reconstruct_bialgebra(b: Bialgebra, seeds: dict[str, Comodule],
     bialg_q = bialgebra_from_monoidal(res.coend, mon)
     if res.iso:
         h = res.h
-        if h @ bialg_q.mult != b.mult @ tensor(h, h):
+        if h @ bialg_q.mult != compose_kron(b.mult, h, h):
             res.problems.append("transported multiplication differs from the base one")
             res.iso = False
         if h @ bialg_q.unit != b.unit:
@@ -298,7 +300,7 @@ def recognition_factorization(F, r: CoendResult | None = None) -> RecognitionRes
     idq = identity(r.carrier, f)
     for m in r.diagram.morphisms:
         morphisms[m.name] = m.map
-        if tensor(m.map, idq) @ comodules[m.dom].rho != comodules[m.cod].rho @ m.map:
+        if kron_compose(m.map, idq, comodules[m.dom].rho) != comodules[m.cod].rho @ m.map:
             problems.append(f"{m.name} is not a comodule morphism over the coend")
     for x in r.diagram.objects:
         if comodules[x].space.dim != r.diagram.spaces[x].dim:
@@ -350,7 +352,7 @@ def equivalence_check(c: Coalgebra, seeds: dict[str, Comodule],
             probe_status[name] = "rejected: " + "; ".join(bad)
             continue
         idm = identity(probe.space, f)
-        rho_q = tensor(idm, h_inv) @ probe.rho
+        rho_q = kron_compose(idm, h_inv, probe.rho)
         pulled[name] = Comodule(probe.space, q, rho_q)
         status = _lift_through_equalizer(pulled[name], q)
         probe_status[name] = status
@@ -405,13 +407,13 @@ def _lift_through_equalizer(com: Comodule, q: Coalgebra) -> str:
     # comodule structure on the equalizer: restrict id (x) delta
     try:
         rho_e = solve_through_injection(
-            tensor(idm, q.delta) @ incl, tensor(incl, idq)
+            kron_compose(idm, q.delta, incl), tensor(incl, idq)
         )
     except NoSolution:
         return "failed: equalizer carries no induced coaction"
     e_com = Comodule(incl.dom, q, rho_e)
     if e_com.check():
         return "failed: induced coaction violates comodule axioms"
-    if tensor(psi, idq) @ com.rho != rho_e @ psi:
+    if kron_compose(psi, idq, com.rho) != rho_e @ psi:
         return "failed: lift is not a comodule morphism"
     return "lifted"

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coendforge.cohom import coend_object, grouplike_coalgebra
 from coendforge.coend import (
@@ -8,6 +11,8 @@ from coendforge.coend import (
     MissingControlData,
     MissingDual,
     NaturalityFailure,
+    WellDefinednessFailure,
+    _descend,
     antipode_on_coend,
     bialgebra_on_coend,
     c_coend,
@@ -25,9 +30,12 @@ from coendforge.coend import (
 from coendforge.exactlinalg import (
     QQ,
     LinearMap,
+    NoSolution,
     PrimeField,
     Space,
+    cokernel,
     identity,
+    solve_factor,
     tensor,
     tensor_space,
 )
@@ -590,3 +598,118 @@ def test_randomized_universal_bijection(rng):
              for x in r.diagram.objects}
         )
         assert factor_through_coend(r, t, m) == psi0
+
+
+# -- descend-by-section -------------------------------------------------------------
+
+DESCEND_FIELDS = [QQ, PrimeField(7)]
+
+
+@st.composite
+def descent_problems(draw):
+    """A relation matrix rel into N, and a target on N (or on N (x) N) that
+    factors through N / im(rel) or, usually, does not."""
+    f = draw(st.sampled_from(DESCEND_FIELDS))
+    pair = draw(st.booleans())
+    n = draw(st.integers(0, 3 if pair else 4))
+    k = draw(st.integers(0, 4))
+    t = draw(st.integers(0, 3))
+    scalar = st.integers(-2, 2)
+
+    def mat(rows, cols, dom, cod):
+        entries = draw(st.lists(st.lists(scalar, min_size=cols, max_size=cols),
+                                min_size=rows, max_size=rows))
+        return LinearMap(f, dom, cod, tuple(tuple(f.from_int(a) for a in r) for r in entries))
+
+    nspace = Space.std(n, prefix="n")
+    rel = mat(n, k, Space.std(k, prefix="r"), nspace)
+    pi, s = cokernel(rel)
+    through = tensor(pi, pi) if pair else pi
+    tspace = Space.std(t, prefix="t")
+    if draw(st.booleans()):
+        target = mat(t, through.cod.dim, through.cod, tspace) @ through
+    else:
+        target = mat(t, through.dom.dim, through.dom, tspace)
+    r = SimpleNamespace(field=f, nspace=nspace, rel=rel, pi=pi, section=s)
+    return r, target, through, pair
+
+
+@given(descent_problems())
+def test_descend_matches_solve_factor(problem):
+    r, target, through, pair = problem
+    try:
+        expected = solve_factor(target, through)
+    except NoSolution as exc:
+        with pytest.raises(NoSolution) as info:
+            _descend(r, target, pair=pair)
+        assert str(info.value) == str(exc)
+        return
+    got = _descend(r, target, pair=pair)
+    assert (got.dom, got.cod) == (expected.dom, expected.cod)
+    assert got.entries == expected.entries
+
+
+def requotient(r, rel_cols):
+    """Replace the quotient of r by N / span(rel_cols), so that an induced
+    map which descended before no longer does."""
+    n = r.nspace.dim
+    rel = LinearMap(r.field, Space.std(len(rel_cols), prefix="r"), r.nspace,
+                    tuple(tuple(col[i] for col in rel_cols) for i in range(n)))
+    r.pi, r.section = cokernel(rel)
+    r.rel = rel
+    r.carrier = r.pi.cod
+    return r
+
+
+def unit_col(n, i):
+    return [Fraction(int(j == i)) for j in range(n)]
+
+
+def test_coalgebra_descent_failure_message():
+    r = coend_of_functor(one_object_functor())
+    # killing e_(0,0) leaves e_(0,1) (x) e_(1,0) in delta(e_(0,0))
+    requotient(r, [unit_col(4, 0)])
+    with pytest.raises(WellDefinednessFailure) as info:
+        coalgebra_on_coend(r)
+    assert str(info.value) == (
+        "induced coalgebra is not well defined: "
+        "kernel of 'through' is not contained in kernel of 'target'"
+    )
+
+
+def test_multiplication_descent_failure_message():
+    F = grading_functor(2)
+    r = requotient(coend_of_functor(F), [unit_col(2, 1)])  # g1 g1 = g0 survives
+    with pytest.raises(WellDefinednessFailure) as info:
+        bialgebra_on_coend(F, r)
+    assert str(info.value) == "multiplication does not descend to the quotient"
+
+
+def test_antipode_descent_failure_message():
+    F = grading_functor(3)
+    r = coend_of_functor(F)
+    bialgebra_on_coend(F, r)
+    requotient(r, [unit_col(3, 1)])  # S(g1) = g2 survives
+    with pytest.raises(WellDefinednessFailure) as info:
+        antipode_on_coend(F, r)
+    assert str(info.value) == "antipode does not descend to the quotient"
+
+
+def test_factor_descent_failure_message():
+    r = coend_of_functor(one_object_functor())
+    # the identity F -> F (x) K corresponds to the counit, nonzero on e_(0,0)
+    t = Transformation({"pt": qmap([[1, 0], [0, 1]], K2, tensor_space(K2, K))})
+    requotient(r, [unit_col(4, 0)])
+    with pytest.raises(NaturalityFailure) as info:
+        factor_through_coend(r, t, K)
+    assert str(info.value) == "cowedge does not descend to the quotient"
+
+
+def test_epi_descent_failure_message():
+    F = discrete_functor(3)
+    r = coend_of_functor(F)
+    rc = c_coend(F, [swap_control()])
+    # the plain coend is not a quotient of the one with more relations
+    with pytest.raises(WellDefinednessFailure) as info:
+        epi_to_c_coend(rc, r)
+    assert str(info.value) == "the second coend does not refine the first"

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,15 @@ from coendforge.exactlinalg import (
     PrimeField,
     ScalarError,
     Space,
+    _is_prime,
     cokernel,
+    compose_kron,
     dual,
     echelon,
     field_from_descriptor,
     identity,
     kernel,
+    kron_compose,
     padic_valuation,
     parse_matrix,
     solve_factor,
@@ -63,6 +67,38 @@ def test_prime_field_parse_and_invert():
         F5.parse("1/5")
     with pytest.raises(ScalarError):
         PrimeField(6)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert all(_is_prime(n) == trial(n) for n in range(-3, 3000))
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # 561 is a Carmichael number; the others are strong pseudoprimes to every
+    # prime base up to 7 and up to 23 respectively
+    for n in (561, 3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+        with pytest.raises(ScalarError):
+            PrimeField(n)
+
+
+def test_large_prime_modulus_is_accepted_fast():
+    start = time.perf_counter()
+    f = field_from_descriptor("fp:1000000000000000003")
+    assert time.perf_counter() - start < 1.0
+    assert f.p == 1000000000000000003
+    assert f.mul(f.invert(12345), 12345) == 1
+
+
+def test_modulus_beyond_primality_bound_is_rejected():
+    # the smallest number the 13 fixed Miller-Rabin bases cannot decide
+    bound = 3317044064679887385961981
+    for desc in (f"fp:{bound}", f"padic:{bound + 2}"):
+        with pytest.raises(ScalarError, match="exceeds the supported bound"):
+            field_from_descriptor(desc)
 
 
 def test_field_descriptors_roundtrip():
@@ -198,6 +234,62 @@ def test_dual_is_contravariant(rng):
         a = random_qmap(rng, 3, 3)
         b = random_qmap(rng, 3, 3)
         assert dual(a @ b) == dual(b) @ dual(a)
+
+
+# -- lazy Kronecker products ---------------------------------------------------
+
+KRON_FIELDS = [QQ, PrimeField(7), PadicRationals(2)]
+
+
+@st.composite
+def kron_operands(draw):
+    """Two factors a, b over one of Q, F_7, padic:2 (zero dimensions
+    included), a mostly sparse m with tensor(a, b) @ m defined, and an m2
+    with m2 @ tensor(a, b) defined."""
+    f = draw(st.sampled_from(KRON_FIELDS))
+    dims = st.integers(0, 3)
+    scalar = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))
+
+    def mat(rows, cols, dom, cod):
+        entries = draw(st.lists(st.lists(scalar, min_size=cols, max_size=cols),
+                                min_size=rows, max_size=rows))
+        return LinearMap(f, dom, cod, tuple(tuple(f.from_int(a) for a in r) for r in entries))
+
+    ad, ac, bd, bc, k, k2 = (draw(dims) for _ in range(6))
+    a = mat(ac, ad, Space.std(ad, "x"), Space.std(ac, "y"))
+    b = mat(bc, bd, Space.std(bd, "u"), Space.std(bc, "v"))
+    ab = tensor(a, b)
+    m = mat(ab.dom.dim, k, Space.std(k, "z"), ab.dom)
+    m2 = mat(k2, ab.cod.dim, ab.cod, Space.std(k2, "w"))
+    return a, b, m, m2
+
+
+@given(kron_operands())
+def test_kron_compose_matches_dense_tensor(ops):
+    a, b, m, m2 = ops
+    dense = tensor(a, b) @ m
+    lazy = kron_compose(a, b, m)
+    assert (lazy.dom, lazy.cod) == (dense.dom, dense.cod)
+    assert (lazy.dom.dim, lazy.cod.dim) == (dense.dom.dim, dense.cod.dim)
+    assert lazy.entries == dense.entries
+    dense_r = m2 @ tensor(a, b)
+    lazy_r = compose_kron(m2, a, b)
+    assert (lazy_r.dom, lazy_r.cod) == (dense_r.dom, dense_r.cod)
+    assert (lazy_r.dom.dim, lazy_r.cod.dim) == (dense_r.dom.dim, dense_r.cod.dim)
+    assert lazy_r.entries == dense_r.entries
+
+
+def test_kron_compose_raises_like_dense():
+    a = identity(Space.std(2), QQ)
+    b = identity(Space.std(1), PrimeField(5))
+    with pytest.raises(ScalarError, match="tensoring"):
+        kron_compose(a, b, a)
+    with pytest.raises(ScalarError, match="composing"):
+        kron_compose(a, a, identity(Space.std(4), PrimeField(5)))
+    with pytest.raises(ValueError, match="dom dim 4 vs cod dim 2"):
+        kron_compose(a, a, a)
+    with pytest.raises(ValueError, match="dom dim 2 vs cod dim 4"):
+        compose_kron(a, a, a)
 
 
 # -- solve_factor ------------------------------------------------------------

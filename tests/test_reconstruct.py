@@ -1,5 +1,7 @@
+import sys
 from fractions import Fraction
 
+from coendforge import exactlinalg
 from coendforge.cohom import (
     Comodule,
     coend_object,
@@ -10,6 +12,7 @@ from coendforge.cohom import (
 from coendforge.exactlinalg import (
     QQ,
     LinearMap,
+    PrimeField,
     Space,
     identity,
     tensor,
@@ -291,3 +294,30 @@ def test_reconstruct_over_prime_field():
         {"regular": Comodule(c.carrier, c, c.delta)},
     )
     assert verdict.ok
+
+
+def test_reconstruct_comatrix_never_builds_large_kronecker(monkeypatch):
+    # every tensor product on the reconstruction path must stay within the
+    # size of a map N -> N on the coend's ambient space N; the Kronecker
+    # products behind the induced comultiplication and the coalgebra-morphism
+    # test (dim(N)^4 cells) are applied lazily instead
+    ce = coend_object(Space.std(6), PrimeField(7))
+    seeds = {"std": Comodule(ce.cohom.x, ce.coalgebra, ce.cohom.coev)}
+    original = exactlinalg.tensor
+    cells = []
+
+    def recording_tensor(a, b):
+        out = original(a, b)
+        cells.append(out.dom.dim * out.cod.dim)
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name == "coendforge" or name.startswith("coendforge."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recording_tensor)
+    res = reconstruct_coalgebra(ce.coalgebra, seeds)
+    assert res.verdict == "Isomorphism"
+    ambient = res.coend.nspace.dim
+    assert ambient == 36
+    assert max(cells, default=0) <= ambient ** 2

@@ -248,6 +248,17 @@ def test_field_override_runs_z3_over_f2():
     assert json.loads(out)["verification"]["bialgebra"] == []
 
 
+def test_field_modulus_beyond_primality_bound_exits_2_with_json():
+    code, out = run_cli([
+        "coend", spec_path("one_object_k2"), "--functor", "F",
+        "--field", "fp:3317044064679887385961981",
+    ])
+    assert code == 2
+    data = json.loads(out)
+    assert data["ok"] is False
+    assert "exceeds the supported bound" in data["problems"][0]
+
+
 # -- determinism ---------------------------------------------------------------------
 
 def test_output_determinism_byte_identical():
