@@ -24,11 +24,11 @@ from .cohom import (
     cohom,
     cohom_coactions,
     induce_coaction,
+    intertwines,
 )
 from .coend import (
     CoendResult,
     ControlData,
-    Diagram,
     MissingControlData,
     MissingDual,
     NaturalityFailure,
@@ -64,12 +64,15 @@ from .exactlinalg import (
     tensor,
 )
 from .fincat import (
+    Diagram,
     DiagramFunctor,
     FinCategory,
     Transformation,
     check_dinatural,
     check_monoidal,
     check_natural,
+    cowedge_problems,
+    natural_problems,
     validate_category,
     validate_functor,
 )

@@ -23,7 +23,6 @@ from .coend import (
     c_coend,
     coend_of_functor,
     comodule_on,
-    diagram_of_functor,
     epi_to_c_coend,
     factor_through_coend,
     unit_control,
@@ -31,7 +30,7 @@ from .coend import (
 )
 from .cohom import cohom as cohom_op
 from .exactlinalg import ScalarError
-from .fincat import check_monoidal, validate_category, validate_functor
+from .fincat import check_monoidal, diagram_of_functor, validate_category, validate_functor
 from .padic_banach import PrimeMismatch, bounded_coend
 from .reconstruct import equivalence_check, reconstruct_coalgebra
 from .specfile import (
@@ -95,8 +94,15 @@ def _require_functor(spec, name):
     return F
 
 
-def _coend_payload(r, verification=True):
-    payload = {
+def _coend_payload(r):
+    comodule_problems = {}
+    for x in r.diagram.objects:
+        try:
+            comodule_on(r, x)
+            comodule_problems[x] = []
+        except WellDefinednessFailure as exc:
+            comodule_problems[x] = [str(exc)]
+    return {
         "carrier_dim": r.carrier.dim,
         "objects": list(r.diagram.objects),
         "pi": matrix_json(r.pi),
@@ -105,21 +111,12 @@ def _coend_payload(r, verification=True):
         "comultiplication": matrix_json(r.coalgebra.delta),
         "counit": matrix_json(r.coalgebra.counit),
         "delta": {x: matrix_json(m) for x, m in r.delta.items()},
-    }
-    if verification:
-        comodule_problems = {}
-        for x in r.diagram.objects:
-            try:
-                comodule_on(r, x)
-                comodule_problems[x] = []
-            except WellDefinednessFailure as exc:
-                comodule_problems[x] = [str(exc)]
-        payload["verification"] = {
+        "verification": {
             "cowedge": verify_cowedge(r),
-            "coalgebra": r.coalgebra.check(),
+            "coalgebra": r.checks["coalgebra"],
             "comodules": comodule_problems,
-        }
-    return payload
+        },
+    }
 
 
 def cmd_validate(spec, args):
@@ -181,7 +178,7 @@ def cmd_bialgebra(spec, args):
     payload = _coend_payload(r)
     payload["multiplication"] = matrix_json(b.mult)
     payload["unit"] = matrix_json(b.unit)
-    payload["verification"]["bialgebra"] = b.check()
+    payload["verification"]["bialgebra"] = r.checks["bialgebra"]
     _emit(payload, args.out)
     return 0
 
@@ -195,7 +192,7 @@ def cmd_hopf(spec, args):
     payload["multiplication"] = matrix_json(b.mult)
     payload["unit"] = matrix_json(b.unit)
     payload["antipode"] = matrix_json(h.antipode)
-    payload["verification"]["hopf"] = h.check()
+    payload["verification"]["hopf"] = r.checks["hopf"]
     _emit(payload, args.out)
     return 0
 

@@ -11,7 +11,11 @@ Control objects add further relation blocks (one per object and control),
 shrinking the quotient; a monoidal structure on the diagram induces a
 bialgebra, and declared duals induce an antipode.  Well-definedness of every
 induced map is not trusted: it is an exact test that the map kills the
-relations, followed by an exact axiom check.
+relations, followed by an exact axiom check whose problem list is kept on
+the result (``CoendResult.checks``), so callers report it without re-running it.
+
+``Diagram`` and the naturality and cowedge laws live in ``fincat``
+(``natural_problems``, ``cowedge_problems``); this module applies them.
 """
 
 from __future__ import annotations
@@ -45,7 +49,16 @@ from .exactlinalg import (
     tensor,
     tensor_space,
 )
-from .fincat import DiagramFunctor, Transformation, check_monoidal
+from .fincat import (
+    Diagram,
+    DiagramFunctor,
+    DiagramMorphism,
+    Transformation,
+    check_monoidal,
+    cowedge_problems,
+    diagram_of_functor,
+    natural_problems,
+)
 
 
 class WellDefinednessFailure(Exception):
@@ -65,35 +78,8 @@ class MissingDual(Exception):
 
 
 # ---------------------------------------------------------------------------
-# diagrams
+# control objects
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiagramMorphism:
-    name: str
-    dom: str
-    cod: str
-    map: LinearMap
-
-
-@dataclass
-class Diagram:
-    """A finite family of based spaces and maps between them; the minimal
-    input the coequalizer needs."""
-
-    field: object
-    objects: list[str]
-    spaces: dict[str, Space]
-    morphisms: list[DiagramMorphism]
-
-
-def diagram_of_functor(F: DiagramFunctor) -> Diagram:
-    morphisms = [
-        DiagramMorphism(m.name, m.dom, m.cod, F.map(m.name))
-        for m in F.source.non_identity()
-    ]
-    return Diagram(F.field, list(F.source.objects), dict(F.ob), morphisms)
-
 
 @dataclass(frozen=True)
 class ControlData:
@@ -135,48 +121,39 @@ class CoendResult:
     controls: list[ControlData] = field(default_factory=list)
     bialgebra: Bialgebra | None = None
     hopf: HopfAlgebra | None = None
+    # axiom problem lists of the induced structures ("coalgebra", "bialgebra",
+    # "hopf"), recorded once by the constructor that checked them
+    checks: dict[str, list[str]] = field(default_factory=dict)
 
     @property
     def field(self):
         return self.diagram.field
 
 
-def _block_inclusion(nspace, block: Space, offset: int, f) -> LinearMap:
-    rows = []
-    zero_row = (f.zero(),) * block.dim
-    for i in range(nspace.dim):
-        if offset <= i < offset + block.dim:
-            rows.append(
-                tuple(
-                    f.one() if j == i - offset else f.zero() for j in range(block.dim)
-                )
-            )
-        else:
-            rows.append(zero_row)
-    return LinearMap(f, block, nspace, tuple(rows))
+def _difference_columns(f, ndim, p_block: LinearMap, p_off: int, q_block: LinearMap, q_off: int):
+    """Columns in N of p - q, one per domain basis vector, where p and q land
+    in the blocks starting at p_off and q_off."""
+    cols = []
+    for u in range(p_block.dom.dim):
+        col = [f.zero()] * ndim
+        for i, v in enumerate(p_block.col(u)):
+            if not f.is_zero(v):
+                col[p_off + i] = f.add(col[p_off + i], v)
+        for i, v in enumerate(q_block.col(u)):
+            if not f.is_zero(v):
+                col[q_off + i] = f.sub(col[q_off + i], v)
+        cols.append(col)
+    return cols
 
 
 def _morphism_relation_columns(d: Diagram, offsets, ndim, m: DiagramMorphism):
     """Columns in N of p - q for one morphism, one per basis vector of the
     mixed block cohom(F(dom), F(cod))."""
     f = d.field
-    fx = d.spaces[m.dom]
-    fy = d.spaces[m.cod]
-    a = m.map
     # p: into the dom block via cohom(id, f); q: into the cod block via cohom(f, id)
-    p_block = cohom_on_maps(identity(fx, f), a)
-    q_block = cohom_on_maps(a, identity(fy, f))
-    cols = []
-    for u in range(fy.dim * fx.dim):
-        col = [f.zero()] * ndim
-        for i, v in enumerate(p_block.col(u)):
-            if not f.is_zero(v):
-                col[offsets[m.dom] + i] = f.add(col[offsets[m.dom] + i], v)
-        for i, v in enumerate(q_block.col(u)):
-            if not f.is_zero(v):
-                col[offsets[m.cod] + i] = f.sub(col[offsets[m.cod] + i], v)
-        cols.append(col)
-    return cols
+    p_block = cohom_on_maps(identity(d.spaces[m.dom], f), m.map)
+    q_block = cohom_on_maps(m.map, identity(d.spaces[m.cod], f))
+    return _difference_columns(f, ndim, p_block, offsets[m.dom], q_block, offsets[m.cod])
 
 
 def control_lambda(d: Diagram, ctrl: ControlData, x: str) -> LinearMap:
@@ -217,15 +194,7 @@ def _control_relation_columns(d: Diagram, offsets, ndim, ctrl: ControlData):
         # p: into the block at C.X via cohom(id, xi); q: into the block at X
         p_block = cohom_on_maps(identity(fcx, f), xi)
         q_block = control_lambda(d, ctrl, x)
-        for u in range(p_block.dom.dim):
-            col = [f.zero()] * ndim
-            for i, v in enumerate(p_block.col(u)):
-                if not f.is_zero(v):
-                    col[offsets[cx] + i] = f.add(col[offsets[cx] + i], v)
-            for i, v in enumerate(q_block.col(u)):
-                if not f.is_zero(v):
-                    col[offsets[x] + i] = f.sub(col[offsets[x] + i], v)
-            cols.append(col)
+        cols.extend(_difference_columns(f, ndim, p_block, offsets[cx], q_block, offsets[x]))
     return cols
 
 
@@ -255,8 +224,11 @@ def coend_of_diagram(d: Diagram, controls: list[ControlData] | None = None) -> C
     pi, section = cokernel(rel)
     injections = {}
     for x in d.objects:
-        incl = _block_inclusion(nspace, blocks[x].carrier, offsets[x], f)
-        injections[x] = pi @ incl
+        # i_X = pi restricted to block X: that block's columns of pi
+        lo, hi = offsets[x], offsets[x] + blocks[x].carrier.dim
+        injections[x] = LinearMap(
+            f, blocks[x].carrier, pi.cod, tuple(row[lo:hi] for row in pi.entries)
+        )
     result = CoendResult(
         diagram=d,
         blocks=blocks,
@@ -290,18 +262,8 @@ def c_coend(F: DiagramFunctor, controls: list[ControlData]) -> CoendResult:
 
 
 def verify_cowedge(r: CoendResult) -> list[str]:
-    """The defining coequalizer relations: for every morphism f both
-    functorial routes into the quotient agree."""
-    f = r.field
-    problems = []
-    for m in r.diagram.morphisms:
-        fx = r.diagram.spaces[m.dom]
-        fy = r.diagram.spaces[m.cod]
-        lhs = r.injections[m.dom] @ cohom_on_maps(identity(fx, f), m.map)
-        rhs = r.injections[m.cod] @ cohom_on_maps(m.map, identity(fy, f))
-        if lhs != rhs:
-            problems.append(f"cowedge relation fails at morphism {m.name}")
-    return problems
+    """The defining coequalizer relations: the injections form a cowedge."""
+    return cowedge_problems(r.diagram, r.injections, r.carrier)
 
 
 # ---------------------------------------------------------------------------
@@ -385,20 +347,19 @@ def coalgebra_on_coend(r: CoendResult) -> Coalgebra:
     problems = coalg.check()
     if problems:
         raise WellDefinednessFailure("; ".join(problems))
+    r.checks["coalgebra"] = problems
     return coalg
 
 
 def comodule_on(r: CoendResult, x: str) -> Comodule:
     """The comodule (F(X), (id (x) i_X) o coev) over the coend coalgebra;
     verifies the axioms and the naturality of the whole family."""
-    f = r.field
-    rho = kron_compose(identity(r.diagram.spaces[x], f), r.injections[x], r.blocks[x].coev)
-    com = Comodule(r.diagram.spaces[x], r.coalgebra, rho)
+    com = Comodule(r.diagram.spaces[x], r.coalgebra, r.delta[x])
     problems = com.check()
-    idq = identity(r.carrier, f)
-    for m in r.diagram.morphisms:
-        if kron_compose(m.map, idq, r.delta[m.dom]) != r.delta[m.cod] @ m.map:
-            problems.append(f"universal family is not natural at {m.name}")
+    problems.extend(
+        f"universal family: {p}"
+        for p in natural_problems(r.diagram, Transformation(r.delta), r.carrier)
+    )
     if problems:
         raise WellDefinednessFailure("; ".join(problems))
     return com
@@ -408,25 +369,10 @@ def comodule_on(r: CoendResult, x: str) -> Comodule:
 # the naturality <-> dinaturality correspondence, universal factorization
 # ---------------------------------------------------------------------------
 
-def _check_natural_on_diagram(d: Diagram, t: Transformation, m_space: Space) -> bool:
-    f = d.field
-    for x in d.objects:
-        comp = t.components.get(x)
-        if comp is None:
-            return False
-        if comp.dom.dim != d.spaces[x].dim or comp.cod.dim != d.spaces[x].dim * m_space.dim:
-            return False
-    idm = identity(m_space, f)
-    for m in d.morphisms:
-        if kron_compose(m.map, idm, t[m.dom]) != t[m.cod] @ m.map:
-            return False
-    return True
-
-
 def nat_to_cowedge(r: CoendResult, t: Transformation, m_space: Space) -> dict[str, LinearMap]:
     """Turn a natural t: F -> F (x) M into the corresponding cowedge
     mu'_X = coact(t_X); raises NaturalityFailure on non-natural input."""
-    if not _check_natural_on_diagram(r.diagram, t, m_space):
+    if natural_problems(r.diagram, t, m_space):
         raise NaturalityFailure("transformation is not natural")
     return {
         x: coact(t[x], r.diagram.spaces[x], m_space) for x in r.diagram.objects
@@ -443,7 +389,7 @@ def cowedge_to_nat(r: CoendResult, w: dict[str, LinearMap], m_space: Space) -> T
             for x in r.diagram.objects
         }
     )
-    if not _check_natural_on_diagram(r.diagram, t, m_space):
+    if natural_problems(r.diagram, t, m_space):
         raise NaturalityFailure("cowedge is not dinatural")
     return t
 
@@ -587,6 +533,7 @@ def bialgebra_from_monoidal(r: CoendResult, mon: MonoidalDiagram) -> Bialgebra:
     if problems:
         raise WellDefinednessFailure("; ".join(problems))
     r.bialgebra = bialg
+    r.checks["bialgebra"] = problems
     return bialg
 
 
@@ -645,6 +592,7 @@ def antipode_from_monoidal(r: CoendResult, mon: MonoidalDiagram, bialg: Bialgebr
     if problems:
         raise WellDefinednessFailure("; ".join(problems))
     r.hopf = hopf
+    r.checks["hopf"] = problems
     return hopf
 
 

@@ -217,6 +217,12 @@ class Comodule:
             raise AxiomError("; ".join(problems))
 
 
+def intertwines(g: LinearMap, rho_src: LinearMap, rho_dst: LinearMap, c: Space) -> bool:
+    """True iff (g (x) id_C) o rho_src = rho_dst o g exactly: g is a morphism
+    of coactions rho_src: V -> V (x) C and rho_dst: W -> W (x) C."""
+    return kron_compose(g, identity(c, g.field), rho_src) == rho_dst @ g
+
+
 @dataclass(frozen=True)
 class Bialgebra(Coalgebra):
     mult: LinearMap
@@ -514,8 +520,7 @@ def cohom_coactions(h: HopfAlgebra, xcom: Comodule, ycom: Comodule) -> CohomCoac
     hs = h.carrier
     ide = identity(e, f)
     idh = identity(hs, f)
-    coev_rho_x = kron_compose(ch.coev, idh, xcom.rho)
-    rho_right = coact(coev_rho_x, y, tensor_space(e, hs))
+    rho_right = coact(kron_compose(ch.coev, idh, xcom.rho), y, tensor_space(e, hs))
     rho_left_tilde = coact(
         kron_compose(ycom.rho, ide, ch.coev), y, tensor_space(hs, e)
     )
@@ -528,6 +533,6 @@ def cohom_coactions(h: HopfAlgebra, xcom: Comodule, ycom: Comodule) -> CohomCoac
             raise AxiomError(f"{name} coaction on cohom fails: " + "; ".join(problems))
     # coev must intertwine rho_X with the tensor coaction on Y (x) cohom
     target = tensor_comodule(ycom, Comodule(e, hcoalg, rho), h)
-    if target.rho @ ch.coev != coev_rho_x:
+    if not intertwines(ch.coev, xcom.rho, target.rho, hs):
         raise AxiomError("coevaluation is not a comodule morphism for the combined coaction")
     return CohomCoactions(ch, rho_right, rho_left, rho)

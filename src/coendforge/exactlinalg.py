@@ -445,10 +445,6 @@ def from_cols(dom: Space, cod: Space, f, cols) -> LinearMap:
     return LinearMap(f, dom, cod, rows)
 
 
-def from_rows(dom: Space, cod: Space, f, rows) -> LinearMap:
-    return LinearMap(f, dom, cod, tuple(tuple(r) for r in rows))
-
-
 # ---------------------------------------------------------------------------
 # echelon form and derived operations
 # ---------------------------------------------------------------------------

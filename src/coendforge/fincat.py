@@ -1,16 +1,23 @@
-"""Finitely presented categories, diagram functors and transformation checks.
+"""Finitely presented categories, diagram functors, diagrams and law checks.
 
 Categories are given by total composition tables rather than generators and
 relations, which keeps every law decidable by exhaustive enumeration at desk
 scale.  Identity morphisms are implicit in input data and synthesized at
 construction under the reserved names ``id:<object>``.  Monoidal structure,
 when present, is strict: tensor tables, no associators.
+
+A ``Diagram`` is the minimal input of a coend: based spaces and maps, with no
+composition table.  The laws a family over a diagram can satisfy are checked
+here and nowhere else: ``natural_problems`` (a family F => F (x) M, each
+morphism tested by ``cohom.intertwines``) and ``cowedge_problems`` (a family
+cohom(F(X), F(X)) -> M).  ``check_natural`` is the general F => G reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .cohom import cohom_on_maps, intertwines
 from .exactlinalg import LinearMap, Space, compose_kron, identity, tensor, tensor_space
 
 
@@ -275,6 +282,33 @@ def validate_functor(F: DiagramFunctor) -> ValidationReport:
     return ValidationReport(not problems, problems)
 
 
+@dataclass(frozen=True)
+class DiagramMorphism:
+    name: str
+    dom: str
+    cod: str
+    map: LinearMap
+
+
+@dataclass
+class Diagram:
+    """A finite family of based spaces and maps between them; the minimal
+    input the coequalizer needs."""
+
+    field: object
+    objects: list[str]
+    spaces: dict[str, Space]
+    morphisms: list[DiagramMorphism]
+
+
+def diagram_of_functor(F: DiagramFunctor) -> Diagram:
+    morphisms = [
+        DiagramMorphism(m.name, m.dom, m.cod, F.map(m.name))
+        for m in F.source.non_identity()
+    ]
+    return Diagram(F.field, list(F.source.objects), dict(F.ob), morphisms)
+
+
 @dataclass
 class Transformation:
     """An object-indexed family of linear maps."""
@@ -295,6 +329,52 @@ def tensor_functor(F: DiagramFunctor, m_space: Space) -> DiagramFunctor:
     return DiagramFunctor(F.source, F.field, ob, mor)
 
 
+def _shape_problems(family: dict[str, LinearMap], shapes: dict[str, tuple[int, int]]) -> list[str]:
+    """Components missing from family or not of the (rows, columns) shape
+    listed for their object."""
+    problems = []
+    for x, (rows, cols) in shapes.items():
+        comp = family.get(x)
+        if comp is None:
+            problems.append(f"no component at {x}")
+        elif (comp.cod.dim, comp.dom.dim) != (rows, cols):
+            problems.append(
+                f"component at {x} has shape {comp.cod.dim}x{comp.dom.dim}, "
+                f"expected {rows}x{cols}"
+            )
+    return problems
+
+
+def natural_problems(d: Diagram, t: Transformation, m_space: Space) -> list[str]:
+    """Why t: F -> F (x) M is not natural, or [] if it is: shapes first, then
+    (F(f) (x) id_M) o t_X = t_Y o F(f) for every morphism f: X -> Y."""
+    shapes = {x: (d.spaces[x].dim * m_space.dim, d.spaces[x].dim) for x in d.objects}
+    problems = _shape_problems(t.components, shapes)
+    if problems:
+        return problems
+    return [
+        f"naturality fails at morphism {m.name}"
+        for m in d.morphisms
+        if not intertwines(m.map, t[m.dom], t[m.cod], m_space)
+    ]
+
+
+def cowedge_problems(d: Diagram, w: dict[str, LinearMap], m_space: Space) -> list[str]:
+    """Why w_X: cohom(F(X), F(X)) -> M is not a cowedge, or [] if it is:
+    shapes first, then for every f: X -> Y both routes out of
+    cohom(F(X), F(Y)) agree, w_X o cohom(id, F(f)) = w_Y o cohom(F(f), id)."""
+    shapes = {x: (m_space.dim, d.spaces[x].dim ** 2) for x in d.objects}
+    problems = _shape_problems(w, shapes)
+    if problems:
+        return problems
+    for m in d.morphisms:
+        into_dom = cohom_on_maps(identity(d.spaces[m.dom], d.field), m.map)  # -> cohom(FX, FX)
+        into_cod = cohom_on_maps(m.map, identity(d.spaces[m.cod], d.field))  # -> cohom(FY, FY)
+        if w[m.dom] @ into_dom != w[m.cod] @ into_cod:
+            problems.append(f"cowedge relation fails at morphism {m.name}")
+    return problems
+
+
 def check_natural(t: Transformation, F: DiagramFunctor, G: DiagramFunctor) -> bool:
     """True iff G(f) o t_X = t_Y o F(f) holds exactly for every f: X -> Y."""
     for obj in F.source.objects:
@@ -310,29 +390,8 @@ def check_natural(t: Transformation, F: DiagramFunctor, G: DiagramFunctor) -> bo
 
 
 def check_dinatural(w: dict[str, LinearMap], F: DiagramFunctor, m_space: Space) -> bool:
-    """True iff the components w_X: cohom(F(X), F(X)) -> M form a cowedge.
-
-    For every f: X -> Y both routes out of cohom(F(X), F(Y)) must agree:
-    w_X o cohom(id, F(f)) = w_Y o cohom(F(f), id), exactly.
-    """
-    from .cohom import cohom, cohom_on_maps
-
-    f = F.field
-    for obj in F.source.objects:
-        comp = w.get(obj)
-        if comp is None:
-            return False
-        expected = cohom(F.space(obj), F.space(obj), f).carrier.dim
-        if comp.dom.dim != expected or comp.cod.dim != m_space.dim:
-            return False
-    for m in F.source.non_identity():
-        fx, fy = F.space(m.dom), F.space(m.cod)
-        ff = F.map(m.name)
-        into_dom = cohom_on_maps(identity(fx, f), ff)  # cohom(FX,FY) -> cohom(FX,FX)
-        into_cod = cohom_on_maps(ff, identity(fy, f))  # cohom(FX,FY) -> cohom(FY,FY)
-        if w[m.dom] @ into_dom != w[m.cod] @ into_cod:
-            return False
-    return True
+    """True iff the components w_X: cohom(F(X), F(X)) -> M form a cowedge."""
+    return not cowedge_problems(diagram_of_functor(F), w, m_space)
 
 
 def check_monoidal(F: DiagramFunctor) -> ValidationReport:

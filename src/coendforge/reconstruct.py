@@ -18,13 +18,12 @@ from .cohom import (
     Bialgebra,
     Coalgebra,
     Comodule,
+    intertwines,
     is_coalgebra_morphism,
     tensor_comodule,
 )
 from .coend import (
     CoendResult,
-    Diagram,
-    DiagramMorphism,
     MonoidalDiagram,
     bialgebra_from_monoidal,
     coend_of_diagram,
@@ -43,7 +42,7 @@ from .exactlinalg import (
     solve_through_injection,
     tensor,
 )
-from .fincat import Transformation
+from .fincat import Diagram, DiagramMorphism, Transformation, natural_problems
 
 
 # ---------------------------------------------------------------------------
@@ -120,37 +119,22 @@ def _in_span(g: LinearMap, basis: list[LinearMap]) -> bool:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SeedMonoidalData:
-    """Monoidal structure on a seed family over a bialgebra: a unit seed,
-    a tensor table on seed names, and comodule isomorphisms
-    xi[(a, b)]: F(a) (x) F(b) -> F(a (x) b)."""
-
-    unit: str
-    tensor_obj: dict[tuple[str, str], str]
-    xi: dict[tuple[str, str], LinearMap]
-    xi_unit: LinearMap
-    duals: dict[str, str] | None = None
-    dual_maps: dict[str, LinearMap] | None = None
-
-
-@dataclass
 class ComoduleCategory:
     base: Coalgebra
     objects: dict[str, Comodule]
     homs: dict[tuple[str, str], list[LinearMap]]
-    monoidal: SeedMonoidalData | None = None
 
     def check(self) -> list[str]:
-        """Every listed morphism intertwines exactly; composites of basis
-        morphisms stay inside the listed spans."""
-        f = self.base.field
-        problems = []
-        for (a, b), basis in self.homs.items():
-            ma, mb = self.objects[a], self.objects[b]
-            idc = identity(self.base.carrier, f)
-            for k, g in enumerate(basis):
-                if kron_compose(g, idc, ma.rho) != mb.rho @ g:
-                    problems.append(f"morphism {k} in hom({a}, {b}) does not intertwine")
+        """Every listed morphism intertwines exactly (the coactions are
+        natural on the forgetful diagram); composites of basis morphisms stay
+        inside the listed spans."""
+        coactions = Transformation({name: com.rho for name, com in self.objects.items()})
+        problems = [
+            f"hom basis: {p}"
+            for p in natural_problems(
+                diagram_of_comodule_category(self), coactions, self.base.carrier
+            )
+        ]
         for (a, b), basis_ab in self.homs.items():
             for (b2, c), basis_bc in self.homs.items():
                 if b2 != b:
@@ -164,8 +148,7 @@ class ComoduleCategory:
         return problems
 
 
-def comodule_category_of(c: Coalgebra, seeds: dict[str, Comodule],
-                         monoidal: SeedMonoidalData | None = None) -> ComoduleCategory:
+def comodule_category_of(c: Coalgebra, seeds: dict[str, Comodule]) -> ComoduleCategory:
     """The category on the seed objects with full intertwiner hom spaces."""
     for name, com in seeds.items():
         com.require_valid()
@@ -173,8 +156,7 @@ def comodule_category_of(c: Coalgebra, seeds: dict[str, Comodule],
     for a, ma in seeds.items():
         for b, mb in seeds.items():
             homs[(a, b)] = comodule_hom_basis(ma, mb)
-    cat = ComoduleCategory(c, dict(seeds), homs, monoidal)
-    return cat
+    return ComoduleCategory(c, dict(seeds), homs)
 
 
 def diagram_of_comodule_category(cat: ComoduleCategory) -> Diagram:
@@ -221,8 +203,7 @@ def reconstruct_coalgebra(c: Coalgebra, seeds: dict[str, Comodule]) -> Reconstru
     the verdict reports NotGenerated instead of raising.
     """
     cat = comodule_category_of(c, seeds)
-    d = diagram_of_comodule_category(cat)
-    r = coend_of_diagram(d)
+    r = coend_of_diagram(diagram_of_comodule_category(cat))
     t = Transformation({name: com.rho for name, com in cat.objects.items()})
     h = factor_through_coend(r, t, c.carrier)
     rank = h.rank()
@@ -237,28 +218,18 @@ def reconstruct_coalgebra(c: Coalgebra, seeds: dict[str, Comodule]) -> Reconstru
 
 
 def reconstruct_bialgebra(b: Bialgebra, seeds: dict[str, Comodule],
-                          monoidal: SeedMonoidalData) -> tuple[ReconstructionResult, Bialgebra]:
-    """Reconstruction with monoidal seeds: additionally induces the
-    multiplication on the coend and verifies that h transports it to the
-    multiplication of b."""
-    f = b.field
+                          monoidal: MonoidalDiagram) -> tuple[ReconstructionResult, Bialgebra]:
+    """Reconstruction with monoidal seeds: the tensor table names seeds and
+    xi[(a, b)]: F(a) (x) F(b) -> F(a (x) b) must be comodule isomorphisms.
+    Additionally induces the multiplication on the coend and verifies that h
+    transports it to the multiplication of b."""
     for (x, y), name in monoidal.tensor_obj.items():
         xi = monoidal.xi[(x, y)]
         t = tensor_comodule(seeds[x], seeds[y], b)
-        target = seeds[name]
-        idc = identity(b.carrier, f)
-        if kron_compose(xi, idc, t.rho) != target.rho @ xi:
+        if not intertwines(xi, t.rho, seeds[name].rho, b.carrier):
             raise ValueError(f"xi at ({x}, {y}) is not a comodule morphism")
     res = reconstruct_coalgebra(Coalgebra(b.carrier, b.delta, b.counit), seeds)
-    mon = MonoidalDiagram(
-        unit=monoidal.unit,
-        tensor_obj=dict(monoidal.tensor_obj),
-        xi=dict(monoidal.xi),
-        xi_unit=monoidal.xi_unit,
-        duals=monoidal.duals,
-        dual_maps=monoidal.dual_maps,
-    )
-    bialg_q = bialgebra_from_monoidal(res.coend, mon)
+    bialg_q = bialgebra_from_monoidal(res.coend, monoidal)
     if res.iso:
         h = res.h
         if h @ bialg_q.mult != compose_kron(b.mult, h, h):
@@ -286,26 +257,17 @@ class RecognitionResult:
 def recognition_factorization(F, r: CoendResult | None = None) -> RecognitionResult:
     """Factor F through the category of comodules over its coend: objects go
     to (F(X), delta_X), morphisms keep their matrices (now verified to be
-    comodule morphisms), and the forgetful functor returns F on the nose."""
+    comodule morphisms), and the forgetful functor returns F on the nose.
+    Raises WellDefinednessFailure when a comodule or morphism check fails, so
+    a returned result is always ok."""
     from .coend import coend_of_functor
 
     if r is None:
         r = coend_of_functor(F)
-    f = r.field
-    comodules = {}
-    problems = []
-    for x in r.diagram.objects:
-        comodules[x] = comodule_on(r, x)
-    morphisms = {}
-    idq = identity(r.carrier, f)
-    for m in r.diagram.morphisms:
-        morphisms[m.name] = m.map
-        if kron_compose(m.map, idq, comodules[m.dom].rho) != comodules[m.cod].rho @ m.map:
-            problems.append(f"{m.name} is not a comodule morphism over the coend")
-    for x in r.diagram.objects:
-        if comodules[x].space.dim != r.diagram.spaces[x].dim:
-            problems.append(f"forgetful composite differs from F at {x}")
-    return RecognitionResult(r, comodules, morphisms, not problems, problems)
+    # comodule_on raises unless every morphism is a comodule morphism
+    comodules = {x: comodule_on(r, x) for x in r.diagram.objects}
+    morphisms = {m.name: m.map for m in r.diagram.morphisms}
+    return RecognitionResult(r, comodules, morphisms, True)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +376,6 @@ def _lift_through_equalizer(com: Comodule, q: Coalgebra) -> str:
     e_com = Comodule(incl.dom, q, rho_e)
     if e_com.check():
         return "failed: induced coaction violates comodule axioms"
-    if kron_compose(psi, idq, com.rho) != rho_e @ psi:
+    if not intertwines(psi, com.rho, rho_e, q.carrier):
         return "failed: lift is not a comodule morphism"
     return "lifted"

@@ -221,6 +221,13 @@ def _coalgebra_from_json(fld, name, data, spaces):
     return Coalgebra(s, delta, eps)
 
 
+def _section(raw: dict, key: str) -> dict:
+    data = raw.get(key, {})
+    if not isinstance(data, dict):
+        raise SpecError(f"section {key!r} must be a JSON object")
+    return data
+
+
 def load_spec(source, field_override: str | None = None) -> SpecData:
     """Load and validate a spec file from a path, JSON text or dict."""
     if isinstance(source, dict):
@@ -244,21 +251,23 @@ def load_spec(source, field_override: str | None = None) -> SpecData:
     if not isinstance(raw, dict):
         raise SpecError("spec file must be a JSON object")
     desc = field_override or raw.get("field", "q")
+    if not isinstance(desc, str):
+        raise SpecError("'field' must be a string: q, fp:<p> or padic:<p>")
     try:
         fld = field_from_descriptor(desc)
     except ScalarError as exc:
         raise SpecError(str(exc)) from None
     spec = SpecData(field=fld)
-    for name, data in raw.get("spaces", {}).items():
+    for name, data in _section(raw, "spaces").items():
         spec.spaces[name] = _space_from_json(name, data)
-    for name, data in raw.get("categories", {}).items():
+    for name, data in _section(raw, "categories").items():
         spec.categories[name] = _category_from_json(name, data)
-    for name, data in raw.get("functors", {}).items():
+    for name, data in _section(raw, "functors").items():
         spec.functors[name] = _functor_from_json(fld, name, data, spec.spaces,
                                                  spec.categories)
-    for name, data in raw.get("coalgebras", {}).items():
+    for name, data in _section(raw, "coalgebras").items():
         spec.coalgebras[name] = _coalgebra_from_json(fld, name, data, spec.spaces)
-    for name, data in raw.get("comodules", {}).items():
+    for name, data in _section(raw, "comodules").items():
         over = data.get("over")
         if over not in spec.coalgebras:
             raise SpecError(f"comodule {name!r}: unknown coalgebra {over!r}")
@@ -270,7 +279,7 @@ def load_spec(source, field_override: str | None = None) -> SpecData:
         rho = _parse_rows(fld, data["rho"], s, tensor_space(s, c.carrier),
                           f"comodule {name!r} rho")
         spec.comodules[name] = Comodule(s, c, rho)
-    for name, data in raw.get("controls", {}).items():
+    for name, data in _section(raw, "controls").items():
         space_name = data.get("space")
         if space_name not in spec.spaces:
             raise SpecError(f"control {name!r}: unknown space {space_name!r}")
@@ -278,7 +287,7 @@ def load_spec(source, field_override: str | None = None) -> SpecData:
             name, spec.spaces[space_name],
             dict(data.get("action", {})), dict(data.get("xi", {})),
         )
-    for name, data in raw.get("transformations", {}).items():
+    for name, data in _section(raw, "transformations").items():
         if data.get("functor") not in spec.functors:
             raise SpecError(f"transformation {name!r}: unknown functor")
         if data.get("target") not in spec.spaces:

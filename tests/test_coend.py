@@ -266,6 +266,27 @@ def test_nat_to_cowedge_rejects_non_natural():
         nat_to_cowedge(r, t, K)
 
 
+@pytest.mark.parametrize("components", [
+    {"a": qmap([[1]], K, K), "b": qmap([[1], [0]], K, K2)},  # wrong shape at a
+    {"b": qmap([[1], [0]], K, K2)},                           # no component at a
+])
+def test_nat_to_cowedge_rejects_malformed_components(components):
+    r = coend_of_functor(glued_pair_functor())
+    with pytest.raises(NaturalityFailure):
+        nat_to_cowedge(r, Transformation(components), K2)
+
+
+def test_tampered_injection_names_only_its_morphism():
+    # a -> b <- c: the injection at a meets only f
+    cat = FinCategory(["a", "b", "c"], [("f", "a", "b"), ("g", "c", "b")])
+    F = DiagramFunctor(cat, QQ, {x: K for x in "abc"},
+                       {"f": qmap([[1]], K, K), "g": qmap([[2]], K, K)})
+    r = coend_of_functor(F)
+    assert verify_cowedge(r) == []
+    r.injections["a"] = r.injections["a"].scale(Fraction(3))
+    assert verify_cowedge(r) == ["cowedge relation fails at morphism f"]
+
+
 # -- factor_through_coend --------------------------------------------------------
 
 def test_factor_of_delta_is_identity():

@@ -1,6 +1,9 @@
 from fractions import Fraction
 
-from coendforge.exactlinalg import QQ, LinearMap, Space, identity
+from hypothesis import given
+from hypothesis import strategies as st
+
+from coendforge.exactlinalg import QQ, LinearMap, PrimeField, Space, identity, tensor
 from coendforge.fincat import (
     CategoryMonoidalData,
     DiagramFunctor,
@@ -10,6 +13,8 @@ from coendforge.fincat import (
     check_dinatural,
     check_monoidal,
     check_natural,
+    diagram_of_functor,
+    natural_problems,
     tensor_functor,
     validate_category,
     validate_functor,
@@ -161,6 +166,63 @@ def test_tensor_functor_shifts_naturality():
             rows[i * 2][i] = 1
         comps[x] = qmap(rows, F.space(x), G.space(x))
     assert check_natural(Transformation(comps), F, G)
+
+
+def law_functor(kind, f):
+    """Over the field f: the chain a -> b (K -> K^2, the first inclusion) or
+    the glued pair a -> b (K -> K, the identity)."""
+    cod, rows = (K2, [[1], [0]]) if kind == "chain" else (K, [[1]])
+    fmap = LinearMap(f, K, cod, tuple(tuple(f.from_int(a) for a in r) for r in rows))
+    return DiagramFunctor(arrow_cat(), f, {"a": K, "b": cod}, {"f": fmap})
+
+
+@st.composite
+def transformations_into_tensor(draw):
+    """A functor F, a space M and a family t_X: F(X) -> F(X) (x) M that is
+    natural by construction, natural but perturbed, random, of a wrong shape
+    at one object, or missing one component."""
+    f = draw(st.sampled_from([QQ, PrimeField(7)]))
+    F = law_functor(draw(st.sampled_from(["chain", "glued"])), f)
+    m = Space.std(draw(st.integers(1, 2)), prefix="m")
+    mode = draw(st.sampled_from(["natural", "perturbed", "random", "shape", "missing"]))
+    entry = st.integers(-1, 1).map(f.from_int)
+
+    def matrix(dom, cod_dim):
+        rows = draw(st.lists(st.lists(entry, min_size=dom.dim, max_size=dom.dim),
+                             min_size=cod_dim, max_size=cod_dim))
+        return LinearMap(f, dom, Space.std(cod_dim), tuple(tuple(r) for r in rows))
+
+    v = matrix(K, m.dim)
+    comps = {}
+    for x in F.source.objects:
+        fx = F.space(x)
+        if mode in ("natural", "perturbed"):
+            comps[x] = tensor(identity(fx, f), v)
+        else:
+            comps[x] = matrix(fx, fx.dim * m.dim)
+    x = draw(st.sampled_from(F.source.objects))
+    if mode == "perturbed":
+        rows = [list(r) for r in comps[x].entries]
+        rows[0][0] = f.add(rows[0][0], f.one())
+        comps[x] = LinearMap(f, comps[x].dom, comps[x].cod, tuple(tuple(r) for r in rows))
+    elif mode == "shape":
+        comps[x] = matrix(F.space(x), F.space(x).dim * m.dim + 1)
+    elif mode == "missing":
+        del comps[x]
+    return F, Transformation(comps), m, mode
+
+
+@given(transformations_into_tensor())
+def test_natural_problems_agree_with_check_natural(case):
+    F, t, m, mode = case
+    problems = natural_problems(diagram_of_functor(F), t, m)
+    assert (problems == []) == check_natural(t, F, tensor_functor(F, m))
+    if mode == "natural":
+        assert problems == []
+    if mode == "perturbed":
+        assert problems == ["naturality fails at morphism f"]
+    if mode in ("shape", "missing"):
+        assert problems and "component" in problems[0]
 
 
 def test_zero_cowedge_is_dinatural():

@@ -19,7 +19,7 @@ from coendforge.exactlinalg import (
     tensor_space,
 )
 from coendforge.reconstruct import (
-    SeedMonoidalData,
+    MonoidalDiagram,
     comodule_category_of,
     comodule_hom_basis,
     diagram_of_comodule_category,
@@ -87,6 +87,14 @@ def test_comodule_category_closure():
     d = diagram_of_comodule_category(cat)
     # identity basis morphisms are dropped from the diagram
     assert d.morphisms == []
+
+
+def test_comodule_category_check_rejects_a_non_intertwining_hom():
+    c = kz2()
+    cat = comodule_category_of(c, {"k0": graded_line(c, 0), "k1": graded_line(c, 1, "w")})
+    # K -> K from degree 0 to degree 1 is linear but not a comodule morphism
+    cat.homs[("k0", "k1")] = [qmap([[1]], K, K)]
+    assert cat.check() == ["hom basis: naturality fails at morphism h:k0->k1:0"]
 
 
 def test_direct_sum_seed_category_closure():
@@ -181,7 +189,7 @@ def test_reconstruct_bialgebra_kz2():
                            lambda i: (-i) % 2)
     seeds = {"k0": graded_line(h, 0), "k1": graded_line(h, 1, "w")}
     one = qmap([[1]], K, K)
-    monoidal = SeedMonoidalData(
+    monoidal = MonoidalDiagram(
         unit="k0",
         tensor_obj={("k0", "k0"): "k0", ("k0", "k1"): "k1",
                     ("k1", "k0"): "k1", ("k1", "k1"): "k0"},

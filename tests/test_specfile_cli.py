@@ -259,6 +259,20 @@ def test_field_modulus_beyond_primality_bound_exits_2_with_json():
     assert "exceeds the supported bound" in data["problems"][0]
 
 
+@pytest.mark.parametrize("spec", [
+    {"field": 5},
+    {"field": "q", "spaces": []},
+    {"field": "q", "functors": "F"},
+])
+def test_mistyped_spec_fields_exit_2_with_json(tmp_path, spec):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(["validate", str(path)])
+    assert code == 2
+    data = json.loads(out)
+    assert data["ok"] is False and data["problems"]
+
+
 # -- determinism ---------------------------------------------------------------------
 
 def test_output_determinism_byte_identical():
