@@ -7,48 +7,29 @@ succeed does not.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-SPECS = Path(__file__).resolve().parent.parent / "specs"
-
-RUNS = [
-    ("one_object_k2", ["validate"]),
-    ("one_object_k2", ["coend", "--functor", "F"]),
-    ("one_object_k2", ["cohom", "--x", "K2", "--y", "K2"]),
-    ("one_object_k2", ["reconstruct", "--coalgebra", "M2", "--seeds", "V"]),
-    ("one_object_k2", ["equiv", "--coalgebra", "M2", "--seeds", "V",
-                       "--probes", "regular"]),
-    ("one_object_k2", ["factor", "--functor", "F", "--transformation", "t_id"]),
-    ("one_object_k2", ["bcoend", "--functor", "F", "--field", "padic:2"]),
-    ("glued_pair", ["validate"]),
-    ("glued_pair", ["coend", "--functor", "F"]),
-    ("glued_pair", ["bcoend", "--functor", "F", "--field", "padic:2"]),
-    ("discrete_points", ["coend", "--functor", "F"]),
-    ("discrete_points", ["ccoend", "--functor", "F", "--controls", "unit"]),
-    ("discrete_points", ["ccoend", "--functor", "F", "--controls", "merge01"]),
-    ("z2_grading", ["validate"]),
-    ("z2_grading", ["bialgebra", "--functor", "F"]),
-    ("z2_grading", ["hopf", "--functor", "F"]),
-    ("z2_grading", ["ccoend", "--functor", "F", "--controls", "shift"]),
-    ("z2_grading", ["reconstruct", "--coalgebra", "KZ2", "--seeds", "k0,k1"]),
-    ("z2_grading", ["equiv", "--coalgebra", "KZ2", "--seeds", "k0,k1",
-                    "--probes", "regular,ksum"]),
-    ("z3_grading", ["hopf", "--functor", "F"]),
-    ("z3_grading", ["hopf", "--functor", "F", "--field", "fp:2"]),
-    ("z3_grading", ["bcoend", "--functor", "F", "--field", "padic:3"]),
-]
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "specs"
+# the corpus commands, shared with tests/test_corpus_golden.py and the benchmark
+CORPUS = ROOT / "perfbench" / "corpus_expected.json"
+RUNS = [(e["spec"], e["args"]) for e in json.loads(CORPUS.read_text(encoding="utf-8"))]
 
 SUMMARY_KEYS = ["ok", "carrier_dim", "verdict", "plain_carrier_dim"]
 
 
 def main() -> int:
+    # run this checkout's package, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     failures = 0
     for spec, args in RUNS:
         cmd = [sys.executable, "-m", "coendforge", args[0],
                str(SPECS / f"{spec}.json"), *args[1:]]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         summary = ""
         try:
             data = json.loads(proc.stdout)

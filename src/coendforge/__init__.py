@@ -79,6 +79,7 @@ from .fincat import (
 from .padic_banach import (
     NormedSpace,
     NormValue,
+    OracleRefusal,
     banach_colimit,
     banach_product,
     banach_sum,

@@ -2,8 +2,13 @@
 
 Exit codes: 0 on success, 2 on validation failure (parse errors, unresolved
 names, broken axioms in the input), 3 on a computation-level verdict failure
-(a reconstruction that is NotGenerated, a failed equivalence check).
+(a reconstruction that is NotGenerated, a failed equivalence check, a
+quotient norm the window oracle refuses to certify).
 Output is deterministic: identical input bytes yield identical output bytes.
+
+Validation boundary: every command but ``validate`` first runs
+``_validate_spec`` on the whole file and then trusts it; induced structures
+are checked once, by the ``coend`` constructor that builds them.
 """
 
 from __future__ import annotations
@@ -18,20 +23,21 @@ from .coend import (
     MissingDual,
     NaturalityFailure,
     WellDefinednessFailure,
-    antipode_on_coend,
-    bialgebra_on_coend,
+    antipode_from_monoidal,
+    bialgebra_from_monoidal,
     c_coend,
     coend_of_functor,
     comodule_on,
     epi_to_c_coend,
     factor_through_coend,
+    monoidal_diagram_of_functor,
     unit_control,
     verify_cowedge,
 )
 from .cohom import cohom as cohom_op
 from .exactlinalg import ScalarError
 from .fincat import check_monoidal, diagram_of_functor, validate_category, validate_functor
-from .padic_banach import PrimeMismatch, bounded_coend
+from .padic_banach import OracleRefusal, PrimeMismatch, bounded_coend
 from .reconstruct import equivalence_check, reconstruct_coalgebra
 from .specfile import (
     SpecError,
@@ -71,10 +77,9 @@ def _validate_spec(spec):
         problems.extend(f"category {name}: {p}" for p in rep.problems)
     for name, F in spec.functors.items():
         rep = validate_functor(F)
-        problems.extend(f"functor {name}: {p}" for p in rep.problems)
-        if F.monoidal is not None and not rep.problems:
+        if rep.ok and F.monoidal is not None:
             rep = check_monoidal(F)
-            problems.extend(f"functor {name}: {p}" for p in rep.problems)
+        problems.extend(f"functor {name}: {p}" for p in rep.problems)
     for name, c in spec.coalgebras.items():
         problems.extend(f"coalgebra {name}: {p}" for p in c.check())
     for name, com in spec.comodules.items():
@@ -88,9 +93,6 @@ def _require_functor(spec, name):
     F = spec.functors.get(name)
     if F is None:
         raise SpecError(f"unknown functor {name!r}")
-    rep = validate_functor(F)
-    if not rep.ok:
-        raise SpecError([f"functor {name}: {p}" for p in rep.problems])
     return F
 
 
@@ -174,7 +176,7 @@ def cmd_ccoend(spec, args):
 def cmd_bialgebra(spec, args):
     F = _require_functor(spec, args.functor)
     r = coend_of_functor(F)
-    b = bialgebra_on_coend(F, r)
+    b = bialgebra_from_monoidal(r, monoidal_diagram_of_functor(F))
     payload = _coend_payload(r)
     payload["multiplication"] = matrix_json(b.mult)
     payload["unit"] = matrix_json(b.unit)
@@ -186,11 +188,10 @@ def cmd_bialgebra(spec, args):
 def cmd_hopf(spec, args):
     F = _require_functor(spec, args.functor)
     r = coend_of_functor(F)
-    b = bialgebra_on_coend(F, r)
-    h = antipode_on_coend(F, r)
+    h = antipode_from_monoidal(r, monoidal_diagram_of_functor(F))
     payload = _coend_payload(r)
-    payload["multiplication"] = matrix_json(b.mult)
-    payload["unit"] = matrix_json(b.unit)
+    payload["multiplication"] = matrix_json(h.mult)
+    payload["unit"] = matrix_json(h.unit)
     payload["antipode"] = matrix_json(h.antipode)
     payload["verification"]["hopf"] = r.checks["hopf"]
     _emit(payload, args.out)
@@ -213,9 +214,6 @@ def cmd_reconstruct(spec, args):
     c = spec.coalgebras.get(args.coalgebra)
     if c is None:
         raise SpecError(f"unknown coalgebra {args.coalgebra!r}")
-    bad = c.check()
-    if bad:
-        raise SpecError([f"coalgebra {args.coalgebra}: {p}" for p in bad])
     seeds = _named_comodules(spec, args.seeds.split(","), "seeds")
     res = reconstruct_coalgebra(c, seeds)
     payload = {
@@ -347,6 +345,9 @@ def main(argv=None) -> int:
         problems = getattr(exc, "problems", None) or [str(exc)]
         _emit({"ok": False, "problems": problems}, args.out)
         return 2
+    except OracleRefusal as exc:
+        _emit({"ok": False, "problems": [str(exc)]}, args.out)
+        return 3
 
 
 if __name__ == "__main__":

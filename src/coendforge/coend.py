@@ -11,8 +11,13 @@ Control objects add further relation blocks (one per object and control),
 shrinking the quotient; a monoidal structure on the diagram induces a
 bialgebra, and declared duals induce an antipode.  Well-definedness of every
 induced map is not trusted: it is an exact test that the map kills the
-relations, followed by an exact axiom check whose problem list is kept on
-the result (``CoendResult.checks``), so callers report it without re-running it.
+relations.  Each constructor then checks, once, only the axioms it adds (the
+coalgebra; the algebra axioms over that coalgebra; the antipode) and keeps
+the problem list in ``CoendResult.checks``, so callers report it without
+re-running it.  The naturality of the universal family is checked once per
+coend, by the first ``comodule_on``, and kept there too.  The
+``*_from_monoidal`` constructors trust their ``MonoidalDiagram``;
+``bialgebra_on_coend`` and ``antipode_on_coend`` run ``check_monoidal`` first.
 
 ``Diagram`` and the naturality and cowedge laws live in ``fincat``
 (``natural_problems``, ``cowedge_problems``); this module applies them.
@@ -29,6 +34,7 @@ from .cohom import (
     Comodule,
     HopfAlgebra,
     coact,
+    coalgebra_morphism_problems,
     cohom,
     cohom_on_maps,
     unit_space,
@@ -121,8 +127,8 @@ class CoendResult:
     controls: list[ControlData] = field(default_factory=list)
     bialgebra: Bialgebra | None = None
     hopf: HopfAlgebra | None = None
-    # axiom problem lists of the induced structures ("coalgebra", "bialgebra",
-    # "hopf"), recorded once by the constructor that checked them
+    # problem lists of the checks ("coalgebra", "naturality", "bialgebra",
+    # "hopf"), recorded once by the constructor that ran them
     checks: dict[str, list[str]] = field(default_factory=dict)
 
     @property
@@ -270,6 +276,14 @@ def verify_cowedge(r: CoendResult) -> list[str]:
 # induced coalgebra and comodules
 # ---------------------------------------------------------------------------
 
+def _record_check(r: CoendResult, name: str, problems: list[str]) -> None:
+    """Raise if an induced structure fails its check; otherwise keep the
+    (empty) problem list as r.checks[name]."""
+    if problems:
+        raise WellDefinednessFailure("; ".join(problems))
+    r.checks[name] = problems
+
+
 def _blockwise_delta(r: CoendResult) -> LinearMap:
     """Delta_N: N -> N (x) N, the comatrix comultiplication on each block
     followed by the squared block inclusion."""
@@ -344,22 +358,19 @@ def coalgebra_on_coend(r: CoendResult) -> Coalgebra:
             f"induced coalgebra is not well defined: {exc}"
         ) from None
     coalg = Coalgebra(r.carrier, delta_q, eps_q)
-    problems = coalg.check()
-    if problems:
-        raise WellDefinednessFailure("; ".join(problems))
-    r.checks["coalgebra"] = problems
+    _record_check(r, "coalgebra", coalg.check())
     return coalg
 
 
 def comodule_on(r: CoendResult, x: str) -> Comodule:
     """The comodule (F(X), (id (x) i_X) o coev) over the coend coalgebra;
-    verifies the axioms and the naturality of the whole family."""
+    verifies its axioms and the naturality of the whole family, the latter
+    once per coend (kept as r.checks["naturality"])."""
+    if "naturality" not in r.checks:
+        universal = natural_problems(r.diagram, Transformation(r.delta), r.carrier)
+        r.checks["naturality"] = [f"universal family: {p}" for p in universal]
     com = Comodule(r.diagram.spaces[x], r.coalgebra, r.delta[x])
-    problems = com.check()
-    problems.extend(
-        f"universal family: {p}"
-        for p in natural_problems(r.diagram, Transformation(r.delta), r.carrier)
-    )
+    problems = com.check() + r.checks["naturality"]
     if problems:
         raise WellDefinednessFailure("; ".join(problems))
     return com
@@ -434,11 +445,9 @@ def epi_to_c_coend(r: CoendResult, r_c: CoendResult) -> LinearMap:
     for x in r.diagram.objects:
         if h @ r.injections[x] != r_c.injections[x]:
             problems.append(f"injection square fails at {x}")
-    ca, cb = r.coalgebra, r_c.coalgebra
-    if cb.delta @ h != kron_compose(h, h, ca.delta):
-        problems.append("induced map does not respect comultiplication")
-    if cb.counit @ h != ca.counit:
-        problems.append("induced map does not respect counit")
+    problems.extend(
+        f"induced map {p}" for p in coalgebra_morphism_problems(h, r.coalgebra, r_c.coalgebra)
+    )
     if problems:
         raise WellDefinednessFailure("; ".join(problems))
     return h
@@ -461,9 +470,18 @@ class MonoidalDiagram:
     dual_maps: dict[str, LinearMap] | None = None
 
 
+def _require_monoidal(F: DiagramFunctor) -> None:
+    report = check_monoidal(F)
+    if not report.ok:
+        raise WellDefinednessFailure(
+            "functor is not monoidal: " + "; ".join(report.problems)
+        )
+
+
 def monoidal_diagram_of_functor(F: DiagramFunctor) -> MonoidalDiagram:
+    """F's monoidal data at the diagram level, taken as given."""
     if F.source.monoidal is None or F.monoidal is None:
-        raise ValueError("functor carries no monoidal data")
+        _require_monoidal(F)  # check_monoidal stops at once, naming what is missing
     return MonoidalDiagram(
         unit=F.source.monoidal.unit,
         tensor_obj=dict(F.source.monoidal.tensor_obj),
@@ -529,32 +547,23 @@ def bialgebra_from_monoidal(r: CoendResult, mon: MonoidalDiagram) -> Bialgebra:
     xi_u = mon.xi_unit
     u_q = compose_kron(r.injections[mon.unit], dual(invert_map(xi_u)), xi_u)
     bialg = Bialgebra(r.carrier, r.coalgebra.delta, r.coalgebra.counit, m_q, u_q)
-    problems = bialg.check()
-    if problems:
-        raise WellDefinednessFailure("; ".join(problems))
+    _record_check(r, "bialgebra", bialg.algebra_problems())
     r.bialgebra = bialg
-    r.checks["bialgebra"] = problems
     return bialg
 
 
 def bialgebra_on_coend(F: DiagramFunctor, r: CoendResult) -> Bialgebra:
-    report = check_monoidal(F)
-    if not report.ok:
-        raise WellDefinednessFailure(
-            "functor is not monoidal: " + "; ".join(report.problems)
-        )
+    _require_monoidal(F)
     return bialgebra_from_monoidal(r, monoidal_diagram_of_functor(F))
 
 
-def antipode_from_monoidal(r: CoendResult, mon: MonoidalDiagram, bialg: Bialgebra | None = None) -> HopfAlgebra:
+def antipode_from_monoidal(r: CoendResult, mon: MonoidalDiagram) -> HopfAlgebra:
     """Antipode from declared duals: each block flips onto the block of the
-    dual object through the identification F(X*) ~ F(X)^*."""
+    dual object through the identification F(X*) ~ F(X)^*.  The bialgebra is
+    r.bialgebra, built from mon first if there is none."""
     f = r.field
     d = r.diagram
-    if bialg is None:
-        bialg = r.bialgebra
-    if bialg is None:
-        bialg = bialgebra_from_monoidal(r, mon)
+    bialg = r.bialgebra or bialgebra_from_monoidal(r, mon)
     if mon.duals is None or mon.dual_maps is None:
         raise MissingDual("no dual objects or dual identifications declared")
     n = r.nspace.dim
@@ -588,18 +597,11 @@ def antipode_from_monoidal(r: CoendResult, mon: MonoidalDiagram, bialg: Bialgebr
     hopf = HopfAlgebra(
         r.carrier, bialg.delta, bialg.counit, bialg.mult, bialg.unit, s_q
     )
-    problems = hopf.check()
-    if problems:
-        raise WellDefinednessFailure("; ".join(problems))
+    _record_check(r, "hopf", hopf.antipode_problems())
     r.hopf = hopf
-    r.checks["hopf"] = problems
     return hopf
 
 
 def antipode_on_coend(F: DiagramFunctor, r: CoendResult) -> HopfAlgebra:
-    report = check_monoidal(F)
-    if not report.ok:
-        raise WellDefinednessFailure(
-            "functor is not monoidal: " + "; ".join(report.problems)
-        )
-    return antipode_from_monoidal(r, monoidal_diagram_of_functor(F), r.bialgebra)
+    _require_monoidal(F)
+    return antipode_from_monoidal(r, monoidal_diagram_of_functor(F))

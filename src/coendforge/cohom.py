@@ -229,14 +229,17 @@ class Bialgebra(Coalgebra):
     unit: LinearMap
 
     def check(self) -> list[str]:
-        problems = super().check()
+        return super().check() + self.algebra_problems()
+
+    def algebra_problems(self) -> list[str]:
+        """The axioms the multiplication and unit add to the coalgebra."""
         f = self.field
         n = self.carrier.dim
         m, u = self.mult, self.unit
         if m.dom.dim != n * n or m.cod.dim != n:
-            return problems + ["multiplication has wrong shape"]
+            return ["multiplication has wrong shape"]
         if u.dom.dim != 1 or u.cod.dim != n:
-            return problems + ["unit has wrong shape"]
+            return ["unit has wrong shape"]
         mcols = _cols(m)
         ucols = _cols(u)
         dcols = _cols(self.delta)
@@ -294,6 +297,7 @@ class Bialgebra(Coalgebra):
         uu = {a * n + b: f.mul(ca, cb) for a, ca in one.items() for b, cb in one.items()}
         uu = {k: v for k, v in uu.items() if not f.is_zero(v)}
         eps_u = _apply(ecols, one, f)
+        problems = []
         if not assoc:
             problems.append("multiplication is not associative")
         if not unit_law:
@@ -314,18 +318,22 @@ class HopfAlgebra(Bialgebra):
     antipode: LinearMap
 
     def check(self) -> list[str]:
-        problems = super().check()
+        return super().check() + self.antipode_problems()
+
+    def antipode_problems(self) -> list[str]:
+        """The axioms the antipode adds to the bialgebra."""
         f = self.field
         n = self.carrier.dim
         s = self.antipode
         if s.dom.dim != n or s.cod.dim != n:
-            return problems + ["antipode has wrong shape"]
+            return ["antipode has wrong shape"]
         scols = _cols(s)
         mcols = _cols(self.mult)
         dcols = _cols(self.delta)
         ecols = _cols(self.counit)
         ucols = _cols(self.unit)
         idc = _id_cols(n, f)
+        problems = []
         left = right = True
         for i in range(n):
             d = dcols[i]
@@ -447,25 +455,27 @@ def induce_coaction(phi: LinearMap, c: Coalgebra):
     )
     z = coact(phi, x, c.carrier)
     Comodule(e, c, rho_phi).require_valid()
-    _require_coalgebra_morphism(z, ce.coalgebra, c)
+    problems = coalgebra_morphism_problems(z, ce.coalgebra, c)
+    if problems:
+        raise AxiomError("; ".join(f"map {p}" for p in problems))
     # z is recovered from rho_phi by stripping the coend leg with the counit
     if z != kron_compose(ce.coalgebra.counit, identity(c.carrier, f), rho_phi):
         raise AxiomError("induced coaction does not collapse to coact(phi)")
     return rho_phi, z
 
 
-def _require_coalgebra_morphism(z: LinearMap, src: Coalgebra, dst: Coalgebra):
+def coalgebra_morphism_problems(z: LinearMap, src: Coalgebra, dst: Coalgebra) -> list[str]:
+    """Why z: src -> dst is not a coalgebra morphism, or [] if it is."""
+    problems = []
     if dst.delta @ z != kron_compose(z, z, src.delta):
-        raise AxiomError("map does not respect comultiplication")
+        problems.append("does not respect comultiplication")
     if dst.counit @ z != src.counit:
-        raise AxiomError("map does not respect counit")
+        problems.append("does not respect counit")
+    return problems
 
 
 def is_coalgebra_morphism(z: LinearMap, src: Coalgebra, dst: Coalgebra) -> bool:
-    return (
-        dst.delta @ z == kron_compose(z, z, src.delta)
-        and dst.counit @ z == src.counit
-    )
+    return not coalgebra_morphism_problems(z, src, dst)
 
 
 # ---------------------------------------------------------------------------

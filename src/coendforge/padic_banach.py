@@ -37,6 +37,12 @@ from .exactlinalg import (
 from .fincat import DiagramFunctor, Transformation
 
 
+class OracleRefusal(ArithmeticError):
+    """The window oracle declined to certify: its candidate grid would exceed
+    the enumeration bound.  A certification mismatch is a plain
+    ArithmeticError, not this."""
+
+
 class PrimeMismatch(ValueError):
     """Operands carry different primes."""
 
@@ -229,7 +235,8 @@ def quotient_norm(ns: NormedSpace, subspace_vectors, v, certify=True) -> NormVal
     pivot of the orthogonalized subspace basis, and for such a vector no
     element of the subspace can lower the norm (ultrametric argument on the
     pivot coordinates).  With certify=True the value is re-derived by the
-    independent window oracle and a mismatch raises ArithmeticError.
+    independent window oracle and a mismatch raises ArithmeticError; an
+    instance too large for the oracle raises OracleRefusal.
     """
     basis, pivots = _orthogonalize(subspace_vectors, ns.weights, ns.p)
     residual = _reduce_vector(v, basis, pivots)
@@ -351,7 +358,7 @@ def quotient_norm_bruteforce(ns: NormedSpace, subspace_vectors, v,
         digit_sets.append(values)
         total *= len(values)
         if total > max_candidates:
-            raise ArithmeticError(
+            raise OracleRefusal(
                 f"window oracle would enumerate > {max_candidates} candidates"
             )
     vv = [Fraction(a) for a in v]

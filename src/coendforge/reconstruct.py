@@ -264,7 +264,8 @@ def recognition_factorization(F, r: CoendResult | None = None) -> RecognitionRes
 
     if r is None:
         r = coend_of_functor(F)
-    # comodule_on raises unless every morphism is a comodule morphism
+    # comodule_on checks each coaction and, once, that the universal family
+    # is natural, so every morphism is a comodule morphism
     comodules = {x: comodule_on(r, x) for x in r.diagram.objects}
     morphisms = {m.name: m.map for m in r.diagram.morphisms}
     return RecognitionResult(r, comodules, morphisms, True)

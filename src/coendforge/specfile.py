@@ -68,6 +68,14 @@ class SpecData:
     transformations: dict[str, TransformationSpec] = field(default_factory=dict)
 
 
+def _expect(value, kind, what: str):
+    """value, if it is a JSON object (kind dict) or array (kind list);
+    otherwise SpecError naming what."""
+    if not isinstance(value, kind):
+        raise SpecError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
 def _parse_rows(fld, rows, dom: Space, cod: Space, what: str) -> LinearMap:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise SpecError(f"{what}: matrix must be a list of rows")
@@ -82,17 +90,16 @@ def _parse_rows(fld, rows, dom: Space, cod: Space, what: str) -> LinearMap:
 
 
 def _space_from_json(name, data) -> Space:
-    if not isinstance(data, dict):
-        raise SpecError(f"space {name!r}: expected an object")
+    data = _expect(data, dict, f"space {name!r}")
     if "labels" in data:
-        labels = tuple(str(a) for a in data["labels"])
+        labels = tuple(str(a) for a in _expect(data["labels"], list, f"space {name!r}: 'labels'"))
     elif "dim" in data:
         labels = tuple(f"{name}.{i}" for i in range(int(data["dim"])))
     else:
         raise SpecError(f"space {name!r}: needs 'labels' or 'dim'")
     weights = data.get("weights")
     if weights is not None:
-        if len(weights) != len(labels):
+        if len(_expect(weights, list, f"space {name!r}: 'weights'")) != len(labels):
             raise SpecError(f"space {name!r}: weight count != dimension")
         weights = tuple(int(w) for w in weights)
     try:
@@ -102,12 +109,15 @@ def _space_from_json(name, data) -> Space:
 
 
 def _category_from_json(name, data) -> FinCategory:
-    objects = data.get("objects")
-    if not objects:
-        raise SpecError(f"category {name!r}: needs nonempty 'objects'")
-    morphisms = [
-        (m["name"], m["dom"], m["cod"]) for m in data.get("morphisms", [])
-    ]
+    objects = _expect(data, dict, f"category {name!r}").get("objects")
+    if not isinstance(objects, list) or not objects or not all(isinstance(o, str) for o in objects):
+        raise SpecError(f"category {name!r}: needs nonempty 'objects', a list of names")
+    morphisms = []
+    for m in _expect(data.get("morphisms", []), list, f"category {name!r}: 'morphisms'"):
+        m = _expect(m, dict, f"category {name!r}: each morphism")
+        if not all(isinstance(m.get(k), str) for k in ("name", "dom", "cod")):
+            raise SpecError(f"category {name!r}: a morphism needs string 'name', 'dom' and 'cod'")
+        morphisms.append((m["name"], m["dom"], m["cod"]))
     composition = {}
     for entry in data.get("composition", []):
         if len(entry) != 3:
@@ -138,12 +148,13 @@ def _category_from_json(name, data) -> FinCategory:
 
 
 def _functor_from_json(fld, name, data, spaces, categories) -> DiagramFunctor:
-    src_name = data.get("source")
+    src_name = _expect(data, dict, f"functor {name!r}").get("source")
     if src_name not in categories:
         raise SpecError(f"functor {name!r}: unknown source category {src_name!r}")
     cat = categories[src_name]
     ob = {}
-    for obj, space_name in data.get("objects", {}).items():
+    objects = _expect(data.get("objects", {}), dict, f"functor {name!r}: 'objects'")
+    for obj, space_name in objects.items():
         if obj not in cat.objects:
             raise SpecError(f"functor {name!r}: {obj!r} is not an object of {src_name!r}")
         if space_name not in spaces:
@@ -153,7 +164,8 @@ def _functor_from_json(fld, name, data, spaces, categories) -> DiagramFunctor:
         if obj not in ob:
             raise SpecError(f"functor {name!r}: no space assigned to {obj!r}")
     mor = {}
-    for mname, rows in data.get("morphisms", {}).items():
+    morphisms = _expect(data.get("morphisms", {}), dict, f"functor {name!r}: 'morphisms'")
+    for mname, rows in morphisms.items():
         if mname not in cat.morphisms or cat.is_identity(mname):
             raise SpecError(f"functor {name!r}: unknown morphism {mname!r}")
         m = cat.morphisms[mname]
@@ -222,10 +234,7 @@ def _coalgebra_from_json(fld, name, data, spaces):
 
 
 def _section(raw: dict, key: str) -> dict:
-    data = raw.get(key, {})
-    if not isinstance(data, dict):
-        raise SpecError(f"section {key!r} must be a JSON object")
-    return data
+    return _expect(raw.get(key, {}), dict, f"section {key!r}")
 
 
 def load_spec(source, field_override: str | None = None) -> SpecData:

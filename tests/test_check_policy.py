@@ -1,0 +1,106 @@
+"""Each structure is checked once per command: the CLI trusts what
+`_validate_spec` checked, and each coend constructor checks only the axioms
+it adds.  Calls are counted by wrapping every binding of a check inside the
+package, so a check reached through any import path is seen."""
+
+import contextlib
+import functools
+import io
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from coendforge.cli import main
+from coendforge.cohom import Bialgebra, Coalgebra, HopfAlgebra
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+FUNCTIONS = [("fincat", "check_monoidal"), ("fincat", "validate_functor"),
+             ("fincat", "natural_problems"), ("cohom", "intertwines")]
+METHODS = [(Coalgebra, "check"), (Bialgebra, "algebra_problems"),
+           (HopfAlgebra, "antipode_problems"), (HopfAlgebra, "check")]
+
+
+def count_checks(monkeypatch) -> Counter:
+    counts = Counter()
+
+    def wrap(key, fn):
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    modules = [m for name, m in sys.modules.items()
+               if m is not None and (name == "coendforge" or name.startswith("coendforge."))]
+    for modname, name in FUNCTIONS:
+        original = getattr(sys.modules[f"coendforge.{modname}"], name)
+        counted = wrap(name, original)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    for cls, name in METHODS:
+        if name in cls.__dict__:  # a missing method counts 0 calls
+            counted = wrap(f"{cls.__name__}.{name}", cls.__dict__[name])
+            monkeypatch.setattr(cls, name, counted)
+    return counts
+
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+
+def test_hopf_command_checks_each_structure_once(monkeypatch):
+    counts = count_checks(monkeypatch)
+    assert run(["hopf", str(SPECS / "z3_grading.json"), "--functor", "F"]) == 0
+    assert counts["check_monoidal"] == 1
+    assert counts["validate_functor"] == 1
+    assert counts["Coalgebra.check"] == 1
+    assert counts["Bialgebra.algebra_problems"] == 1
+    assert counts["HopfAlgebra.antipode_problems"] == 1
+
+
+def test_coend_command_checks_naturality_once(monkeypatch):
+    counts = count_checks(monkeypatch)
+    assert run(["coend", str(SPECS / "glued_pair.json"), "--functor", "F"]) == 0
+    assert counts["intertwines"] == 1  # one morphism, checked once
+
+
+@pytest.mark.parametrize("argv", [
+    ["coend", "discrete_points.json", "--functor", "F"],
+    ["ccoend", "discrete_points.json", "--functor", "F", "--controls", "merge01"],
+    ["factor", "one_object_k2.json", "--functor", "F", "--transformation", "t_id"],
+    ["reconstruct", "z2_grading.json", "--coalgebra", "KZ2", "--seeds", "k0,k1"],
+])
+def test_each_command_runs_one_naturality_check(monkeypatch, argv):
+    # coend: the universal family; ccoend: the controlled coend's family (the
+    # plain coend builds no comodule); factor: the transformation;
+    # reconstruct: the seed comodule category (its coend builds no comodule)
+    counts = count_checks(monkeypatch)
+    assert run([argv[0], str(SPECS / argv[1]), *argv[2:]]) == 0
+    assert counts["natural_problems"] == 1
+
+
+def test_reconstruct_command_checks_the_input_hopf_algebra_once(monkeypatch):
+    counts = count_checks(monkeypatch)
+    argv = ["reconstruct", str(SPECS / "z2_grading.json"), "--coalgebra", "KZ2",
+            "--seeds", "k0,k1"]
+    assert run(argv) == 0
+    assert counts["HopfAlgebra.check"] == 1
+
+
+@pytest.mark.parametrize("command", ["bialgebra", "hopf"])
+def test_non_monoidal_functor_output_is_pinned(command):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([command, str(SPECS / "glued_pair.json"), "--functor", "F"])
+    assert code == 2
+    assert buf.getvalue() == (
+        '{\n  "ok": false,\n  "problems": [\n'
+        '    "functor is not monoidal: source category carries no monoidal data"\n'
+        '  ]\n}\n'
+    )

@@ -263,6 +263,12 @@ def test_field_modulus_beyond_primality_bound_exits_2_with_json():
     {"field": 5},
     {"field": "q", "spaces": []},
     {"field": "q", "functors": "F"},
+    {"spaces": {"V": {"labels": 5}}},
+    {"spaces": {"V": {"dim": 2, "weights": 3}}},
+    {"categories": {"C": {"objects": 5}}},
+    {"categories": {"C": {"objects": ["a"], "morphisms": [5]}}},
+    {"spaces": {"V": {"dim": 1}}, "categories": {"C": {"objects": ["a"]}},
+     "functors": {"F": {"source": "C", "objects": ["a"]}}},
 ])
 def test_mistyped_spec_fields_exit_2_with_json(tmp_path, spec):
     path = tmp_path / "bad.json"
@@ -271,6 +277,26 @@ def test_mistyped_spec_fields_exit_2_with_json(tmp_path, spec):
     assert code == 2
     data = json.loads(out)
     assert data["ok"] is False and data["problems"]
+
+
+def test_window_oracle_refusal_exits_3_with_json(tmp_path):
+    # one arrow K^2 -> K^2 over padic:3 whose digit windows exceed the
+    # oracle's candidate bound
+    path = tmp_path / "k2.json"
+    path.write_text(json.dumps({
+        "field": "padic:3",
+        "spaces": {"Ka": {"labels": ["a0", "a1"], "weights": [0, 0]},
+                   "Kb": {"labels": ["b0", "b1"], "weights": [0, 2]}},
+        "categories": {"Arrow": {"objects": ["a", "b"],
+                                 "morphisms": [{"name": "f", "dom": "a", "cod": "b"}]}},
+        "functors": {"F": {"source": "Arrow", "objects": {"a": "Ka", "b": "Kb"},
+                           "morphisms": {"f": [["1", "0"], ["0", "1"]]}}},
+    }))
+    code, out = run_cli(["bcoend", str(path), "--functor", "F"])
+    assert code == 3
+    data = json.loads(out)
+    assert data["ok"] is False
+    assert any("window oracle" in p for p in data["problems"])
 
 
 # -- determinism ---------------------------------------------------------------------
