@@ -2,8 +2,7 @@
 
 Exit codes: 0 on success, 2 on validation failure (parse errors, unresolved
 names, broken axioms in the input), 3 on a computation-level verdict failure
-(a reconstruction that is NotGenerated, a failed equivalence check, a
-quotient norm the window oracle refuses to certify).
+(a reconstruction that is NotGenerated, a failed equivalence check).
 Output is deterministic: identical input bytes yield identical output bytes.
 
 Validation boundary: every command but ``validate`` first runs
@@ -37,7 +36,7 @@ from .coend import (
 from .cohom import cohom as cohom_op
 from .exactlinalg import ScalarError
 from .fincat import check_monoidal, diagram_of_functor, validate_category, validate_functor
-from .padic_banach import OracleRefusal, PrimeMismatch, bounded_coend
+from .padic_banach import PrimeMismatch, bounded_coend
 from .reconstruct import equivalence_check, reconstruct_coalgebra
 from .specfile import (
     SpecError,
@@ -72,13 +71,16 @@ def _emit(payload, out_path=None) -> None:
 
 def _validate_spec(spec):
     problems = []
+    cat_reports = {}
     for name, cat in spec.categories.items():
-        rep = validate_category(cat)
+        rep = cat_reports[id(cat)] = validate_category(cat)
         problems.extend(f"category {name}: {p}" for p in rep.problems)
     for name, F in spec.functors.items():
         rep = validate_functor(F)
         if rep.ok and F.monoidal is not None:
-            rep = check_monoidal(F)
+            # check_monoidal trusts its source category, validated above
+            cat_rep = cat_reports[id(F.source)]
+            rep = check_monoidal(F) if cat_rep.ok else cat_rep
         problems.extend(f"functor {name}: {p}" for p in rep.problems)
     for name, c in spec.coalgebras.items():
         problems.extend(f"coalgebra {name}: {p}" for p in c.check())
@@ -345,9 +347,6 @@ def main(argv=None) -> int:
         problems = getattr(exc, "problems", None) or [str(exc)]
         _emit({"ok": False, "problems": problems}, args.out)
         return 2
-    except OracleRefusal as exc:
-        _emit({"ok": False, "problems": [str(exc)]}, args.out)
-        return 3
 
 
 if __name__ == "__main__":

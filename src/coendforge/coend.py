@@ -17,7 +17,8 @@ the problem list in ``CoendResult.checks``, so callers report it without
 re-running it.  The naturality of the universal family is checked once per
 coend, by the first ``comodule_on``, and kept there too.  The
 ``*_from_monoidal`` constructors trust their ``MonoidalDiagram``;
-``bialgebra_on_coend`` and ``antipode_on_coend`` run ``check_monoidal`` first.
+``bialgebra_on_coend`` and ``antipode_on_coend`` run ``validate_category`` and
+``check_monoidal`` first.
 
 ``Diagram`` and the naturality and cowedge laws live in ``fincat``
 (``natural_problems``, ``cowedge_problems``); this module applies them.
@@ -64,6 +65,7 @@ from .fincat import (
     cowedge_problems,
     diagram_of_functor,
     natural_problems,
+    validate_category,
 )
 
 
@@ -471,7 +473,10 @@ class MonoidalDiagram:
 
 
 def _require_monoidal(F: DiagramFunctor) -> None:
-    report = check_monoidal(F)
+    # check_monoidal names missing monoidal data first, then trusts a valid source
+    report = validate_category(F.source)
+    if report.ok or F.source.monoidal is None or F.monoidal is None:
+        report = check_monoidal(F)
     if not report.ok:
         raise WellDefinednessFailure(
             "functor is not monoidal: " + "; ".join(report.problems)

@@ -400,7 +400,8 @@ def check_monoidal(F: DiagramFunctor) -> ValidationReport:
     Checks invertibility of every xi, the associativity square
     xi_{X(x)Y,Z} o (xi_{X,Y} (x) id) = xi_{X,Y(x)Z} o (id (x) xi_{Y,Z}),
     the unit squares against xi_unit, and naturality of xi on every pair
-    in the morphism tensor table.
+    in the morphism tensor table.  The source category is trusted: callers
+    run ``validate_category`` on it first.
     """
     problems = []
     cat = F.source
@@ -408,9 +409,6 @@ def check_monoidal(F: DiagramFunctor) -> ValidationReport:
         return ValidationReport(False, ["source category carries no monoidal data"])
     if F.monoidal is None:
         return ValidationReport(False, ["functor carries no monoidal data"])
-    cat_report = validate_category(cat)
-    if not cat_report.ok:
-        return cat_report
     mon = cat.monoidal
     fld = F.field
     for a in cat.objects:

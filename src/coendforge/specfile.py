@@ -76,6 +76,13 @@ def _expect(value, kind, what: str):
     return value
 
 
+def _int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise SpecError(f"{what} must be an integer") from None
+
+
 def _parse_rows(fld, rows, dom: Space, cod: Space, what: str) -> LinearMap:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise SpecError(f"{what}: matrix must be a list of rows")
@@ -94,14 +101,14 @@ def _space_from_json(name, data) -> Space:
     if "labels" in data:
         labels = tuple(str(a) for a in _expect(data["labels"], list, f"space {name!r}: 'labels'"))
     elif "dim" in data:
-        labels = tuple(f"{name}.{i}" for i in range(int(data["dim"])))
+        labels = tuple(f"{name}.{i}" for i in range(_int(data["dim"], f"space {name!r}: 'dim'")))
     else:
         raise SpecError(f"space {name!r}: needs 'labels' or 'dim'")
     weights = data.get("weights")
     if weights is not None:
         if len(_expect(weights, list, f"space {name!r}: 'weights'")) != len(labels):
             raise SpecError(f"space {name!r}: weight count != dimension")
-        weights = tuple(int(w) for w in weights)
+        weights = tuple(_int(w, f"space {name!r}: each weight") for w in weights)
     try:
         return Space(labels, weights)
     except ValueError as exc:
@@ -149,7 +156,7 @@ def _category_from_json(name, data) -> FinCategory:
 
 def _functor_from_json(fld, name, data, spaces, categories) -> DiagramFunctor:
     src_name = _expect(data, dict, f"functor {name!r}").get("source")
-    if src_name not in categories:
+    if not isinstance(src_name, str) or src_name not in categories:
         raise SpecError(f"functor {name!r}: unknown source category {src_name!r}")
     cat = categories[src_name]
     ob = {}
@@ -215,7 +222,7 @@ def _functor_from_json(fld, name, data, spaces, categories) -> DiagramFunctor:
 
 
 def _coalgebra_from_json(fld, name, data, spaces):
-    space_name = data.get("space")
+    space_name = _expect(data, dict, f"coalgebra {name!r}").get("space")
     if space_name not in spaces:
         raise SpecError(f"coalgebra {name!r}: unknown space {space_name!r}")
     s = spaces[space_name]
@@ -277,7 +284,7 @@ def load_spec(source, field_override: str | None = None) -> SpecData:
     for name, data in _section(raw, "coalgebras").items():
         spec.coalgebras[name] = _coalgebra_from_json(fld, name, data, spec.spaces)
     for name, data in _section(raw, "comodules").items():
-        over = data.get("over")
+        over = _expect(data, dict, f"comodule {name!r}").get("over")
         if over not in spec.coalgebras:
             raise SpecError(f"comodule {name!r}: unknown coalgebra {over!r}")
         space_name = data.get("space")
@@ -289,7 +296,7 @@ def load_spec(source, field_override: str | None = None) -> SpecData:
                           f"comodule {name!r} rho")
         spec.comodules[name] = Comodule(s, c, rho)
     for name, data in _section(raw, "controls").items():
-        space_name = data.get("space")
+        space_name = _expect(data, dict, f"control {name!r}").get("space")
         if space_name not in spec.spaces:
             raise SpecError(f"control {name!r}: unknown space {space_name!r}")
         spec.controls[name] = ControlSpec(
@@ -297,6 +304,7 @@ def load_spec(source, field_override: str | None = None) -> SpecData:
             dict(data.get("action", {})), dict(data.get("xi", {})),
         )
     for name, data in _section(raw, "transformations").items():
+        data = _expect(data, dict, f"transformation {name!r}")
         if data.get("functor") not in spec.functors:
             raise SpecError(f"transformation {name!r}: unknown functor")
         if data.get("target") not in spec.spaces:

@@ -18,7 +18,8 @@ from coendforge.cohom import Bialgebra, Coalgebra, HopfAlgebra
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 FUNCTIONS = [("fincat", "check_monoidal"), ("fincat", "validate_functor"),
-             ("fincat", "natural_problems"), ("cohom", "intertwines")]
+             ("fincat", "validate_category"), ("fincat", "natural_problems"),
+             ("cohom", "intertwines")]
 METHODS = [(Coalgebra, "check"), (Bialgebra, "algebra_problems"),
            (HopfAlgebra, "antipode_problems"), (HopfAlgebra, "check")]
 
@@ -59,6 +60,7 @@ def test_hopf_command_checks_each_structure_once(monkeypatch):
     assert run(["hopf", str(SPECS / "z3_grading.json"), "--functor", "F"]) == 0
     assert counts["check_monoidal"] == 1
     assert counts["validate_functor"] == 1
+    assert counts["validate_category"] == 1  # check_monoidal trusts it
     assert counts["Coalgebra.check"] == 1
     assert counts["Bialgebra.algebra_problems"] == 1
     assert counts["HopfAlgebra.antipode_problems"] == 1

@@ -435,6 +435,18 @@ def test_z2_bialgebra_is_group_algebra():
     assert b.unit.col(0) == g[0]
 
 
+@pytest.mark.parametrize("build", [bialgebra_on_coend, antipode_on_coend])
+def test_library_entry_points_validate_the_source_category(build):
+    # check_monoidal trusts its source category; the entry points check it
+    cat = FinCategory(["g0"], [("h", "g0", "g0")],
+                      monoidal=CategoryMonoidalData("g0", {("g0", "g0"): "g0"}))
+    one = qmap([[1]], K, K)
+    F = DiagramFunctor(cat, QQ, {"g0": K}, {"h": one},
+                       monoidal=FunctorMonoidalData(xi={("g0", "g0"): one}, xi_unit=one))
+    with pytest.raises(WellDefinednessFailure, match=r"missing composite \(h, h\)"):
+        build(F, coend_of_functor(F))
+
+
 def test_trivial_monoidal_coend_bialgebra():
     objs = ["pt"]
     cat = FinCategory(

@@ -1,7 +1,10 @@
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from coendforge.exactlinalg import (
@@ -10,10 +13,16 @@ from coendforge.exactlinalg import (
     Space,
     identity,
 )
+from coendforge.cli import main
+from coendforge.coend import coend_of_functor
+from coendforge.exactlinalg import kernel
 from coendforge.fincat import DiagramFunctor, FinCategory, Transformation
 from coendforge.padic_banach import (
+    NormedSpace,
     NormValue,
+    OracleRefusal,
     PrimeMismatch,
+    _check_certificate,
     banach_colimit,
     banach_product,
     banach_sum,
@@ -25,6 +34,7 @@ from coendforge.padic_banach import (
     quotient_norm_bruteforce,
     scalar_norm,
 )
+from coendforge.specfile import load_spec
 
 Q2 = PadicRationals(2)
 Q3 = PadicRationals(3)
@@ -181,6 +191,71 @@ def test_quotient_norm_against_window_oracle_randomized(rng):
         slow = quotient_norm_bruteforce(ns, w, v)
         assert fast == slow
         cases += 1
+
+
+@st.composite
+def quotient_instances(draw):
+    """(normed space, subspace generators, v): p in {2, 3}, dim <= 4, up to
+    two generators (possibly none), and v drawn inside their span half the
+    time."""
+    p = draw(st.sampled_from([2, 3]))
+    dim = draw(st.integers(0, 4))
+    weights = tuple(draw(st.lists(st.integers(-1, 1), min_size=dim, max_size=dim)))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, p]))
+    vector = st.lists(entry, min_size=dim, max_size=dim)
+    gens = draw(st.lists(vector, max_size=2))
+    if gens and draw(st.booleans()):
+        coeffs = draw(st.lists(entry, min_size=len(gens), max_size=len(gens)))
+        v = [sum((c * g[i] for c, g in zip(coeffs, gens)), Fraction(0)) for i in range(dim)]
+    else:
+        v = draw(vector)
+    return normed(Space.std(dim), p, weights=weights), gens, v
+
+
+@given(quotient_instances())
+@example((normed(Space.std(3), 2, weights=(0, 1, -1)), [],
+          [Fraction(1, 2), Fraction(3), Fraction(0)]))
+@example((normed(Space.std(3), 3, weights=(1, 0, 0)),
+          [[Fraction(1), Fraction(3), Fraction(0)], [Fraction(0), Fraction(1, 3), Fraction(2)]],
+          [Fraction(2), Fraction(7), Fraction(4)]))
+def test_certified_quotient_norm_matches_window_oracle(instance):
+    ns, gens, v = instance
+    certified = quotient_norm(ns, gens, v, certify=True)
+    try:
+        # a smaller candidate bound keeps each draw well under a second
+        oracle = quotient_norm_bruteforce(ns, gens, v, max_candidates=20_000)
+    except OracleRefusal:
+        reject()
+    assert certified == oracle
+
+
+# W = span{(1, 2, 0)} in Q_2^3 with unit weights and v = (0, 1, 0): the
+# residual is v itself (norm 1) and lam = (-2, 1, 0) is its certificate
+CERT_NS = normed(Space.std(3), 2)
+CERT_W = [[Fraction(1), Fraction(2), Fraction(0)]]
+CERT_V = [Fraction(0), Fraction(1), Fraction(0)]
+CERT_LAM = [Fraction(-2), Fraction(1), Fraction(0)]
+
+
+def test_certificate_checks_and_matches_quotient_norm():
+    _check_certificate(CERT_NS, CERT_W, CERT_V, CERT_V, CERT_LAM)
+    assert quotient_norm(CERT_NS, CERT_W, CERT_V) == NormValue.of_exp(0)
+
+
+@pytest.mark.parametrize("x, lam, why", [
+    # (a) a residual outside v + W
+    ([Fraction(1), Fraction(1), Fraction(0)], CERT_LAM, "not in the span"),
+    # (b) a functional that does not kill the generator
+    (CERT_V, [Fraction(-1), Fraction(1), Fraction(0)], "does not vanish on generator 0"),
+    # (c) a functional that kills W but whose ratio is 1/2, not ||x|| = 1
+    (CERT_V, [Fraction(-2), Fraction(1), Fraction(1, 2)], "but ||x|| is"),
+    # (c) the zero functional proves nothing
+    (CERT_V, [Fraction(0)] * 3, "but ||x|| is"),
+])
+def test_tampered_certificate_is_rejected(x, lam, why):
+    with pytest.raises(ArithmeticError, match="quotient norm certification failed") as exc:
+        _check_certificate(CERT_NS, CERT_W, CERT_V, x, lam)
+    assert why in str(exc.value)
 
 
 def test_quotient_norm_is_lower_bound_on_sampled_cosets(rng):
@@ -345,6 +420,60 @@ def test_bounded_coend_discrete_inherits_norms_componentwise():
         NormValue.of_exp(1), NormValue.of_exp(0),
     ]
     assert sorted(b.normed_carrier.weights) == [-1, 0, 0, 1]
+
+
+def test_bounded_coend_never_calls_the_window_oracle(monkeypatch):
+    import coendforge.padic_banach as pb
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("window oracle called")
+
+    monkeypatch.setattr(pb, "quotient_norm_bruteforce", refuse)
+    cat = FinCategory(["a", "b"], [("f", "a", "b")])
+    ka = Space.std(2, prefix="a", weights=(0, 1))
+    kb = Space.std(2, prefix="b", weights=(1, -1))
+    F = DiagramFunctor(cat, Q2, {"a": ka, "b": kb}, {"f": pmap([[2, 1], [0, 3]], ka, kb)})
+    assert len(bounded_coend(F).class_norms) == 4
+
+
+def arrow_spec(p, wa, wb, rows):
+    n = len(wa)
+    return {
+        "field": f"padic:{p}",
+        "spaces": {"Ka": {"labels": [f"a{i}" for i in range(n)], "weights": list(wa)},
+                   "Kb": {"labels": [f"b{i}" for i in range(n)], "weights": list(wb)}},
+        "categories": {"Arrow": {"objects": ["a", "b"],
+                                 "morphisms": [{"name": "f", "dom": "a", "cod": "b"}]}},
+        "functors": {"F": {"source": "Arrow", "objects": {"a": "Ka", "b": "Kb"},
+                           "morphisms": {"f": rows}}},
+    }
+
+
+@pytest.mark.parametrize("spec", [
+    # ambient dim 18: beyond the window oracle's reach
+    arrow_spec(2, (0, 1, -1), (2, 0, 1),
+               [["1", "2", "0"], ["0", "1/2", "4"], ["0", "0", "3"]]),
+    # ambient dim 32
+    arrow_spec(3, (0, 1, 2, -1), (1, 0, 2, 0),
+               [["1", "3", "0", "0"], ["0", "2", "1/3", "0"],
+                ["0", "0", "1", "9"], ["0", "0", "0", "5"]]),
+], ids=["K3-padic2", "K4-padic3"])
+def test_certified_bcoend_ladder(tmp_path, spec):
+    path = tmp_path / "arrow.json"
+    path.write_text(json.dumps(spec))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["bcoend", str(path), "--functor", "F"])
+    assert code == 0, buf.getvalue()
+    norms = json.loads(buf.getvalue())["norms"]["class_norms"]
+    r = coend_of_functor(load_spec(spec).functors["F"])
+    ker = kernel(r.pi)
+    relations = [ker.col(j) for j in range(ker.dom.dim)]
+    ns = NormedSpace(r.nspace, r.field.p)
+    assert norms == [
+        quotient_norm(ns, relations, r.section.col(j), certify=False).to_json()
+        for j in range(r.carrier.dim)
+    ]
 
 
 def test_bounded_coend_requires_padic():

@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 from coendforge.cli import main
+from coendforge.coend import coend_of_functor
+from coendforge.exactlinalg import kernel
+from coendforge.padic_banach import NormedSpace, OracleRefusal, quotient_norm_bruteforce
 from coendforge.specfile import SpecError, load_spec, resolve_transformation
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -269,6 +272,13 @@ def test_field_modulus_beyond_primality_bound_exits_2_with_json():
     {"categories": {"C": {"objects": ["a"], "morphisms": [5]}}},
     {"spaces": {"V": {"dim": 1}}, "categories": {"C": {"objects": ["a"]}},
      "functors": {"F": {"source": "C", "objects": ["a"]}}},
+    {"spaces": {"V": {"dim": [2]}}},
+    {"spaces": {"V": {"dim": 1, "weights": [[0]]}}},
+    {"categories": {"C": {"objects": ["a"]}}, "functors": {"F": {"source": ["C"]}}},
+    {"coalgebras": {"K": 5}},
+    {"comodules": {"M": 5}},
+    {"controls": {"c": 5}},
+    {"transformations": {"t": 5}},
 ])
 def test_mistyped_spec_fields_exit_2_with_json(tmp_path, spec):
     path = tmp_path / "bad.json"
@@ -279,24 +289,37 @@ def test_mistyped_spec_fields_exit_2_with_json(tmp_path, spec):
     assert data["ok"] is False and data["problems"]
 
 
-def test_window_oracle_refusal_exits_3_with_json(tmp_path):
-    # one arrow K^2 -> K^2 over padic:3 whose digit windows exceed the
-    # oracle's candidate bound
+# one arrow K^2 -> K^2 over padic:3 on which the window oracle's candidate
+# grid exceeds its bound; the dual certificate has no such limit
+K2_PADIC3 = {
+    "field": "padic:3",
+    "spaces": {"Ka": {"labels": ["a0", "a1"], "weights": [0, 0]},
+               "Kb": {"labels": ["b0", "b1"], "weights": [0, 2]}},
+    "categories": {"Arrow": {"objects": ["a", "b"],
+                             "morphisms": [{"name": "f", "dom": "a", "cod": "b"}]}},
+    "functors": {"F": {"source": "Arrow", "objects": {"a": "Ka", "b": "Kb"},
+                       "morphisms": {"f": [["1", "0"], ["0", "1"]]}}},
+}
+
+
+def test_certified_bcoend_beyond_the_window_oracle_exits_0(tmp_path):
     path = tmp_path / "k2.json"
-    path.write_text(json.dumps({
-        "field": "padic:3",
-        "spaces": {"Ka": {"labels": ["a0", "a1"], "weights": [0, 0]},
-                   "Kb": {"labels": ["b0", "b1"], "weights": [0, 2]}},
-        "categories": {"Arrow": {"objects": ["a", "b"],
-                                 "morphisms": [{"name": "f", "dom": "a", "cod": "b"}]}},
-        "functors": {"F": {"source": "Arrow", "objects": {"a": "Ka", "b": "Kb"},
-                           "morphisms": {"f": [["1", "0"], ["0", "1"]]}}},
-    }))
+    path.write_text(json.dumps(K2_PADIC3))
     code, out = run_cli(["bcoend", str(path), "--functor", "F"])
-    assert code == 3
+    assert code == 0, out
     data = json.loads(out)
-    assert data["ok"] is False
-    assert any("window oracle" in p for p in data["problems"])
+    assert data["carrier_dim"] == 4
+    assert data["verification"] == {
+        "cowedge": [], "coalgebra": [], "comodules": {"a": [], "b": []},
+    }
+
+
+def test_window_oracle_still_refuses_that_instance():
+    r = coend_of_functor(load_spec(K2_PADIC3).functors["F"])
+    ker = kernel(r.pi)
+    relations = [ker.col(j) for j in range(ker.dom.dim)]
+    with pytest.raises(OracleRefusal):
+        quotient_norm_bruteforce(NormedSpace(r.nspace, 3), relations, r.section.col(2))
 
 
 # -- determinism ---------------------------------------------------------------------
