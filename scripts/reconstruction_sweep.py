@@ -3,15 +3,22 @@
 coalgebras from their comodule categories, over several fields, and report
 verdicts and timings.
 
-Usage: python scripts/reconstruction_sweep.py [max_n]
+Usage: python scripts/reconstruction_sweep.py [max_n] [max_dim]
+
+max_n (default 4) bounds the cyclic groups Z/n, max_dim (default 3) the
+comatrix coalgebras comatrix(d), whose dimension is d^2.  The package is
+imported from this checkout's src/, installed or not.
 """
 
 import sys
 import time
+from pathlib import Path
 
-from coendforge.cohom import Comodule, coend_object, grouplike_coalgebra
-from coendforge.exactlinalg import QQ, LinearMap, PrimeField, Space, tensor_space
-from coendforge.reconstruct import equivalence_check, reconstruct_coalgebra
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from coendforge.cohom import Comodule, coend_object, grouplike_coalgebra  # noqa: E402
+from coendforge.exactlinalg import QQ, LinearMap, PrimeField, Space, tensor_space  # noqa: E402
+from coendforge.reconstruct import equivalence_check, reconstruct_coalgebra  # noqa: E402
 
 
 def graded_line(field, c, degree, n):
@@ -56,10 +63,11 @@ def sweep_comatrix(max_dim):
 
 def main():
     max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 4
+    max_dim = int(sys.argv[2]) if len(sys.argv) > 2 else 3
     print("== cyclic group coalgebras ==")
     sweep_group_coalgebras(max_n)
     print("== comatrix coalgebras ==")
-    sweep_comatrix(3)
+    sweep_comatrix(max_dim)
 
 
 if __name__ == "__main__":

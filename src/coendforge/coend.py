@@ -44,6 +44,7 @@ from .exactlinalg import (
     LinearMap,
     NoSolution,
     Space,
+    _add_into,
     cokernel,
     compose_kron,
     direct_sum_space,
@@ -138,30 +139,26 @@ class CoendResult:
         return self.diagram.field
 
 
-def _difference_columns(f, ndim, p_block: LinearMap, p_off: int, q_block: LinearMap, q_off: int):
-    """Columns in N of p - q, one per domain basis vector, where p and q land
-    in the blocks starting at p_off and q_off."""
+def _difference_columns(f, p_block: LinearMap, p_off: int, q_block: LinearMap, q_off: int):
+    """Sparse columns in N of p - q, one per domain basis vector, where p and
+    q land in the blocks starting at p_off and q_off."""
     cols = []
-    for u in range(p_block.dom.dim):
-        col = [f.zero()] * ndim
-        for i, v in enumerate(p_block.col(u)):
-            if not f.is_zero(v):
-                col[p_off + i] = f.add(col[p_off + i], v)
-        for i, v in enumerate(q_block.col(u)):
-            if not f.is_zero(v):
-                col[q_off + i] = f.sub(col[q_off + i], v)
+    for pcol, qcol in zip(p_block.cols, q_block.cols):
+        col = {p_off + i: v for i, v in pcol.items()}
+        for i, v in qcol.items():
+            _add_into(col, q_off + i, f.neg(v), f)
         cols.append(col)
     return cols
 
 
-def _morphism_relation_columns(d: Diagram, offsets, ndim, m: DiagramMorphism):
+def _morphism_relation_columns(d: Diagram, offsets, m: DiagramMorphism):
     """Columns in N of p - q for one morphism, one per basis vector of the
     mixed block cohom(F(dom), F(cod))."""
     f = d.field
     # p: into the dom block via cohom(id, f); q: into the cod block via cohom(f, id)
     p_block = cohom_on_maps(identity(d.spaces[m.dom], f), m.map)
     q_block = cohom_on_maps(m.map, identity(d.spaces[m.cod], f))
-    return _difference_columns(f, ndim, p_block, offsets[m.dom], q_block, offsets[m.cod])
+    return _difference_columns(f, p_block, offsets[m.dom], q_block, offsets[m.cod])
 
 
 def control_lambda(d: Diagram, ctrl: ControlData, x: str) -> LinearMap:
@@ -175,7 +172,7 @@ def control_lambda(d: Diagram, ctrl: ControlData, x: str) -> LinearMap:
     return coact(chain, tensor_space(ctrl.space, fx), block.carrier)
 
 
-def _control_relation_columns(d: Diagram, offsets, ndim, ctrl: ControlData):
+def _control_relation_columns(d: Diagram, offsets, ctrl: ControlData):
     f = d.field
     cols = []
     for x in d.objects:
@@ -202,7 +199,7 @@ def _control_relation_columns(d: Diagram, offsets, ndim, ctrl: ControlData):
         # p: into the block at C.X via cohom(id, xi); q: into the block at X
         p_block = cohom_on_maps(identity(fcx, f), xi)
         q_block = control_lambda(d, ctrl, x)
-        cols.extend(_difference_columns(f, ndim, p_block, offsets[cx], q_block, offsets[x]))
+        cols.extend(_difference_columns(f, p_block, offsets[cx], q_block, offsets[x]))
     return cols
 
 
@@ -219,24 +216,18 @@ def coend_of_diagram(d: Diagram, controls: list[ControlData] | None = None) -> C
         offsets[x] = off
         off += blocks[x].carrier.dim
     nspace = direct_sum_space([blocks[x].carrier for x in d.objects])
-    ndim = nspace.dim
     cols = []
     for m in d.morphisms:
-        cols.extend(_morphism_relation_columns(d, offsets, ndim, m))
+        cols.extend(_morphism_relation_columns(d, offsets, m))
     for ctrl in controls or []:
-        cols.extend(_control_relation_columns(d, offsets, ndim, ctrl))
-    rel_dom = Space.std(len(cols), prefix="r")
-    rel = LinearMap(
-        f, rel_dom, nspace, tuple(tuple(c[i] for c in cols) for i in range(ndim))
-    )
+        cols.extend(_control_relation_columns(d, offsets, ctrl))
+    rel = LinearMap.from_sparse(f, Space.std(len(cols), prefix="r"), nspace, cols)
     pi, section = cokernel(rel)
     injections = {}
     for x in d.objects:
         # i_X = pi restricted to block X: that block's columns of pi
         lo, hi = offsets[x], offsets[x] + blocks[x].carrier.dim
-        injections[x] = LinearMap(
-            f, blocks[x].carrier, pi.cod, tuple(row[lo:hi] for row in pi.entries)
-        )
+        injections[x] = LinearMap.from_sparse(f, blocks[x].carrier, pi.cod, pi.cols[lo:hi])
     result = CoendResult(
         diagram=d,
         blocks=blocks,
@@ -290,39 +281,27 @@ def _blockwise_delta(r: CoendResult) -> LinearMap:
     """Delta_N: N -> N (x) N, the comatrix comultiplication on each block
     followed by the squared block inclusion."""
     f = r.field
-    n = r.nspace.dim
+    n, one = r.nspace.dim, f.one()
     cols = []
     for x in r.diagram.objects:
-        block = r.blocks[x]
-        e = block.carrier.dim
-        fx = r.diagram.spaces[x]
-        dx = fx.dim
+        dx = r.diagram.spaces[x].dim
         off = r.offsets[x]
-        for u in range(e):
-            # delta(e_(j,i)) = sum_k e_(j,k) (x) e_(k,i) for the comatrix block
-            j, i = divmod(u, dx)
-            col = [f.zero()] * (n * n)
-            for k in range(dx):
-                a = off + j * dx + k
-                b = off + k * dx + i
-                col[a * n + b] = f.one()
-            cols.append(col)
-    dom = r.nspace
-    cod = tensor_space(r.nspace, r.nspace)
-    return LinearMap(
-        f, dom, cod, tuple(tuple(c[i] for c in cols) for i in range(n * n))
-    )
+        for j in range(dx):
+            for i in range(dx):
+                # delta(e_(j,i)) = sum_k e_(j,k) (x) e_(k,i) for the comatrix block
+                cols.append({(off + j * dx + k) * n + off + k * dx + i: one
+                             for k in range(dx)})
+    return LinearMap.from_sparse(f, r.nspace, tensor_space(r.nspace, r.nspace), cols)
 
 
 def _blockwise_counit(r: CoendResult) -> LinearMap:
     f = r.field
-    row = []
+    one = f.one()
+    cols = []
     for x in r.diagram.objects:
         dx = r.diagram.spaces[x].dim
-        for u in range(dx * dx):
-            j, i = divmod(u, dx)
-            row.append(f.one() if i == j else f.zero())
-    return LinearMap(f, r.nspace, unit_space(), (tuple(row),))
+        cols.extend({0: one} if i == j else {} for j in range(dx) for i in range(dx))
+    return LinearMap.from_sparse(f, r.nspace, unit_space(), cols)
 
 
 def _descend(r: CoendResult, target: LinearMap, pair: bool = False) -> LinearMap:
@@ -409,15 +388,10 @@ def cowedge_to_nat(r: CoendResult, w: dict[str, LinearMap], m_space: Space) -> T
 
 def factor_through_coend(r: CoendResult, t: Transformation, m_space: Space) -> LinearMap:
     """The unique psi: Q -> M with (id (x) psi) o delta_X = t_X for all X."""
-    f = r.field
     w = nat_to_cowedge(r, t, m_space)
-    rows = []
-    for i in range(m_space.dim):
-        row = []
-        for x in r.diagram.objects:
-            row.extend(w[x].entries[i])
-        rows.append(tuple(row))
-    assembled = LinearMap(f, r.nspace, m_space, tuple(rows))
+    # the cowedge side by side, one block of columns per object
+    cols = [col for x in r.diagram.objects for col in w[x].cols]
+    assembled = LinearMap.from_sparse(r.field, r.nspace, m_space, cols)
     try:
         return _descend(r, assembled)
     except NoSolution:
@@ -516,7 +490,7 @@ def bialgebra_from_monoidal(r: CoendResult, mon: MonoidalDiagram) -> Bialgebra:
     f = r.field
     d = r.diagram
     n = r.nspace.dim
-    mu = [[f.zero()] * (n * n) for _ in range(n)]  # rows x cols
+    mu = [{} for _ in range(n * n)]  # sparse columns
     for x in d.objects:
         for y in d.objects:
             if (x, y) not in mon.tensor_obj:
@@ -532,15 +506,9 @@ def bialgebra_from_monoidal(r: CoendResult, mon: MonoidalDiagram) -> Bialgebra:
             for u in range(ex):
                 for v in range(ey):
                     src = (r.offsets[x] + u) * n + (r.offsets[y] + v)
-                    tgt = braid[u * ey + v]
-                    for i2, val in enumerate(conj.col(tgt)):
-                        if not f.is_zero(val):
-                            mu[r.offsets[xy] + i2][src] = f.add(
-                                mu[r.offsets[xy] + i2][src], val
-                            )
-    mu_n = LinearMap(
-        f, tensor_space(r.nspace, r.nspace), r.nspace, tuple(tuple(row) for row in mu)
-    )
+                    for i2, val in conj.cols[braid[u * ey + v]].items():
+                        _add_into(mu[src], r.offsets[xy] + i2, val, f)
+    mu_n = LinearMap.from_sparse(f, tensor_space(r.nspace, r.nspace), r.nspace, mu)
     try:
         m_q = _descend(r, r.pi @ mu_n, pair=True)
     except NoSolution:
@@ -571,8 +539,7 @@ def antipode_from_monoidal(r: CoendResult, mon: MonoidalDiagram) -> HopfAlgebra:
     bialg = r.bialgebra or bialgebra_from_monoidal(r, mon)
     if mon.duals is None or mon.dual_maps is None:
         raise MissingDual("no dual objects or dual identifications declared")
-    n = r.nspace.dim
-    sigma = [[f.zero()] * n for _ in range(n)]
+    sigma = [{} for _ in range(r.nspace.dim)]  # sparse columns
     for x in d.objects:
         if x not in mon.duals:
             raise MissingDual(f"object {x!r} has no declared dual")
@@ -586,13 +553,10 @@ def antipode_from_monoidal(r: CoendResult, mon: MonoidalDiagram) -> HopfAlgebra:
             raise MissingDual(f"dual identification at {x!r} is not an isomorphism")
         flip = swap_map(dual_space(fx), fx, f)
         block_map = kron_compose(dual(dmap), invert_map(dmap), flip)
-        for u in range(r.blocks[x].carrier.dim):
-            for i2, val in enumerate(block_map.col(u)):
-                if not f.is_zero(val):
-                    sigma[r.offsets[xstar] + i2][r.offsets[x] + u] = f.add(
-                        sigma[r.offsets[xstar] + i2][r.offsets[x] + u], val
-                    )
-    sigma_n = LinearMap(f, r.nspace, r.nspace, tuple(tuple(row) for row in sigma))
+        for u, col in enumerate(block_map.cols):
+            for i2, val in col.items():
+                _add_into(sigma[r.offsets[x] + u], r.offsets[xstar] + i2, val, f)
+    sigma_n = LinearMap.from_sparse(f, r.nspace, r.nspace, sigma)
     try:
         s_q = _descend(r, r.pi @ sigma_n)
     except NoSolution:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from .exactlinalg import (
     LinearMap,
     Space,
+    _add_into,
     _apply,
     _apply2,
-    _cols,
     dual,
     dual_space,
     identity,
@@ -58,13 +58,10 @@ class CohomObject:
 def cohom(x: Space, y: Space, field) -> CohomObject:
     carrier = tensor_space(dual_space(y), x)
     n, m = x.dim, y.dim
-    cod = tensor_space(y, carrier)
-    rows = [[field.zero()] * n for _ in range(cod.dim)]
-    for i in range(n):
-        for j in range(m):
-            # y_j (x) e_(j,i) at flat row j * (m*n) + j * n + i
-            rows[j * (m * n) + j * n + i][i] = field.one()
-    coev = LinearMap(field, x, cod, tuple(tuple(r) for r in rows))
+    one = field.one()
+    # x_i |-> sum_j y_j (x) e_(j,i), at flat rows j * (m*n) + j * n + i
+    cols = [{j * (m * n) + j * n + i: one for j in range(m)} for i in range(n)]
+    coev = LinearMap.from_sparse(field, x, tensor_space(y, carrier), cols)
     return CohomObject(x, y, carrier, coev)
 
 
@@ -75,18 +72,15 @@ def coact(phi: LinearMap, y: Space, z: Space) -> LinearMap:
         raise FactorShapeError(
             f"codomain dim {phi.cod.dim} is not dim(Y)*dim(Z) = {y.dim}*{z.dim}"
         )
-    field = phi.field
     x = phi.dom
-    n, m = x.dim, y.dim
-    carrier = tensor_space(dual_space(y), x)
-    rows = []
-    for k in range(z.dim):
-        row = [field.zero()] * (m * n)
-        for j in range(m):
-            for i in range(n):
-                row[j * n + i] = phi.entries[j * z.dim + k][i]
-        rows.append(tuple(row))
-    return LinearMap(field, carrier, z, tuple(rows))
+    n = x.dim
+    # entry ((j, k), i) of phi is entry (k, (j, i)) of coact(phi)
+    cols = [{} for _ in range(y.dim * n)]
+    for i, col in enumerate(phi.cols):
+        for r, v in col.items():
+            j, k = divmod(r, z.dim)
+            cols[j * n + i][k] = v
+    return LinearMap.from_sparse(phi.field, tensor_space(dual_space(y), x), z, cols)
 
 
 def cohom_on_maps(a: LinearMap, b: LinearMap) -> LinearMap:
@@ -121,7 +115,8 @@ def cohom_collapse_iso(x: Space, y: Space, z: Space, field) -> LinearMap:
 
 # ---------------------------------------------------------------------------
 # coalgebras, comodules, bialgebras, Hopf algebras; the checks evaluate
-# columnwise on sparse vectors (see exactlinalg._apply2)
+# columnwise on the sparse columns of the structure maps (see
+# exactlinalg._apply2)
 # ---------------------------------------------------------------------------
 
 def _id_cols(n, f):
@@ -151,8 +146,8 @@ class Coalgebra:
             return ["comultiplication has wrong shape"]
         if self.counit.dom.dim != n or self.counit.cod.dim != 1:
             return ["counit has wrong shape"]
-        dcols = _cols(self.delta)
-        ecols = _cols(self.counit)
+        dcols = self.delta.cols
+        ecols = self.counit.cols
         idc = _id_cols(n, f)
         problems = []
         coassoc = counit_l = counit_r = True
@@ -192,9 +187,9 @@ class Comodule:
         nc = self.over.carrier.dim
         if self.rho.dom.dim != nv or self.rho.cod.dim != nv * nc:
             return ["coaction has wrong shape"]
-        rcols = _cols(self.rho)
-        dcols = _cols(self.over.delta)
-        ecols = _cols(self.over.counit)
+        rcols = self.rho.cols
+        dcols = self.over.delta.cols
+        ecols = self.over.counit.cols
         idv = _id_cols(nv, f)
         idc = _id_cols(nc, f)
         problems = []
@@ -240,10 +235,10 @@ class Bialgebra(Coalgebra):
             return ["multiplication has wrong shape"]
         if u.dom.dim != 1 or u.cod.dim != n:
             return ["unit has wrong shape"]
-        mcols = _cols(m)
-        ucols = _cols(u)
-        dcols = _cols(self.delta)
-        ecols = _cols(self.counit)
+        mcols = m.cols
+        ucols = u.cols
+        dcols = self.delta.cols
+        ecols = self.counit.cols
         idc = _id_cols(n, f)
         assoc = unit_law = compat = eps_alg = True
         for i in range(n):
@@ -267,15 +262,9 @@ class Bialgebra(Coalgebra):
                     for cd, cb in dj.items():
                         c, d = divmod(cd, n)
                         coef = f.mul(ca, cb)
-                        for ac, cac in _apply(mcols, {a * n + c: f.one()}, f).items():
-                            for bd, cbd in _apply(mcols, {b * n + d: f.one()}, f).items():
-                                idx = ac * n + bd
-                                v = f.add(rhs.get(idx, f.zero()),
-                                          f.mul(coef, f.mul(cac, cbd)))
-                                if f.is_zero(v):
-                                    rhs.pop(idx, None)
-                                else:
-                                    rhs[idx] = v
+                        for ac, cac in mcols[a * n + c].items():
+                            for bd, cbd in mcols[b * n + d].items():
+                                _add_into(rhs, ac * n + bd, f.mul(coef, f.mul(cac, cbd)), f)
                 if lhs != rhs:
                     compat = False
                 # eps(ab) = eps(a) eps(b)
@@ -327,11 +316,11 @@ class HopfAlgebra(Bialgebra):
         s = self.antipode
         if s.dom.dim != n or s.cod.dim != n:
             return ["antipode has wrong shape"]
-        scols = _cols(s)
-        mcols = _cols(self.mult)
-        dcols = _cols(self.delta)
-        ecols = _cols(self.counit)
-        ucols = _cols(self.unit)
+        scols = s.cols
+        mcols = self.mult.cols
+        dcols = self.delta.cols
+        ecols = self.counit.cols
+        ucols = self.unit.cols
         idc = _id_cols(n, f)
         problems = []
         left = right = True
@@ -358,12 +347,10 @@ def trivial_coalgebra(field) -> Coalgebra:
 def grouplike_coalgebra(field, labels) -> Coalgebra:
     """The coalgebra with a basis of grouplikes: delta(g) = g (x) g, eps(g) = 1."""
     space = Space(tuple(labels))
-    n = space.dim
-    rows = [[field.zero()] * n for _ in range(n * n)]
-    for i in range(n):
-        rows[i * n + i][i] = field.one()
-    delta = LinearMap(field, space, tensor_space(space, space), tuple(tuple(r) for r in rows))
-    counit = LinearMap(field, space, unit_space(), (tuple(field.one() for _ in range(n)),))
+    n, one = space.dim, field.one()
+    delta = LinearMap.from_sparse(field, space, tensor_space(space, space),
+                                  [{i * n + i: one} for i in range(n)])
+    counit = LinearMap.from_sparse(field, space, unit_space(), [{0: one} for _ in range(n)])
     return Coalgebra(space, delta, counit)
 
 
@@ -371,20 +358,11 @@ def group_hopf_algebra(field, labels, product, inverse) -> HopfAlgebra:
     """The group algebra of a finite group as a Hopf algebra: ``product`` and
     ``inverse`` act on basis indices."""
     base = grouplike_coalgebra(field, labels)
-    n = base.carrier.dim
-    m_rows = [[field.zero()] * (n * n) for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            m_rows[product(i, j)][i * n + j] = field.one()
-    mult = LinearMap(field, tensor_space(base.carrier, base.carrier), base.carrier,
-                     tuple(tuple(r) for r in m_rows))
-    e = product_identity(product, n)
-    u_rows = [[field.one() if i == e else field.zero()] for i in range(n)]
-    unit = LinearMap(field, unit_space(), base.carrier, tuple(tuple(r) for r in u_rows))
-    s_rows = [[field.zero()] * n for _ in range(n)]
-    for i in range(n):
-        s_rows[inverse(i)][i] = field.one()
-    antipode = LinearMap(field, base.carrier, base.carrier, tuple(tuple(r) for r in s_rows))
+    h, n, one = base.carrier, base.carrier.dim, field.one()
+    mult = LinearMap.from_sparse(field, tensor_space(h, h), h,
+                                 [{product(i, j): one} for i in range(n) for j in range(n)])
+    unit = LinearMap.from_sparse(field, unit_space(), h, [{product_identity(product, n): one}])
+    antipode = LinearMap.from_sparse(field, h, h, [{inverse(i): one} for i in range(n)])
     return HopfAlgebra(base.carrier, base.delta, base.counit, mult, unit, antipode)
 
 
@@ -484,22 +462,16 @@ def is_coalgebra_morphism(z: LinearMap, src: Coalgebra, dst: Coalgebra) -> bool:
 
 def evaluation(x: Space, field) -> LinearMap:
     """ev: X* (x) X -> K pairing dual basis against basis."""
-    dom = tensor_space(dual_space(x), x)
-    row = []
-    for j in range(x.dim):
-        for i in range(x.dim):
-            row.append(field.one() if i == j else field.zero())
-    return LinearMap(field, dom, unit_space(), (tuple(row),))
+    n, one = x.dim, field.one()
+    cols = [{0: one} if i == j else {} for j in range(n) for i in range(n)]
+    return LinearMap.from_sparse(field, tensor_space(dual_space(x), x), unit_space(), cols)
 
 
 def db_map(x: Space, field) -> LinearMap:
     """db: K -> X (x) X*, 1 |-> sum_i x_i (x) x'_i."""
-    cod = tensor_space(x, dual_space(x))
-    col = []
-    for i in range(x.dim):
-        for j in range(x.dim):
-            col.append(field.one() if i == j else field.zero())
-    return LinearMap(field, unit_space(), cod, tuple((a,) for a in col))
+    n = x.dim
+    col = {i * n + i: field.one() for i in range(n)}
+    return LinearMap.from_sparse(field, unit_space(), tensor_space(x, dual_space(x)), [col])
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,13 @@ Everything here is exact: rationals are `fractions.Fraction`, prime-field
 elements are reduced ints, and the p-adic flavor stores exact rationals whose
 valuations are computed on demand.  No floating point anywhere.
 
-Maps are stored as dense matrices, but Kronecker products are applied
-lazily: `kron_compose(a, b, m)` equals `tensor(a, b) @ m` and
-`compose_kron(m, a, b)` equals `m @ tensor(a, b)`, both computed column by
-column from sparse columns without ever building a (x) b.
+Maps are stored as sparse columns (dicts row -> nonzero entry); the dense
+row-major `entries` are a view built on demand for the JSON boundary.
+Composition, Kronecker products and echelon forms touch only nonzero
+entries, and Kronecker products are applied lazily: `kron_compose(a, b, m)`
+equals `tensor(a, b) @ m` and `compose_kron(m, a, b)` equals
+`m @ tensor(a, b)`, both computed column by column without ever building
+a (x) b.
 
 Conventions fixed once and shared by every other module:
   * matrices are stored row-major; column j is the image of the j-th domain
@@ -20,7 +23,7 @@ Conventions fixed once and shared by every other module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -104,7 +107,7 @@ class Rationals:
         return 1 / a
 
     def is_zero(self, a) -> bool:
-        return a == 0
+        return not a
 
     def parse(self, s: str):
         try:
@@ -321,25 +324,67 @@ def direct_sum_space(spaces: list[Space]) -> Space:
 # linear maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class LinearMap:
-    """A matrix between two based spaces; rows() is cod.dim x dom.dim."""
+    """A matrix between two based spaces, stored as sparse columns.
 
-    field: object
-    dom: Space
-    cod: Space
-    entries: tuple[tuple, ...]
+    ``cols[j]`` is the image of the j-th domain basis vector: a dict
+    row -> value holding only the nonzero entries.  Entries are canonical
+    field elements (Fractions over Q, reduced ints over F_p), so two maps are
+    equal exactly when their columns are, however they were built.
 
-    def __post_init__(self):
-        if len(self.entries) != self.cod.dim:
-            raise ValueError(
-                f"matrix has {len(self.entries)} rows, codomain dim {self.cod.dim}"
-            )
-        for row in self.entries:
-            if len(row) != self.dom.dim:
+    ``LinearMap(field, dom, cod, entries)`` takes the dense row-major form
+    (cod.dim rows of dom.dim entries) and builds the columns on first use;
+    ``LinearMap.from_sparse`` takes the columns.  ``entries`` is the dense
+    view, built on first use, for the JSON boundary and for callers that
+    read rows.
+    """
+
+    __slots__ = ("field", "dom", "cod", "_cols", "_entries", "_hash")
+
+    def __init__(self, field, dom: Space, cod: Space, entries):
+        if len(entries) != cod.dim:
+            raise ValueError(f"matrix has {len(entries)} rows, codomain dim {cod.dim}")
+        for row in entries:
+            if len(row) != dom.dim:
                 raise ValueError(
-                    f"matrix row has {len(row)} entries, domain dim {self.dom.dim}"
+                    f"matrix row has {len(row)} entries, domain dim {dom.dim}"
                 )
+        self.field, self.dom, self.cod = field, dom, cod
+        self._entries, self._cols, self._hash = entries, None, None
+
+    @classmethod
+    def from_sparse(cls, field, dom: Space, cod: Space, cols) -> "LinearMap":
+        """The map whose j-th column is the dict cols[j] (row -> nonzero
+        value); the dicts are taken over, not copied."""
+        if len(cols) != dom.dim:
+            raise ValueError(f"map has {len(cols)} columns, domain dim {dom.dim}")
+        m = cls.__new__(cls)
+        m.field, m.dom, m.cod = field, dom, cod
+        m._entries, m._cols, m._hash = None, cols, None
+        return m
+
+    @property
+    def cols(self):
+        if self._cols is None:
+            is_zero = self.field.is_zero
+            cols = [{} for _ in range(self.dom.dim)]
+            for i, row in enumerate(self._entries):
+                for j, a in enumerate(row):
+                    if not is_zero(a):
+                        cols[j][i] = a
+            self._cols = cols
+        return self._cols
+
+    @property
+    def entries(self) -> tuple[tuple, ...]:
+        if self._entries is None:
+            zero = self.field.zero()
+            rows = [[zero] * self.dom.dim for _ in range(self.cod.dim)]
+            for j, col in enumerate(self._cols):
+                for i, a in col.items():
+                    rows[i][j] = a
+            self._entries = tuple(map(tuple, rows))
+        return self._entries
 
     # equality ignores labels/weights: two maps are equal when their matrices
     # agree; spaces synthesized along different routes carry different labels.
@@ -349,69 +394,65 @@ class LinearMap:
             and self.field == other.field
             and self.dom.dim == other.dom.dim
             and self.cod.dim == other.cod.dim
-            and self.entries == other.entries
+            and self.cols == other.cols
         )
 
     def __hash__(self):
-        return hash((self.field, self.dom.dim, self.cod.dim, self.entries))
+        if self._hash is None:
+            self._hash = hash((self.field, self.dom.dim, self.cod.dim,
+                               tuple(frozenset(c.items()) for c in self.cols)))
+        return self._hash
+
+    def __repr__(self):
+        return f"LinearMap({self.field!r}, {self.dom.dim} -> {self.cod.dim}, cols={self.cols!r})"
 
     def __matmul__(self, other: "LinearMap") -> "LinearMap":
-        """Composition self o other (sparse-aware: zero entries are skipped)."""
+        """Composition self o other, one sparse column of other at a time."""
         if self.field != other.field:
             raise ScalarError("composing maps over different fields")
         if self.dom.dim != other.cod.dim:
             raise ValueError(
                 f"composition mismatch: dom dim {self.dom.dim} vs cod dim {other.cod.dim}"
             )
-        f = self.field
-        zero = f.zero()
-        a, b = self.entries, other.entries
-        nrows = self.cod.dim
-        out = [[zero] * other.dom.dim for _ in range(nrows)]
-        for j in range(other.dom.dim):
-            for k in range(other.cod.dim):
-                bkj = b[k][j]
-                if f.is_zero(bkj):
-                    continue
-                for i in range(nrows):
-                    aik = a[i][k]
-                    if not f.is_zero(aik):
-                        out[i][j] = f.add(out[i][j], f.mul(aik, bkj))
-        return LinearMap(f, other.dom, self.cod, tuple(tuple(r) for r in out))
+        f, acols = self.field, self.cols
+        return LinearMap.from_sparse(
+            f, other.dom, self.cod, [_apply(acols, col, f) for col in other.cols]
+        )
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         if (self.dom.dim, self.cod.dim) != (other.dom.dim, other.cod.dim):
             raise ValueError("adding maps of different shapes")
         f = self.field
-        rows = tuple(
-            tuple(f.add(a, b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        )
-        return LinearMap(f, self.dom, self.cod, rows)
+        cols = []
+        for ca, cb in zip(self.cols, other.cols):
+            col = dict(ca)
+            for i, b in cb.items():
+                _add_into(col, i, b, f)
+            cols.append(col)
+        return LinearMap.from_sparse(f, self.dom, self.cod, cols)
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
         return self + other.scale(self.field.from_int(-1))
 
     def scale(self, c) -> "LinearMap":
         f = self.field
-        rows = tuple(tuple(f.mul(c, a) for a in row) for row in self.entries)
-        return LinearMap(f, self.dom, self.cod, rows)
+        if f.is_zero(c):
+            return zero_map(self.dom, self.cod, f)
+        cols = [{i: f.mul(c, a) for i, a in col.items()} for col in self.cols]
+        return LinearMap.from_sparse(f, self.dom, self.cod, cols)
 
     def apply(self, vec):
         """Image of a coefficient vector (length dom.dim)."""
-        f = self.field
         if len(vec) != self.dom.dim:
             raise ValueError("vector length does not match domain")
-        return [
-            _dot(f, row, vec) for row in self.entries
-        ]
+        f = self.field
+        return _dense(_apply(self.cols, _sparse(vec, f), f), self.cod.dim, f)
 
     def col(self, j: int):
-        return [row[j] for row in self.entries]
+        return _dense(self.cols[j], self.cod.dim, self.field)
 
     def is_zero_map(self) -> bool:
-        f = self.field
-        return all(f.is_zero(a) for row in self.entries for a in row)
+        return not any(self.cols)
 
     def rank(self) -> int:
         return echelon(self)[0]
@@ -426,23 +467,86 @@ def _dot(f, xs, ys):
 
 
 def identity(space: Space, f) -> LinearMap:
-    n = space.dim
-    rows = tuple(
-        tuple(f.one() if i == j else f.zero() for j in range(n)) for i in range(n)
-    )
-    return LinearMap(f, space, space, rows)
+    one = f.one()
+    return LinearMap.from_sparse(f, space, space, [{i: one} for i in range(space.dim)])
 
 
 def zero_map(dom: Space, cod: Space, f) -> LinearMap:
-    rows = tuple(tuple(f.zero() for _ in range(dom.dim)) for _ in range(cod.dim))
-    return LinearMap(f, dom, cod, rows)
+    return LinearMap.from_sparse(f, dom, cod, [{} for _ in range(dom.dim)])
 
 
-def from_cols(dom: Space, cod: Space, f, cols) -> LinearMap:
-    rows = tuple(
-        tuple(col[i] for col in cols) for i in range(cod.dim)
-    )
-    return LinearMap(f, dom, cod, rows)
+# ---------------------------------------------------------------------------
+# sparse vectors: dicts index -> nonzero value.  Every map operation and
+# axiom check pushes these through sparse columns, so no dense matrix (and
+# in particular no dense Kronecker product) is ever scanned cell by cell
+# ---------------------------------------------------------------------------
+
+def _sparse(vec, f) -> dict:
+    return {i: a for i, a in enumerate(vec) if not f.is_zero(a)}
+
+
+def _dense(vec: dict, n: int, f) -> list:
+    out = [f.zero()] * n
+    for i, a in vec.items():
+        out[i] = a
+    return out
+
+
+def _transpose(cols, nrows: int):
+    """The rows of the matrix with sparse columns cols, as sparse dicts."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, a in col.items():
+            rows[i][j] = a
+    return rows
+
+
+def _add_into(vec: dict, i, v, f) -> None:
+    """vec[i] += v for a nonzero v, dropping the entry when it cancels."""
+    if i in vec:
+        v = f.add(vec[i], v)
+        if f.is_zero(v):
+            del vec[i]
+            return
+    vec[i] = v
+
+
+def _apply(cols, vec: dict, f) -> dict:
+    add, mul, is_zero = f.add, f.mul, f.is_zero
+    out: dict = {}
+    for j, c in vec.items():
+        for i, a in cols[j].items():
+            v = mul(c, a)
+            if i in out:
+                v = add(out[i], v)
+                if is_zero(v):
+                    del out[i]
+                    continue
+            out[i] = v
+    return out
+
+
+def _apply2(cols1, n2, cols2, m2, vec: dict, f) -> dict:
+    """Apply (m1 (x) m2) to a sparse vector over dom1 (x) dom2; n2/m2 are the
+    domain/codomain dimensions of the second factor."""
+    add, mul, is_zero = f.add, f.mul, f.is_zero
+    out: dict = {}
+    for k, c in vec.items():
+        j1, j2 = divmod(k, n2)
+        col2 = cols2[j2]
+        for r1, a1 in cols1[j1].items():
+            ca1 = mul(c, a1)
+            base = r1 * m2
+            for r2, a2 in col2.items():
+                idx = base + r2
+                v = mul(ca1, a2)
+                if idx in out:
+                    v = add(out[idx], v)
+                    if is_zero(v):
+                        del out[idx]
+                        continue
+                out[idx] = v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -450,65 +554,80 @@ def from_cols(dom: Space, cod: Space, f, cols) -> LinearMap:
 # ---------------------------------------------------------------------------
 
 def _rref(f, rows):
-    """Reduced row echelon form of a list of row lists.  Returns
-    (rref rows, pivot column indices).  Deterministic: first nonzero pivot."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    """Reduced row echelon form of sparse rows (dicts column -> nonzero
+    value).  Returns (the nonzero reduced rows, their pivot columns), in
+    pivot order.  Gauss-Jordan by increasing column; each pivot is the first
+    row, in the current row order, that is nonzero in its column.  Only
+    nonzero entries are touched: `holders` indexes the rows by column."""
+    rows = [dict(r) for r in rows]
+    holders: dict = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+    order = list(range(len(rows)))  # row at each position
+    pos = list(range(len(rows)))  # position of each row
+    zero = f.zero()
     pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if not f.is_zero(rows[i][c]):
-                sel = i
-                break
-        if sel is None:
+    for c in sorted(holders):
+        r = len(pivots)
+        below = [i for i in holders[c] if pos[i] >= r]
+        if not below:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = f.invert(rows[r][c])
-        rows[r] = [f.mul(inv, a) for a in rows[r]]
-        for i in range(nrows):
-            if i != r and not f.is_zero(rows[i][c]):
-                coef = rows[i][c]
-                rows[i] = [f.sub(a, f.mul(coef, b)) for a, b in zip(rows[i], rows[r])]
+        sel = min(below, key=pos.__getitem__)
+        moved = order[r]
+        order[r], order[pos[sel]] = sel, moved
+        pos[moved], pos[sel] = pos[sel], r
+        prow = rows[sel]
+        inv = f.invert(prow[c])
+        for k in prow:
+            prow[k] = f.mul(inv, prow[k])
+        for i in list(holders[c]):
+            if i == sel:
+                continue
+            row = rows[i]
+            coef = row[c]
+            for k, b in prow.items():
+                v = f.sub(row.get(k, zero), f.mul(coef, b))
+                if f.is_zero(v):
+                    if k in row:
+                        del row[k]
+                        holders[k].discard(i)
+                else:
+                    if k not in row:
+                        holders[k].add(i)
+                    row[k] = v
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
+    return [rows[i] for i in order[:len(pivots)]], pivots
 
 
 def echelon(m: LinearMap):
     """Reduced row echelon form.  Returns (rank, pivot columns, reduced rows)."""
-    rows, pivots = _rref(m.field, [list(r) for r in m.entries])
-    return len(pivots), pivots, [tuple(r) for r in rows]
+    f, n = m.field, m.dom.dim
+    rows, pivots = _rref(f, _transpose(m.cols, m.cod.dim))
+    return len(pivots), pivots, [tuple(_dense(r, n, f)) for r in rows]
 
 
 def kernel(m: LinearMap) -> LinearMap:
     """Inclusion of ker(m) into the domain; columns form a kernel basis."""
     f = m.field
-    n = m.dom.dim
-    rows, pivots = _rref(f, [list(r) for r in m.entries]) if m.cod.dim else ([], [])
+    rows, pivots = _rref(f, _transpose(m.cols, m.cod.dim))
     pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    cols = []
-    for j in free:
-        v = [f.zero()] * n
-        v[j] = f.one()
-        for r, p in enumerate(pivots):
-            v[p] = f.neg(rows[r][j])
-        cols.append(v)
+    free = [j for j in range(m.dom.dim) if j not in pivot_set]
+    cols = {j: {j: f.one()} for j in free}
+    for row, p in zip(rows, pivots):
+        # a reduced row is zero at every other pivot, so j is free
+        for j, a in row.items():
+            if j != p:
+                cols[j][p] = f.neg(a)
     ker_space = Space.std(len(free), prefix="k")
-    return from_cols(ker_space, m.dom, f, cols)
+    return LinearMap.from_sparse(f, ker_space, m.dom, [cols[j] for j in free])
 
 
 def image_basis(m: LinearMap):
     """A deterministic basis of im(m) as a list of codomain vectors
     (reduced echelon basis of the column space)."""
     f = m.field
-    rows, _ = _rref(f, [m.col(j) for j in range(m.dom.dim)]) if m.dom.dim else ([], [])
-    return [list(r) for r in rows]
+    return [_dense(r, m.cod.dim, f) for r in _rref(f, m.cols)[0]]
 
 
 def cokernel(m: LinearMap):
@@ -521,8 +640,7 @@ def cokernel(m: LinearMap):
     """
     f = m.field
     n = m.cod.dim
-    basis = image_basis(m)
-    rows, pivots = _rref(f, basis) if basis else ([], [])
+    rows, pivots = _rref(f, m.cols)
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
     q_labels = tuple(m.cod.labels[j] for j in free)
@@ -532,22 +650,16 @@ def cokernel(m: LinearMap):
         else tuple(m.cod.weights[j] for j in free)
     )
     q_space = Space(q_labels, q_weights)
-    pi_cols = []
-    for i in range(n):
-        v = [f.zero()] * n
-        v[i] = f.one()
-        for r, p in enumerate(pivots):
-            if not f.is_zero(v[p]):
-                coef = v[p]
-                v = [f.sub(a, f.mul(coef, b)) for a, b in zip(v, rows[r])]
-        pi_cols.append([v[j] for j in free])
-    pi = from_cols(m.cod, q_space, f, pi_cols)
-    s_cols = []
+    index = {j: k for k, j in enumerate(free)}
+    one = f.one()
+    # pi(e_j) = e_j for free j; pi(e_p) = -(the rest of the row pivoted at p)
+    pi_cols = [None] * n
     for j in free:
-        v = [f.zero()] * n
-        v[j] = f.one()
-        s_cols.append(v)
-    s = from_cols(q_space, m.cod, f, s_cols)
+        pi_cols[j] = {index[j]: one}
+    for row, p in zip(rows, pivots):
+        pi_cols[p] = {index[j]: f.neg(a) for j, a in row.items() if j != p}
+    pi = LinearMap.from_sparse(f, m.cod, q_space, pi_cols)
+    s = LinearMap.from_sparse(f, q_space, m.cod, [{j: one} for j in free])
     return pi, s
 
 
@@ -556,74 +668,21 @@ def tensor(a: LinearMap, b: LinearMap) -> LinearMap:
     if a.field != b.field:
         raise ScalarError("tensoring maps over different fields")
     f = a.field
-    dom = tensor_space(a.dom, b.dom)
-    cod = tensor_space(a.cod, b.cod)
-    rows = []
-    for i1 in range(a.cod.dim):
-        for i2 in range(b.cod.dim):
-            row = []
-            for j1 in range(a.dom.dim):
-                x = a.entries[i1][j1]
-                if f.is_zero(x):
-                    row.extend([f.zero()] * b.dom.dim)
-                else:
-                    row.extend(f.mul(x, y) for y in b.entries[i2])
-            rows.append(tuple(row))
-    return LinearMap(f, dom, cod, tuple(rows))
+    mul, m2 = f.mul, b.cod.dim
+    cols = [
+        {i1 * m2 + i2: mul(x, y) for i1, x in ca.items() for i2, y in cb.items()}
+        for ca in a.cols for cb in b.cols
+    ]
+    return LinearMap.from_sparse(
+        f, tensor_space(a.dom, b.dom), tensor_space(a.cod, b.cod), cols
+    )
 
 
 # ---------------------------------------------------------------------------
-# sparse columnwise evaluation and lazy Kronecker products: axiom checks and
-# (a (x) b) o m push one sparse column at a time through both factors, so the
-# dense a (x) b (millions of cells at dimension ~36+) is never built
+# lazy Kronecker products: (a (x) b) o m pushes one sparse column at a time
+# through both factors, so the dense a (x) b (millions of cells at
+# dimension ~36+) is never built
 # ---------------------------------------------------------------------------
-
-def _cols(m: LinearMap):
-    """Columns of m as sparse dicts row -> value."""
-    f = m.field
-    out = [dict() for _ in range(m.dom.dim)]
-    for i, row in enumerate(m.entries):
-        for j, a in enumerate(row):
-            if not f.is_zero(a):
-                out[j][i] = a
-    return out
-
-
-def _rows(m: LinearMap):
-    """Rows of m as sparse dicts column -> value (the columns of m^T)."""
-    f = m.field
-    return [{j: a for j, a in enumerate(row) if not f.is_zero(a)} for row in m.entries]
-
-
-def _apply(cols, vec: dict, f) -> dict:
-    out: dict = {}
-    for j, c in vec.items():
-        for i, a in cols[j].items():
-            v = f.add(out.get(i, f.zero()), f.mul(c, a))
-            if f.is_zero(v):
-                out.pop(i, None)
-            else:
-                out[i] = v
-    return out
-
-
-def _apply2(cols1, n2, cols2, m2, vec: dict, f) -> dict:
-    """Apply (m1 (x) m2) to a sparse vector over dom1 (x) dom2; n2/m2 are the
-    domain/codomain dimensions of the second factor."""
-    out: dict = {}
-    for k, c in vec.items():
-        j1, j2 = divmod(k, n2)
-        for r1, a1 in cols1[j1].items():
-            ca1 = f.mul(c, a1)
-            for r2, a2 in cols2[j2].items():
-                idx = r1 * m2 + r2
-                v = f.add(out.get(idx, f.zero()), f.mul(ca1, a2))
-                if f.is_zero(v):
-                    out.pop(idx, None)
-                else:
-                    out[idx] = v
-    return out
-
 
 def _check_kron(a: LinearMap, b: LinearMap, m: LinearMap, dom_dim: int, cod_dim: int):
     """The errors tensor and @ raise, in the order they raise them."""
@@ -643,13 +702,9 @@ def kron_compose(a: LinearMap, b: LinearMap, m: LinearMap) -> LinearMap:
     identity (A (x) B) vec(X) = vec(B X A^T) read column by column."""
     _check_kron(a, b, m, a.dom.dim * b.dom.dim, m.cod.dim)
     f = a.field
-    cod = tensor_space(a.cod, b.cod)
-    acols, bcols, n2, m2 = _cols(a), _cols(b), b.dom.dim, b.cod.dim
-    out = [[f.zero()] * m.dom.dim for _ in range(cod.dim)]
-    for j, col in enumerate(_cols(m)):
-        for i, v in _apply2(acols, n2, bcols, m2, col, f).items():
-            out[i][j] = v
-    return LinearMap(f, m.dom, cod, tuple(tuple(r) for r in out))
+    acols, bcols, n2, m2 = a.cols, b.cols, b.dom.dim, b.cod.dim
+    cols = [_apply2(acols, n2, bcols, m2, col, f) for col in m.cols]
+    return LinearMap.from_sparse(f, m.dom, tensor_space(a.cod, b.cod), cols)
 
 
 def compose_kron(m: LinearMap, a: LinearMap, b: LinearMap) -> LinearMap:
@@ -658,34 +713,24 @@ def compose_kron(m: LinearMap, a: LinearMap, b: LinearMap) -> LinearMap:
     _check_kron(a, b, m, m.dom.dim, a.cod.dim * b.cod.dim)
     f = a.field
     dom = tensor_space(a.dom, b.dom)
-    arows, brows, n2, m2 = _rows(a), _rows(b), b.cod.dim, b.dom.dim
-    out = []
-    for row in _rows(m):
-        dense = [f.zero()] * dom.dim
-        for j, v in _apply2(arows, n2, brows, m2, row, f).items():
-            dense[j] = v
-        out.append(tuple(dense))
-    return LinearMap(f, dom, m.cod, tuple(out))
+    arows, brows = _transpose(a.cols, a.cod.dim), _transpose(b.cols, b.cod.dim)
+    n2, m2 = b.cod.dim, b.dom.dim
+    rows = [_apply2(arows, n2, brows, m2, row, f) for row in _transpose(m.cols, m.cod.dim)]
+    return LinearMap.from_sparse(f, dom, m.cod, _transpose(rows, dom.dim))
 
 
 def dual(m: LinearMap) -> LinearMap:
     """Transpose; maps the dual of the codomain to the dual of the domain."""
-    f = m.field
-    rows = tuple(
-        tuple(m.entries[i][j] for i in range(m.cod.dim)) for j in range(m.dom.dim)
+    return LinearMap.from_sparse(
+        m.field, dual_space(m.cod), dual_space(m.dom), _transpose(m.cols, m.cod.dim)
     )
-    return LinearMap(f, dual_space(m.cod), dual_space(m.dom), rows)
 
 
 def swap_map(x: Space, y: Space, f) -> LinearMap:
     """The flip X (x) Y -> Y (x) X as a permutation matrix."""
-    dom = tensor_space(x, y)
-    cod = tensor_space(y, x)
-    rows = [[f.zero()] * dom.dim for _ in range(cod.dim)]
-    for i in range(x.dim):
-        for j in range(y.dim):
-            rows[j * x.dim + i][i * y.dim + j] = f.one()
-    return LinearMap(f, dom, cod, tuple(tuple(r) for r in rows))
+    one = f.one()
+    cols = [{j * x.dim + i: one} for i in range(x.dim) for j in range(y.dim)]
+    return LinearMap.from_sparse(f, tensor_space(x, y), tensor_space(y, x), cols)
 
 
 def solve_factor(target: LinearMap, through: LinearMap) -> LinearMap:
@@ -700,23 +745,22 @@ def solve_factor(target: LinearMap, through: LinearMap) -> LinearMap:
     if target.dom.dim != through.dom.dim:
         raise ValueError("target and through must share a domain")
     f = target.field
-    n = through.dom.dim
     q = through.cod.dim
-    t = target.cod.dim
-    # solve through^T X = target^T columnwise via one augmented RREF
-    aug = [
-        [through.entries[i][j] for i in range(q)]
-        + [target.entries[i][j] for i in range(t)]
-        for j in range(n)
-    ]
-    rows, pivots = _rref(f, aug) if n else ([], [])
-    x = [[f.zero()] * t for _ in range(q)]
-    for r, p in enumerate(pivots):
+    # solve through^T X = target^T columnwise via one augmented RREF: row j
+    # is column j of through followed by column j of target
+    aug = []
+    for tcol, gcol in zip(through.cols, target.cols):
+        row = dict(tcol)
+        for i, a in gcol.items():
+            row[q + i] = a
+        aug.append(row)
+    rows, pivots = _rref(f, aug)
+    psi_cols = [{} for _ in range(q)]
+    for row, p in zip(rows, pivots):
         if p >= q:
             raise NoSolution("kernel of 'through' is not contained in kernel of 'target'")
-        x[p] = rows[r][q:]
-    psi_rows = tuple(tuple(x[j][i] for j in range(q)) for i in range(t))
-    return LinearMap(f, through.cod, target.cod, psi_rows)
+        psi_cols[p] = {i - q: a for i, a in row.items() if i >= q}
+    return LinearMap.from_sparse(f, through.cod, target.cod, psi_cols)
 
 
 def solve_through_injection(target: LinearMap, incl: LinearMap) -> LinearMap:
@@ -726,11 +770,9 @@ def solve_through_injection(target: LinearMap, incl: LinearMap) -> LinearMap:
     """
     # transpose the problem: psi^T o incl^T = target^T
     psi_t = solve_factor(dual(target), dual(incl))
-    rows = tuple(
-        tuple(psi_t.entries[j][i] for j in range(psi_t.cod.dim))
-        for i in range(psi_t.dom.dim)
+    return LinearMap.from_sparse(
+        target.field, target.dom, incl.dom, _transpose(psi_t.cols, psi_t.cod.dim)
     )
-    return LinearMap(target.field, target.dom, incl.dom, rows)
 
 
 def invert_map(m: LinearMap) -> LinearMap:

@@ -30,14 +30,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
 
-from .coend import CoendResult, coend_of_functor
+from .coend import CoendResult, _difference_columns, coend_of_functor
 from .exactlinalg import (
     LinearMap,
     PadicRationals,
     QQ,
     Space,
+    _apply,
+    _dense,
     _dot,
     _rref,
+    _sparse,
     direct_sum_space,
     identity,
     image_basis,
@@ -183,11 +186,9 @@ def operator_norm(m: LinearMap, dom_weights=None, cod_weights=None) -> NormValue
     w = dom_weights if dom_weights is not None else m.dom.effective_weights()
     u = cod_weights if cod_weights is not None else m.cod.effective_weights()
     best: NormValue = NormValue.zero()
-    for j, row in enumerate(m.entries):
-        for i, a in enumerate(row):
+    for i, col in enumerate(m.cols):
+        for j, a in col.items():
             v = padic_valuation(a, p)
-            if v is None:
-                continue
             cand = NormValue.of_exp(-(v + u[j] - w[i]))
             if cand > best:
                 best = cand
@@ -281,10 +282,12 @@ def _check_certificate(ns: NormedSpace, subspace_vectors, v, x, lam) -> None:
     # rank [W; v - x] = rank W; then ||v + W|| <= ||x||
     gens = [[Fraction(a) for a in g] for g in subspace_vectors]
     diff = [Fraction(a) - Fraction(b) for a, b in zip(v, x)]
-    red, piv_cols = _rref(QQ, gens)
+    red, piv_cols = _rref(QQ, [_sparse(g, QQ) for g in gens])
     for row, c in zip(red, piv_cols):
         if diff[c] != 0:
-            diff = [a - diff[c] * b for a, b in zip(diff, row)]
+            coef = diff[c]
+            for k, b in row.items():
+                diff[k] -= coef * b
     if any(diff):
         fail("v - x is not in the span of the generators")
     # (b) lam kills W, so |lam(v)| = |lam(v - w)| <= ||lam||* ||v - w|| for w in W
@@ -346,14 +349,15 @@ def quotient_norm_bruteforce(ns: NormedSpace, subspace_vectors, v,
     weights = ns.weights
     n = ns.dim
     # staircase basis of the subspace via plain rational row reduction
-    rows = [[Fraction(a) for a in vec] for vec in subspace_vectors]
-    red, piv_cols = _rref(QQ, rows) if rows else ([], [])
-    if not red:
+    rows = [_sparse([Fraction(a) for a in vec], QQ) for vec in subspace_vectors]
+    sparse_red, piv_cols = _rref(QQ, rows)
+    if not sparse_red:
         return _vec_norm(v, weights, p)
-    k = len(red)
+    k = len(sparse_red)
+    red = [_dense(r, n, QQ) for r in sparse_red]
     cols = [[red[j][i] for j in range(k)] for i in range(n)]  # n x k entries
     # membership: v in span?
-    aug, _ = _rref(QQ, red + [[Fraction(a) for a in v]])
+    aug, _ = _rref(QQ, sparse_red + [_sparse([Fraction(a) for a in v], QQ)])
     if len(aug) == k:
         return NormValue.zero()
     nu_v = _vec_val(v, weights, p)
@@ -477,11 +481,9 @@ def _orthogonalize_quotient(field, ambient_weights, p, relation_vectors,
     for vec in lift_basis:
         val = _vec_val(vec, ambient_weights, p)
         weights.append(val)
-        cols.append(pi.apply(vec))
-    q = pi.cod
-    basis_map = LinearMap(
-        field, Space.std(len(cols), prefix="o", weights=weights), q,
-        tuple(tuple(col[i] for col in cols) for i in range(q.dim)),
+        cols.append(_apply(pi.cols, _sparse(vec, field), field))
+    basis_map = LinearMap.from_sparse(
+        field, Space.std(len(cols), prefix="o", weights=weights), pi.cod, cols
     )
     transport = invert_map(basis_map)
     return OrthogonalizedQuotient(transport, tuple(weights), lift_basis)
@@ -517,18 +519,10 @@ def banach_colimit(F: DiagramFunctor, certify=True) -> BanachColimit:
         off += F.space(x).dim
     rel_cols = []
     for m in F.source.non_identity():
-        amap = F.map(m.name)
-        for jx in range(F.space(m.dom).dim):
-            col = [f.zero()] * total.dim
-            col[offsets[m.dom] + jx] = f.one()
-            for i, a in enumerate(amap.col(jx)):
-                col[offsets[m.cod] + i] = f.sub(col[offsets[m.cod] + i], a)
-            rel_cols.append(col)
-    rel_dom = Space.std(len(rel_cols), prefix="r")
-    rel = LinearMap(
-        f, rel_dom, total.space,
-        tuple(tuple(c[i] for c in rel_cols) for i in range(total.dim)),
-    )
+        # x - F(m) x for each basis vector x of F(dom m)
+        rel_cols.extend(_difference_columns(f, identity(F.space(m.dom), f), offsets[m.dom],
+                                            F.map(m.name), offsets[m.cod]))
+    rel = LinearMap.from_sparse(f, Space.std(len(rel_cols), prefix="r"), total.space, rel_cols)
     pi, section = cokernel(rel)
     rel_basis = image_basis(rel)
     orth = _orthogonalize_quotient(f, total.weights, p, rel_basis, pi, section)
@@ -538,12 +532,8 @@ def banach_colimit(F: DiagramFunctor, certify=True) -> BanachColimit:
     cocone = {}
     cocone_norms = {}
     for x in F.source.objects:
-        dx = F.space(x).dim
-        cols = [pi.col(offsets[x] + jx) for jx in range(dx)]
-        kappa = LinearMap(
-            f, F.space(x), pi.cod,
-            tuple(tuple(col[i] for col in cols) for i in range(pi.cod.dim)),
-        )
+        lo = offsets[x]
+        kappa = LinearMap.from_sparse(f, F.space(x), pi.cod, pi.cols[lo:lo + F.space(x).dim])
         cocone[x] = kappa
         cocone_norms[x] = operator_norm(
             orth.transport @ kappa,

@@ -34,6 +34,7 @@ from .exactlinalg import (
     LinearMap,
     NoSolution,
     Space,
+    _add_into,
     compose_kron,
     identity,
     invert_map,
@@ -57,56 +58,47 @@ def comodule_hom_basis(m: Comodule, n: Comodule) -> list[LinearMap]:
     dc = m.over.carrier.dim
     if m.over.carrier.dim != n.over.carrier.dim:
         raise ValueError("comodules live over different coalgebras")
-    nvars = dn * dm
-    rows = []
-    for b in range(dn):
-        for c in range(dc):
+    # unknown g[b, a] is variable b * dm + a; equation ((b, c), a) is row
+    # (b * dc + c) * dm + a; the system is built column by column from the
+    # nonzero entries of the two coactions
+    cols = [{} for _ in range(dn * dm)]
+    for a, col in enumerate(m.rho.cols):
+        # (g (x) id) o rho_M at ((b,c), a): sum_a' g[b,a'] rhoM[(a',c),a]
+        for k, v in col.items():
+            a2, c = divmod(k, dc)
+            for b in range(dn):
+                _add_into(cols[b * dm + a2], (b * dc + c) * dm + a, v, f)
+    for b2, col in enumerate(n.rho.cols):
+        # rho_N o g at ((b,c), a): sum_b' rhoN[(b,c),b'] g[b',a]
+        for k, v in col.items():
             for a in range(dm):
-                row = [f.zero()] * nvars
-                # (g (x) id) o rho_M at ((b,c), a): sum_a' g[b,a'] rhoM[(a',c),a]
-                for a2 in range(dm):
-                    v = m.rho.entries[a2 * dc + c][a]
-                    if not f.is_zero(v):
-                        row[b * dm + a2] = f.add(row[b * dm + a2], v)
-                # rho_N o g at ((b,c), a): sum_b' rhoN[(b,c),b'] g[b',a]
-                for b2 in range(dn):
-                    v = n.rho.entries[b * dc + c][b2]
-                    if not f.is_zero(v):
-                        row[b2 * dm + a] = f.sub(row[b2 * dm + a], v)
-                rows.append(tuple(row))
-    system = LinearMap(
-        f, Space.std(nvars, prefix="v"), Space.std(len(rows), prefix="eq"),
-        tuple(rows),
+                _add_into(cols[b2 * dm + a], k * dm + a, f.neg(v), f)
+    system = LinearMap.from_sparse(
+        f, Space.std(dn * dm, prefix="v"), Space.std(dn * dc * dm, prefix="eq"), cols
     )
     basis = []
-    ker = kernel(system)
-    for j in range(ker.dom.dim):
-        vec = ker.col(j)
-        entries = tuple(
-            tuple(vec[b * dm + a] for a in range(dm)) for b in range(dn)
-        )
-        basis.append(LinearMap(f, m.space, n.space, entries))
+    for vec in kernel(system).cols:
+        g_cols = [{} for _ in range(dm)]
+        for k, v in vec.items():
+            b, a = divmod(k, dm)
+            g_cols[a][b] = v
+        basis.append(LinearMap.from_sparse(f, m.space, n.space, g_cols))
     return basis
+
+
+def _flat(g: LinearMap) -> dict:
+    """g as a sparse vector in row-major order."""
+    return {i * g.dom.dim + j: a for j, col in enumerate(g.cols) for i, a in col.items()}
 
 
 def _in_span(g: LinearMap, basis: list[LinearMap]) -> bool:
     f = g.field
     if not basis:
         return g.is_zero_map()
-    nvars = g.dom.dim * g.cod.dim
-    cols = [
-        [b.entries[i][j] for i in range(g.cod.dim) for j in range(g.dom.dim)]
-        for b in basis
-    ]
-    target = [g.entries[i][j] for i in range(g.cod.dim) for j in range(g.dom.dim)]
-    a = LinearMap(
-        f, Space.std(len(basis), prefix="c"), Space.std(nvars, prefix="v"),
-        tuple(tuple(col[i] for col in cols) for i in range(nvars)),
-    )
-    b = LinearMap(
-        f, Space.std(1, prefix="t"), Space.std(nvars, prefix="v"),
-        tuple((t,) for t in target),
-    )
+    flat = Space.std(g.dom.dim * g.cod.dim, prefix="v")
+    a = LinearMap.from_sparse(f, Space.std(len(basis), prefix="c"), flat,
+                              [_flat(b) for b in basis])
+    b = LinearMap.from_sparse(f, Space.std(1, prefix="t"), flat, [_flat(g)])
     try:
         solve_through_injection(b, a)
         return True

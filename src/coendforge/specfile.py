@@ -77,10 +77,27 @@ def _expect(value, kind, what: str):
 
 
 def _int(value, what: str) -> int:
+    """value as an int; booleans and non-integral numbers are refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise SpecError(f"{what} must be an integer")
     try:
         return int(value)
     except (TypeError, ValueError):
         raise SpecError(f"{what} must be an integer") from None
+
+
+def _named(table: dict, name, what: str):
+    """table[name] for a name that is a string; otherwise SpecError, which
+    reads what followed by the name given."""
+    if not isinstance(name, str) or name not in table:
+        raise SpecError(f"{what} {name!r}")
+    return table[name]
+
+
+def _names(entry, count: int) -> bool:
+    """True when entry is a JSON array of count strings."""
+    return isinstance(entry, list) and len(entry) == count and all(
+        isinstance(a, str) for a in entry)
 
 
 def _parse_rows(fld, rows, dom: Space, cod: Space, what: str) -> LinearMap:
@@ -126,27 +143,32 @@ def _category_from_json(name, data) -> FinCategory:
             raise SpecError(f"category {name!r}: a morphism needs string 'name', 'dom' and 'cod'")
         morphisms.append((m["name"], m["dom"], m["cod"]))
     composition = {}
-    for entry in data.get("composition", []):
-        if len(entry) != 3:
+    for entry in _expect(data.get("composition", []), list, f"category {name!r}: 'composition'"):
+        if not _names(entry, 3):
             raise SpecError(f"category {name!r}: composition entries are [g, f, gof]")
         g, fm, h = entry
         composition[(g, fm)] = h
     monoidal = None
     mon = data.get("monoidal")
     if mon is not None:
+        _expect(mon, dict, f"category {name!r}: 'monoidal'")
+        what = f"category {name!r}: monoidal"
         tensor_obj = {}
-        for entry in mon.get("tensor", []):
-            if len(entry) != 3:
+        for entry in _expect(mon.get("tensor", []), list, f"{what} 'tensor'"):
+            if not _names(entry, 3):
                 raise SpecError(f"category {name!r}: tensor entries are [a, b, ab]")
             tensor_obj[(entry[0], entry[1])] = entry[2]
         tensor_mor = {}
-        for entry in mon.get("tensor_morphisms", []):
+        for entry in _expect(mon.get("tensor_morphisms", []), list, f"{what} 'tensor_morphisms'"):
+            if not _names(entry, 3):
+                raise SpecError(f"category {name!r}: tensor_morphisms entries are [f, g, fg]")
             tensor_mor[(entry[0], entry[1])] = entry[2]
         monoidal = CategoryMonoidalData(
             unit=mon.get("unit"),
             tensor_obj=tensor_obj,
             tensor_mor=tensor_mor,
-            duals=mon.get("duals"),
+            duals=None if mon.get("duals") is None else _expect(mon["duals"], dict,
+                                                                 f"{what} 'duals'"),
         )
     try:
         return FinCategory(objects, morphisms, composition, monoidal)
@@ -164,9 +186,7 @@ def _functor_from_json(fld, name, data, spaces, categories) -> DiagramFunctor:
     for obj, space_name in objects.items():
         if obj not in cat.objects:
             raise SpecError(f"functor {name!r}: {obj!r} is not an object of {src_name!r}")
-        if space_name not in spaces:
-            raise SpecError(f"functor {name!r}: unknown space {space_name!r}")
-        ob[obj] = spaces[space_name]
+        ob[obj] = _named(spaces, space_name, f"functor {name!r}: unknown space")
     for obj in cat.objects:
         if obj not in ob:
             raise SpecError(f"functor {name!r}: no space assigned to {obj!r}")
@@ -187,7 +207,7 @@ def _functor_from_json(fld, name, data, spaces, categories) -> DiagramFunctor:
             raise SpecError(f"functor {name!r}: xi given but {src_name!r} is not monoidal")
         xi = {}
         for entry in data.get("xi", []):
-            if len(entry) != 3:
+            if not (isinstance(entry, list) and len(entry) == 3 and _names(entry[:2], 2)):
                 raise SpecError(f"functor {name!r}: xi entries are [a, b, matrix]")
             a, b, rows = entry
             ab = cat.monoidal.tensor_obj.get((a, b))
@@ -223,9 +243,7 @@ def _functor_from_json(fld, name, data, spaces, categories) -> DiagramFunctor:
 
 def _coalgebra_from_json(fld, name, data, spaces):
     space_name = _expect(data, dict, f"coalgebra {name!r}").get("space")
-    if space_name not in spaces:
-        raise SpecError(f"coalgebra {name!r}: unknown space {space_name!r}")
-    s = spaces[space_name]
+    s = _named(spaces, space_name, f"coalgebra {name!r}: unknown space")
     ss = tensor_space(s, s)
     delta = _parse_rows(fld, data["delta"], s, ss, f"coalgebra {name!r} delta")
     eps = _parse_rows(fld, data["epsilon"], s, unit_space(), f"coalgebra {name!r} epsilon")
@@ -285,30 +303,21 @@ def load_spec(source, field_override: str | None = None) -> SpecData:
         spec.coalgebras[name] = _coalgebra_from_json(fld, name, data, spec.spaces)
     for name, data in _section(raw, "comodules").items():
         over = _expect(data, dict, f"comodule {name!r}").get("over")
-        if over not in spec.coalgebras:
-            raise SpecError(f"comodule {name!r}: unknown coalgebra {over!r}")
-        space_name = data.get("space")
-        if space_name not in spec.spaces:
-            raise SpecError(f"comodule {name!r}: unknown space {space_name!r}")
-        c = spec.coalgebras[over]
-        s = spec.spaces[space_name]
+        c = _named(spec.coalgebras, over, f"comodule {name!r}: unknown coalgebra")
+        s = _named(spec.spaces, data.get("space"), f"comodule {name!r}: unknown space")
         rho = _parse_rows(fld, data["rho"], s, tensor_space(s, c.carrier),
                           f"comodule {name!r} rho")
         spec.comodules[name] = Comodule(s, c, rho)
     for name, data in _section(raw, "controls").items():
         space_name = _expect(data, dict, f"control {name!r}").get("space")
-        if space_name not in spec.spaces:
-            raise SpecError(f"control {name!r}: unknown space {space_name!r}")
         spec.controls[name] = ControlSpec(
-            name, spec.spaces[space_name],
+            name, _named(spec.spaces, space_name, f"control {name!r}: unknown space"),
             dict(data.get("action", {})), dict(data.get("xi", {})),
         )
     for name, data in _section(raw, "transformations").items():
         data = _expect(data, dict, f"transformation {name!r}")
-        if data.get("functor") not in spec.functors:
-            raise SpecError(f"transformation {name!r}: unknown functor")
-        if data.get("target") not in spec.spaces:
-            raise SpecError(f"transformation {name!r}: unknown target space")
+        _named(spec.functors, data.get("functor"), f"transformation {name!r}: unknown functor")
+        _named(spec.spaces, data.get("target"), f"transformation {name!r}: unknown target space")
         spec.transformations[name] = TransformationSpec(
             name, data["functor"], data["target"], dict(data.get("components", {}))
         )

@@ -279,6 +279,24 @@ def test_field_modulus_beyond_primality_bound_exits_2_with_json():
     {"comodules": {"M": 5}},
     {"controls": {"c": 5}},
     {"transformations": {"t": 5}},
+    # names given as lists
+    {"spaces": {"V": {"dim": 1}},
+     "coalgebras": {"K": {"space": "V", "delta": [["1"]], "epsilon": [["1"]]}},
+     "comodules": {"M": {"over": ["K"], "space": "V", "rho": [["1"]]}}},
+    {"spaces": {"V": {"dim": 1}}, "categories": {"C": {"objects": ["a"]}},
+     "functors": {"F": {"source": "C", "objects": {"a": ["V"]}}}},
+    {"spaces": {"V": {"dim": 1}},
+     "coalgebras": {"K": {"space": ["V"], "delta": [["1"]], "epsilon": [["1"]]}}},
+    {"spaces": {"V": {"dim": 1}}, "controls": {"c": {"space": ["V"]}}},
+    {"categories": {"C": {"objects": ["a"], "composition": [[["a"], "a", "a"]]}}},
+    {"categories": {"C": {"objects": ["a"], "composition": 5}}},
+    {"categories": {"C": {"objects": ["a"], "monoidal": 5}}},
+    {"categories": {"C": {"objects": ["a"], "monoidal": {"unit": "a", "tensor": [["a", "a", "a"]],
+                                                        "duals": 5}}}},
+    # booleans and fractions where an integer belongs
+    {"spaces": {"V": {"dim": True}}},
+    {"spaces": {"V": {"dim": 1.5}}},
+    {"spaces": {"V": {"dim": 1, "weights": [0.7]}}},
 ])
 def test_mistyped_spec_fields_exit_2_with_json(tmp_path, spec):
     path = tmp_path / "bad.json"
@@ -287,6 +305,14 @@ def test_mistyped_spec_fields_exit_2_with_json(tmp_path, spec):
     assert code == 2
     data = json.loads(out)
     assert data["ok"] is False and data["problems"]
+
+
+def test_integral_dim_and_weights_still_validate(tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps({"spaces": {"V": {"dim": 2.0, "weights": [0, -1.0]},
+                                           "W": {"dim": 3}}}))
+    code, out = run_cli(["validate", str(path)])
+    assert code == 0 and json.loads(out)["ok"] is True
 
 
 # one arrow K^2 -> K^2 over padic:3 on which the window oracle's candidate
