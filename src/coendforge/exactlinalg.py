@@ -458,14 +458,6 @@ class LinearMap:
         return echelon(self)[0]
 
 
-def _dot(f, xs, ys):
-    acc = f.zero()
-    for x, y in zip(xs, ys):
-        if not f.is_zero(x):
-            acc = f.add(acc, f.mul(x, y))
-    return acc
-
-
 def identity(space: Space, f) -> LinearMap:
     one = f.one()
     return LinearMap.from_sparse(f, space, space, [{i: one} for i in range(space.dim)])
@@ -621,13 +613,6 @@ def kernel(m: LinearMap) -> LinearMap:
                 cols[j][p] = f.neg(a)
     ker_space = Space.std(len(free), prefix="k")
     return LinearMap.from_sparse(f, ker_space, m.dom, [cols[j] for j in free])
-
-
-def image_basis(m: LinearMap):
-    """A deterministic basis of im(m) as a list of codomain vectors
-    (reduced echelon basis of the column space)."""
-    f = m.field
-    return [_dense(r, m.cod.dim, f) for r in _rref(f, m.cols)[0]]
 
 
 def cokernel(m: LinearMap):

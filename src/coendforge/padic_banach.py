@@ -18,9 +18,12 @@ checked against the original generators of W alone:
     every w in W, where ||lam||* = max_i |lam_i|_p p^w_i;
 (c) x = 0, or |lam(v)|_p / ||lam||* = ||x||, so ||v + W|| >= ||x||.
 
-Checking is a few exact dot products and one echelon form.  The exponential
-window oracle `quotient_norm_bruteforce` stays as an independent test
-oracle; the package never calls it.
+A whole quotient takes one greedy orthogonalization and one echelon form of
+the generators: reducing every class against the one basis yields the class
+norms and the orthogonal class basis, and every certificate is checked
+against the one echelon form.  The exponential window oracle
+`quotient_norm_bruteforce` stays as an independent test oracle; the package
+never calls it.
 """
 
 from __future__ import annotations
@@ -36,14 +39,15 @@ from .exactlinalg import (
     PadicRationals,
     QQ,
     Space,
+    _add_into,
     _apply,
     _dense,
-    _dot,
     _rref,
     _sparse,
+    _transpose,
+    cokernel,
     direct_sum_space,
     identity,
-    image_basis,
     invert_map,
     kernel,
     kron_compose,
@@ -150,49 +154,47 @@ def normed(space: Space, p: int, weights=None) -> NormedSpace:
     return NormedSpace(space, p)
 
 
-def _wval(a, w: int, p: int):
-    """Weighted valuation v_p(a) + w; None encodes +infinity."""
-    v = padic_valuation(a, p)
-    return None if v is None else v + w
-
-
-def _vec_val(v, weights, p):
+def _lead(items, weights, p):
+    """(weighted valuation v_p(a) + w_i, coordinate i) of the entry where a
+    vector attains its norm, the lowest coordinate on a tie, from the
+    vector's (i, a) pairs; None for the zero vector."""
     best = None
-    for a, w in zip(v, weights):
-        wv = _wval(a, w, p)
-        if wv is not None and (best is None or wv < best):
-            best = wv
+    for i, a in items:
+        if a:
+            cand = (padic_valuation(a, p) + weights[i], i)
+            if best is None or cand < best:
+                best = cand
     return best
 
 
+def _norm(items, weights, p) -> NormValue:
+    lead = _lead(items, weights, p)
+    return NormValue.zero() if lead is None else NormValue.of_exp(-lead[0])
+
+
+def _vec_val(v, weights, p):
+    lead = _lead(enumerate(v), weights, p)
+    return None if lead is None else lead[0]
+
+
 def _vec_norm(v, weights, p) -> NormValue:
-    val = _vec_val(v, weights, p)
-    return NormValue.zero() if val is None else NormValue.of_exp(-val)
+    return _norm(enumerate(v), weights, p)
 
 
-def _prime_of_field(f) -> int:
+def _prime_of(f) -> int:
     if not isinstance(f, PadicRationals):
         raise PrimeMismatch("norms are only defined over p-adic-flavored rationals")
     return f.p
 
 
-def _prime_of(m: LinearMap) -> int:
-    return _prime_of_field(m.field)
-
-
 def operator_norm(m: LinearMap, dom_weights=None, cod_weights=None) -> NormValue:
     """||m|| = max_{i,j} |m_ji|_p p^(-u_j + w_i) for diagonal norms; exact."""
-    p = _prime_of(m)
+    p = _prime_of(m.field)
     w = dom_weights if dom_weights is not None else m.dom.effective_weights()
     u = cod_weights if cod_weights is not None else m.cod.effective_weights()
-    best: NormValue = NormValue.zero()
-    for i, col in enumerate(m.cols):
-        for j, a in col.items():
-            v = padic_valuation(a, p)
-            cand = NormValue.of_exp(-(v + u[j] - w[i]))
-            if cand > best:
-                best = cand
-    return best
+    return max((NormValue.of_exp(-(padic_valuation(a, p) + u[j] - w[i]))
+                for i, col in enumerate(m.cols) for j, a in col.items()),
+               default=NormValue.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -200,109 +202,130 @@ def operator_norm(m: LinearMap, dom_weights=None, cod_weights=None) -> NormValue
 # ---------------------------------------------------------------------------
 
 def _orthogonalize(vectors, weights, p):
-    """Greedy orthogonalization: returns (basis, pivots) where the basis
-    spans the same subspace, every vector attains its norm at its pivot
-    coordinate, and the vectors are mutually zero at each other's pivots."""
-    work = [list(v) for v in vectors if any(a != 0 for a in v)]
-    chosen: list[list] = []
-    pivots: list[int] = []
+    """Greedy orthogonalization of sparse vectors: returns (basis, pivots)
+    where the basis spans the same subspace, every vector attains its norm at
+    its pivot coordinate, and the vectors are mutually zero at each other's
+    pivots.  Each step pivots on the least weighted valuation left: the
+    first such vector in work order, at its lowest such coordinate.  A
+    vector's lead is recomputed only when a step changes it."""
+    work = [dict(v) for v in vectors if v]
+    leads = [_lead(v.items(), weights, p) for v in work]
+    chosen, pivots = [], []
     while work:
-        best = None
-        for vi, v in enumerate(work):
-            for i, a in enumerate(v):
-                wv = _wval(a, weights[i], p)
-                if wv is None:
-                    continue
-                if best is None or wv < best[0]:
-                    best = (wv, vi, i)
-        if best is None:
-            break
-        _, vi, piv = best
-        vec = work.pop(vi)
-        inv = 1 / Fraction(vec[piv])
-        for other in itertools.chain(work, chosen):
-            c = Fraction(other[piv]) * inv
-            if c != 0:
-                for i in range(len(other)):
-                    other[i] = other[i] - c * vec[i]
+        k = min(range(len(work)), key=lambda j: leads[j][0])
+        vec, piv = work.pop(k), leads.pop(k)[1]
+        for j, other in enumerate(work):
+            if piv in other:
+                _eliminate(other, vec, piv)
+                leads[j] = _lead(other.items(), weights, p)
+        for other in chosen:
+            if piv in other:
+                _eliminate(other, vec, piv)
         chosen.append(vec)
         pivots.append(piv)
-        work = [v for v in work if any(a != 0 for a in v)]
+        leads = [lead for lead, v in zip(leads, work) if v]
+        work = [v for v in work if v]
     return chosen, pivots
 
 
-def _reduce_vector(v, basis, pivots):
-    v = list(v)
-    for vec, piv in zip(basis, pivots):
-        c = Fraction(v[piv]) / Fraction(vec[piv])
-        if c != 0:
-            for i in range(len(v)):
-                v[i] = v[i] - c * vec[i]
-    return v
+def _eliminate(vec: dict, row: dict, c) -> None:
+    """vec -= (vec[c] / row[c]) row in place, which clears coordinate c."""
+    f = QQ
+    coef = f.mul(vec[c], f.invert(row[c]))
+    for i, a in row.items():
+        _add_into(vec, i, f.neg(f.mul(coef, a)), f)
+
+
+def _reduce_quotient(ns: NormedSpace, generators, vectors, certify):
+    """Reduce each vector v modulo the span W of the generators against one
+    greedy orthogonal basis {b_j} (pivot pi_j) of W.  Returns the residuals x
+    and their norms ||x|| = ||v + W||.  With certify=True all values are
+    proved by one `_check_certificate` call, with lam the e_i0 coordinate
+    functional of the orthogonal basis {b_j} u {e_i : i not a pivot}, where x
+    attains its norm at i0: lam_i0 = 1, lam_pi_j = -b_j[i0] / b_j[pi_j], 0
+    elsewhere.  All vectors are sparse dicts of Fractions."""
+    f, weights, p = QQ, ns.weights, ns.p
+    basis, pivots = _orthogonalize(generators, weights, p)
+    residuals = [dict(v) for v in vectors]
+    for x in residuals:
+        for b, piv in zip(basis, pivots):
+            if piv in x:
+                _eliminate(x, b, piv)
+    if certify:
+        certificates = []
+        for v, x in zip(vectors, residuals):
+            lam = {}
+            if x:
+                i0 = _lead(x.items(), weights, p)[1]
+                lam[i0] = f.one()
+                for b, piv in zip(basis, pivots):
+                    if i0 in b:
+                        lam[piv] = f.neg(f.mul(b[i0], f.invert(b[piv])))
+            certificates.append((v, x, lam))
+        _check_certificate(ns, generators, certificates)
+    return residuals, [_norm(x.items(), weights, p) for x in residuals]
 
 
 def quotient_norm(ns: NormedSpace, subspace_vectors, v, certify=True) -> NormValue:
     """inf_w ||v - w|| over the span W of the given vectors, computed exactly.
 
-    The greedy reduction residual x realizes the infimum: it is zero at every
-    pivot of the orthogonalized subspace basis, and for such a vector no
-    element of the subspace can lower the norm (ultrametric argument on the
-    pivot coordinates).  With certify=True the value is proved by a dual
-    certificate: lam is the e_i0 coordinate functional of the orthogonal
-    basis {b_j} u {e_i : i not a pivot}, where x attains its norm at i0
-    (lam_i0 = 1, lam_pi_j = -b_j[i0] / b_j[pi_j] for b_j with pivot pi_j,
-    0 elsewhere), and `_check_certificate` raises ArithmeticError unless
-    (a) v - x lies in W, (b) lam kills every generator of W and (c) x = 0 or
-    |lam(v)|_p / ||lam||* = ||x||.
+    The one-vector case of the reduction that `bounded_coend` and
+    `banach_colimit` run on all their classes at once.  The greedy residual x
+    realizes the infimum: it is zero at every pivot of the orthogonalized
+    basis of W, and for such a vector no element of W can lower the norm
+    (ultrametric argument on the pivot coordinates).  With certify=True the
+    dual certificate of the module docstring proves the value, and
+    ArithmeticError is raised unless it checks.
     """
-    basis, pivots = _orthogonalize(subspace_vectors, ns.weights, ns.p)
-    residual = _reduce_vector(v, basis, pivots)
-    val = _vec_val(residual, ns.weights, ns.p)
-    if certify:
-        lam = [Fraction(0)] * ns.dim
-        if val is not None:
-            i0 = next(i for i, a in enumerate(residual)
-                      if _wval(a, ns.weights[i], ns.p) == val)
-            lam[i0] = Fraction(1)
-            for b, piv in zip(basis, pivots):
-                lam[piv] = -Fraction(b[i0]) / Fraction(b[piv])
-        _check_certificate(ns, subspace_vectors, v, residual, lam)
-    return NormValue.zero() if val is None else NormValue.of_exp(-val)
+    gens = [_rational(g) for g in subspace_vectors]
+    return _reduce_quotient(ns, gens, [_rational(v)], certify)[1][0]
 
 
-def _check_certificate(ns: NormedSpace, subspace_vectors, v, x, lam) -> None:
-    """Raise ArithmeticError unless (x, lam) proves ||v + W|| = ||x||, W the
-    span of subspace_vectors, by conditions (a)-(c) of the module docstring.
-    They are tested on the generators themselves, never on a basis derived
-    from them, so the proof holds however x and lam were found."""
+def _rational(v) -> dict:
+    """A dense coordinate vector as a sparse dict of Fractions."""
+    return {i: Fraction(a) for i, a in enumerate(v) if a}
+
+
+def _check_certificate(ns: NormedSpace, generators, certificates) -> None:
+    """Raise ArithmeticError unless every (v, x, lam) in certificates proves
+    ||v + W|| = ||x||, W the span of the generators, by conditions (a)-(c) of
+    the module docstring; all vectors are sparse dicts of Fractions.  They
+    are tested on the generators themselves, never on a basis derived from
+    them, so the proof holds however x and lam were found.  One echelon form
+    and one transpose of the generators serve every certificate."""
     def fail(why):
         raise ArithmeticError(f"quotient norm certification failed: {why}")
 
-    # (a) v - x reduces to zero against the generators' echelon form, i.e.
-    # rank [W; v - x] = rank W; then ||v + W|| <= ||x||
-    gens = [[Fraction(a) for a in g] for g in subspace_vectors]
-    diff = [Fraction(a) - Fraction(b) for a, b in zip(v, x)]
-    red, piv_cols = _rref(QQ, [_sparse(g, QQ) for g in gens])
-    for row, c in zip(red, piv_cols):
-        if diff[c] != 0:
-            coef = diff[c]
-            for k, b in row.items():
-                diff[k] -= coef * b
-    if any(diff):
-        fail("v - x is not in the span of the generators")
-    # (b) lam kills W, so |lam(v)| = |lam(v - w)| <= ||lam||* ||v - w|| for w in W
-    for k, g in enumerate(gens):
-        if _dot(QQ, lam, g) != 0:
-            fail(f"the functional does not vanish on generator {k}")
-    # (c) hence ||v + W|| >= |lam(v)| / ||lam||*, which must equal ||x||;
-    # the dual norm max_i |lam_i|_p p^w_i is a sup norm with weights -w
-    x_norm = _vec_norm(x, ns.weights, ns.p)
-    if x_norm.is_zero:
-        return
-    lam_v = scalar_norm(_dot(QQ, lam, v), ns.p)
-    lam_norm = _vec_norm(lam, tuple(-w for w in ns.weights), ns.p)
-    if lam_v.is_zero or lam_norm.is_zero or lam_v.exp - lam_norm.exp != x_norm.exp:
-        fail(f"|lam(v)| / ||lam||* is {lam_v!r} / {lam_norm!r}, but ||x|| is {x_norm!r}")
+    f = QQ
+    echelon_rows, piv_cols = _rref(f, generators)
+    gen_rows = _transpose(generators, ns.dim)
+    dual_weights = tuple(-w for w in ns.weights)
+    for v, x, lam in certificates:
+        # (a) v - x reduces to zero against the generators' echelon form, i.e.
+        # rank [W; v - x] = rank W; then ||v + W|| <= ||x||
+        diff = dict(v)
+        for i, a in x.items():
+            _add_into(diff, i, f.neg(a), f)
+        for row, c in zip(echelon_rows, piv_cols):
+            if c in diff:
+                _eliminate(diff, row, c)
+        if diff:
+            fail("v - x is not in the span of the generators")
+        # (b) lam kills W, so |lam(v)| = |lam(v - w)| <= ||lam||* ||v - w|| for
+        # w in W; lam(g_k) is entry k of lam applied to the transposed generators
+        missed = _apply(gen_rows, lam, f)
+        if missed:
+            fail(f"the functional does not vanish on generator {min(missed)}")
+        # (c) hence ||v + W|| >= |lam(v)| / ||lam||*, which must equal ||x||;
+        # the dual norm max_i |lam_i|_p p^w_i is a sup norm with weights -w
+        x_norm = _norm(x.items(), ns.weights, ns.p)
+        if x_norm.is_zero:
+            continue
+        lam_v = scalar_norm(sum((f.mul(a, v[i]) for i, a in lam.items() if i in v),
+                                f.zero()), ns.p)
+        lam_norm = _norm(lam.items(), dual_weights, ns.p)
+        if lam_v.is_zero or lam_norm.is_zero or lam_v.exp - lam_norm.exp != x_norm.exp:
+            fail(f"|lam(v)| / ||lam||* is {lam_v!r} / {lam_norm!r}, but ||x|| is {x_norm!r}")
 
 
 def _det(rows):
@@ -457,36 +480,33 @@ def banach_product(spaces: list[NormedSpace]) -> NormedSpace:
 class OrthogonalizedQuotient:
     """A quotient carrier with its quotient norm made diagonal: transport
     sends quotient coordinates to coordinates in an orthogonal class basis
-    whose weights realize the quotient norm exactly."""
+    whose weights realize the quotient norm exactly.  lifts are that basis
+    as sparse ambient vectors; class_norms[j] is the quotient norm of the
+    class of section column j."""
 
     transport: LinearMap
     weights: tuple[int, ...]
-    lifts: list[list[Fraction]]
+    lifts: list[dict]
+    class_norms: list[NormValue]
 
 
-def _orthogonalize_quotient(field, ambient_weights, p, relation_vectors,
-                            pi: LinearMap, section: LinearMap) -> OrthogonalizedQuotient:
-    ker_basis, ker_pivots = _orthogonalize(relation_vectors, ambient_weights, p)
-    # reduce the section lifts, then orthogonalize them among themselves;
-    # combinations stay zero at kernel pivots, hence stay norm-reduced
-    lifts = [
-        _reduce_vector(section.col(j), ker_basis, ker_pivots)
-        for j in range(section.dom.dim)
-    ]
-    lift_basis, _ = _orthogonalize(lifts, ambient_weights, p)
+def _orthogonalize_quotient(total: NormedSpace, relation_vectors, pi: LinearMap,
+                            section: LinearMap, certify) -> OrthogonalizedQuotient:
+    f, p = pi.field, total.p
+    # one reduction gives the class norms and the reduced section lifts, which
+    # are then orthogonalized among themselves; combinations stay zero at
+    # kernel pivots, hence stay norm-reduced
+    lifts, class_norms = _reduce_quotient(total, relation_vectors, section.cols, certify)
+    lift_basis, _ = _orthogonalize(lifts, total.weights, p)
     if len(lift_basis) != section.dom.dim:
         raise ArithmeticError("section lifts became dependent during reduction")
-    weights = []
-    cols = []
-    for vec in lift_basis:
-        val = _vec_val(vec, ambient_weights, p)
-        weights.append(val)
-        cols.append(_apply(pi.cols, _sparse(vec, field), field))
+    weights = [_lead(vec.items(), total.weights, p)[0] for vec in lift_basis]
+    cols = [_apply(pi.cols, vec, f) for vec in lift_basis]
     basis_map = LinearMap.from_sparse(
-        field, Space.std(len(cols), prefix="o", weights=weights), pi.cod, cols
+        f, Space.std(len(cols), prefix="o", weights=weights), pi.cod, cols
     )
-    transport = invert_map(basis_map)
-    return OrthogonalizedQuotient(transport, tuple(weights), lift_basis)
+    return OrthogonalizedQuotient(invert_map(basis_map), tuple(weights), lift_basis,
+                                  class_norms)
 
 
 @dataclass
@@ -506,17 +526,11 @@ def banach_colimit(F: DiagramFunctor, certify=True) -> BanachColimit:
     """Quotient of the Banach direct sum by the span of the transition
     relations; in finite dimension the span is already closed, so the
     closure step is the identity (flagged in the result)."""
-    from .exactlinalg import cokernel
-
     f = F.field
-    p = _prime_of_field(f)
-    spaces = [NormedSpace(F.space(x), p) for x in F.source.objects]
-    total = banach_sum(spaces)
-    offsets = {}
-    off = 0
-    for x in F.source.objects:
-        offsets[x] = off
-        off += F.space(x).dim
+    p = _prime_of(f)
+    total = banach_sum([NormedSpace(F.space(x), p) for x in F.source.objects])
+    offsets = dict(zip(F.source.objects, itertools.accumulate(
+        (F.space(x).dim for x in F.source.objects), initial=0)))
     rel_cols = []
     for m in F.source.non_identity():
         # x - F(m) x for each basis vector x of F(dom m)
@@ -524,8 +538,7 @@ def banach_colimit(F: DiagramFunctor, certify=True) -> BanachColimit:
                                             F.map(m.name), offsets[m.cod]))
     rel = LinearMap.from_sparse(f, Space.std(len(rel_cols), prefix="r"), total.space, rel_cols)
     pi, section = cokernel(rel)
-    rel_basis = image_basis(rel)
-    orth = _orthogonalize_quotient(f, total.weights, p, rel_basis, pi, section)
+    orth = _orthogonalize_quotient(total, _rref(f, rel.cols)[0], pi, section, certify)
     # carrier expressed in the orthogonal class basis (via orth.transport)
     carrier = NormedSpace(Space.std(len(orth.weights), prefix="q",
                                     weights=orth.weights), p)
@@ -540,12 +553,8 @@ def banach_colimit(F: DiagramFunctor, certify=True) -> BanachColimit:
             dom_weights=F.space(x).effective_weights(),
             cod_weights=orth.weights,
         )
-    class_norms = [
-        quotient_norm(total, rel_basis, section.col(j), certify=certify)
-        for j in range(section.dom.dim)
-    ]
     return BanachColimit(total, carrier, pi, section, cocone, cocone_norms,
-                         class_norms, orth)
+                         orth.class_norms, orth)
 
 
 # ---------------------------------------------------------------------------
@@ -560,12 +569,8 @@ class BoundedTransformation:
 
 def check_bounded(t: Transformation) -> BoundedTransformation:
     """Bound = max of component operator norms; finite for finite sources."""
-    bound = NormValue.zero()
-    for comp in t.components.values():
-        n = operator_norm(comp)
-        if n > bound:
-            bound = n
-    return BoundedTransformation(t, bound)
+    return BoundedTransformation(t, max(map(operator_norm, t.components.values()),
+                                        default=NormValue.zero()))
 
 
 @dataclass
@@ -593,12 +598,10 @@ def bounded_coend(F: DiagramFunctor, certify=True) -> BoundedCoendResult:
     """
     r = coend_of_functor(F)
     f = r.field
-    p = _prime_of(r.pi)
-    ambient_weights = r.nspace.effective_weights()
-    ker = kernel(r.pi)
-    rel_basis = [ker.col(j) for j in range(ker.dom.dim)]
-    orth = _orthogonalize_quotient(f, ambient_weights, p, rel_basis,
-                                   r.pi, r.section)
+    p = _prime_of(f)
+    total = NormedSpace(r.nspace, p)
+    ambient_weights = total.weights
+    orth = _orthogonalize_quotient(total, kernel(r.pi).cols, r.pi, r.section, certify)
     q_weights = orth.weights
     normed_carrier = NormedSpace(
         Space.std(r.carrier.dim, prefix="q", weights=q_weights), p
@@ -623,22 +626,12 @@ def bounded_coend(F: DiagramFunctor, certify=True) -> BoundedCoendResult:
     counit_norm = operator_norm(
         r.coalgebra.counit @ t_inv, dom_weights=q_weights, cod_weights=(0,),
     )
-    delta_bound = NormValue.zero()
-    for x in r.diagram.objects:
-        fx = r.diagram.spaces[x]
-        comp_norm = operator_norm(
-            kron_compose(identity(fx, f), t, r.delta[x]),
-            dom_weights=fx.effective_weights(),
-            cod_weights=tuple(a + b for a in fx.effective_weights()
-                              for b in q_weights),
-        )
-        if comp_norm > delta_bound:
-            delta_bound = comp_norm
-    total_ns = NormedSpace(r.nspace, p)
-    class_norms = [
-        quotient_norm(total_ns, rel_basis, r.section.col(j), certify=certify)
-        for j in range(r.carrier.dim)
-    ]
+    delta_bound = max((
+        operator_norm(kron_compose(identity(fx, f), t, r.delta[x]),
+                      dom_weights=fx.effective_weights(),
+                      cod_weights=tuple(a + b for a in fx.effective_weights()
+                                        for b in q_weights))
+        for x, fx in r.diagram.spaces.items()), default=NormValue.zero())
     return BoundedCoendResult(
         result=r,
         normed_carrier=normed_carrier,
@@ -648,5 +641,5 @@ def bounded_coend(F: DiagramFunctor, certify=True) -> BoundedCoendResult:
         comultiplication_norm=comult_norm,
         counit_norm=counit_norm,
         delta_bound=delta_bound,
-        class_norms=class_norms,
+        class_norms=orth.class_norms,
     )

@@ -86,6 +86,13 @@ def _int(value, what: str) -> int:
         raise SpecError(f"{what} must be an integer") from None
 
 
+def _required(data: dict, key: str, what: str):
+    """data[key]; SpecError naming what and the key when it is missing."""
+    if key not in data:
+        raise SpecError(f"{what}: missing {key!r}")
+    return data[key]
+
+
 def _named(table: dict, name, what: str):
     """table[name] for a name that is a string; otherwise SpecError, which
     reads what followed by the name given."""
@@ -118,7 +125,10 @@ def _space_from_json(name, data) -> Space:
     if "labels" in data:
         labels = tuple(str(a) for a in _expect(data["labels"], list, f"space {name!r}: 'labels'"))
     elif "dim" in data:
-        labels = tuple(f"{name}.{i}" for i in range(_int(data["dim"], f"space {name!r}: 'dim'")))
+        dim = _int(data["dim"], f"space {name!r}: 'dim'")
+        if dim < 0:
+            raise SpecError(f"space {name!r}: 'dim' must be nonnegative")
+        labels = tuple(f"{name}.{i}" for i in range(dim))
     else:
         raise SpecError(f"space {name!r}: needs 'labels' or 'dim'")
     weights = data.get("weights")
@@ -245,15 +255,18 @@ def _coalgebra_from_json(fld, name, data, spaces):
     space_name = _expect(data, dict, f"coalgebra {name!r}").get("space")
     s = _named(spaces, space_name, f"coalgebra {name!r}: unknown space")
     ss = tensor_space(s, s)
-    delta = _parse_rows(fld, data["delta"], s, ss, f"coalgebra {name!r} delta")
-    eps = _parse_rows(fld, data["epsilon"], s, unit_space(), f"coalgebra {name!r} epsilon")
+    what = f"coalgebra {name!r}"
+
+    def matrix(key, dom, cod):
+        return _parse_rows(fld, _required(data, key, what), dom, cod, f"{what} {key}")
+
+    delta = matrix("delta", s, ss)
+    eps = matrix("epsilon", s, unit_space())
     if "m" in data or "u" in data:
-        mult = _parse_rows(fld, data["m"], ss, s, f"coalgebra {name!r} m")
-        unit = _parse_rows(fld, data["u"], unit_space(), s, f"coalgebra {name!r} u")
+        mult = matrix("m", ss, s)
+        unit = matrix("u", unit_space(), s)
         if "antipode" in data:
-            anti = _parse_rows(fld, data["antipode"], s, s,
-                               f"coalgebra {name!r} antipode")
-            return HopfAlgebra(s, delta, eps, mult, unit, anti)
+            return HopfAlgebra(s, delta, eps, mult, unit, matrix("antipode", s, s))
         return Bialgebra(s, delta, eps, mult, unit)
     return Coalgebra(s, delta, eps)
 
@@ -305,8 +318,8 @@ def load_spec(source, field_override: str | None = None) -> SpecData:
         over = _expect(data, dict, f"comodule {name!r}").get("over")
         c = _named(spec.coalgebras, over, f"comodule {name!r}: unknown coalgebra")
         s = _named(spec.spaces, data.get("space"), f"comodule {name!r}: unknown space")
-        rho = _parse_rows(fld, data["rho"], s, tensor_space(s, c.carrier),
-                          f"comodule {name!r} rho")
+        rho = _parse_rows(fld, _required(data, "rho", f"comodule {name!r}"), s,
+                          tensor_space(s, c.carrier), f"comodule {name!r} rho")
         spec.comodules[name] = Comodule(s, c, rho)
     for name, data in _section(raw, "controls").items():
         space_name = _expect(data, dict, f"control {name!r}").get("space")
@@ -315,11 +328,13 @@ def load_spec(source, field_override: str | None = None) -> SpecData:
             dict(data.get("action", {})), dict(data.get("xi", {})),
         )
     for name, data in _section(raw, "transformations").items():
-        data = _expect(data, dict, f"transformation {name!r}")
-        _named(spec.functors, data.get("functor"), f"transformation {name!r}: unknown functor")
-        _named(spec.spaces, data.get("target"), f"transformation {name!r}: unknown target space")
+        what = f"transformation {name!r}"
+        data = _expect(data, dict, what)
+        functor, target = _required(data, "functor", what), _required(data, "target", what)
+        _named(spec.functors, functor, f"{what}: unknown functor")
+        _named(spec.spaces, target, f"{what}: unknown target space")
         spec.transformations[name] = TransformationSpec(
-            name, data["functor"], data["target"], dict(data.get("components", {}))
+            name, functor, target, dict(data.get("components", {}))
         )
     return spec
 

@@ -1,6 +1,8 @@
 import contextlib
 import io
+import itertools
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,10 +10,14 @@ from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from coendforge.exactlinalg import (
+    QQ,
     LinearMap,
     PadicRationals,
     Space,
+    _dense,
+    _rref,
     identity,
+    padic_valuation,
 )
 from coendforge.cli import main
 from coendforge.coend import coend_of_functor
@@ -23,6 +29,8 @@ from coendforge.padic_banach import (
     OracleRefusal,
     PrimeMismatch,
     _check_certificate,
+    _orthogonalize,
+    _rational,
     banach_colimit,
     banach_product,
     banach_sum,
@@ -238,7 +246,8 @@ CERT_LAM = [Fraction(-2), Fraction(1), Fraction(0)]
 
 
 def test_certificate_checks_and_matches_quotient_norm():
-    _check_certificate(CERT_NS, CERT_W, CERT_V, CERT_V, CERT_LAM)
+    _check_certificate(CERT_NS, [_rational(g) for g in CERT_W],
+                       [tuple(map(_rational, (CERT_V, CERT_V, CERT_LAM)))])
     assert quotient_norm(CERT_NS, CERT_W, CERT_V) == NormValue.of_exp(0)
 
 
@@ -254,7 +263,8 @@ def test_certificate_checks_and_matches_quotient_norm():
 ])
 def test_tampered_certificate_is_rejected(x, lam, why):
     with pytest.raises(ArithmeticError, match="quotient norm certification failed") as exc:
-        _check_certificate(CERT_NS, CERT_W, CERT_V, x, lam)
+        _check_certificate(CERT_NS, [_rational(g) for g in CERT_W],
+                           [tuple(map(_rational, (CERT_V, x, lam)))])
     assert why in str(exc.value)
 
 
@@ -449,14 +459,17 @@ def arrow_spec(p, wa, wb, rows):
     }
 
 
+# one arrow K^4 -> K^4 over padic:3: ambient dim 32, 16 classes
+K4_PADIC3 = arrow_spec(3, (0, 1, 2, -1), (1, 0, 2, 0),
+                       [["1", "3", "0", "0"], ["0", "2", "1/3", "0"],
+                        ["0", "0", "1", "9"], ["0", "0", "0", "5"]])
+
+
 @pytest.mark.parametrize("spec", [
     # ambient dim 18: beyond the window oracle's reach
     arrow_spec(2, (0, 1, -1), (2, 0, 1),
                [["1", "2", "0"], ["0", "1/2", "4"], ["0", "0", "3"]]),
-    # ambient dim 32
-    arrow_spec(3, (0, 1, 2, -1), (1, 0, 2, 0),
-               [["1", "3", "0", "0"], ["0", "2", "1/3", "0"],
-                ["0", "0", "1", "9"], ["0", "0", "0", "5"]]),
+    K4_PADIC3,
 ], ids=["K3-padic2", "K4-padic3"])
 def test_certified_bcoend_ladder(tmp_path, spec):
     path = tmp_path / "arrow.json"
@@ -482,3 +495,123 @@ def test_bounded_coend_requires_padic():
     F = one_object_diagram(field=QQ)
     with pytest.raises(PrimeMismatch):
         bounded_coend(F)
+
+
+# -- one reduction per quotient -----------------------------------------------------
+
+def count_reductions(monkeypatch):
+    """Wrap `_orthogonalize` and `_rref` at every binding inside the package;
+    returns the number of orthogonalizations and the rows of every echelon
+    form computed."""
+    calls = {"orthogonalize": 0, "rref_rows": []}
+    orthogonalize, rref = _orthogonalize, _rref
+
+    def counted_orthogonalize(*args):
+        calls["orthogonalize"] += 1
+        return orthogonalize(*args)
+
+    def recorded_rref(f, rows):
+        rows = [dict(r) for r in rows]
+        calls["rref_rows"].append(rows)
+        return rref(f, rows)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "coendforge" or name.startswith("coendforge."):
+            for attr, original, wrapper in (
+                    ("_orthogonalize", orthogonalize, counted_orthogonalize),
+                    ("_rref", rref, recorded_rref)):
+                if getattr(mod, attr, None) is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+def test_bounded_coend_reduces_its_quotient_once(monkeypatch):
+    F = load_spec(K4_PADIC3).functors["F"]
+    generators = kernel(coend_of_functor(F).pi).cols
+    calls = count_reductions(monkeypatch)
+    b = bounded_coend(F, certify=True)
+    assert len(b.class_norms) == 16
+    # once on the kernel, once on the reduced lifts
+    assert calls["orthogonalize"] == 2
+    assert sum(rows == generators for rows in calls["rref_rows"]) == 1
+
+
+def test_banach_colimit_reduces_its_quotient_once(monkeypatch):
+    # a span b <- a -> c of K^4 over padic:3 (total dim 12, 4 classes); unlike
+    # a single arrow's, its relation columns are not already in echelon form
+    cat = FinCategory(["a", "b", "c"], [("f", "a", "b"), ("g", "a", "c")])
+    k = {x: wspace(w, prefix=x) for x, w in
+         [("a", (0, 1, 2, -1)), ("b", (1, 0, 2, 0)), ("c", (0, -1, 1, 1))]}
+    rows = [[1, 3, 0, 0], [0, 2, Fraction(1, 3), 0], [0, 0, 1, 9], [0, 0, 0, 5]]
+    F = DiagramFunctor(cat, Q3, k, {"f": pmap(rows, k["a"], k["b"], Q3),
+                                    "g": pmap(rows[::-1], k["a"], k["c"], Q3)})
+    # the generators are the reduced echelon basis of ker(pi), which is unique
+    generators = _rref(QQ, kernel(banach_colimit(F, certify=False).pi).cols)[0]
+    calls = count_reductions(monkeypatch)
+    col = banach_colimit(F, certify=True)
+    assert len(col.class_norms) == 4
+    assert calls["orthogonalize"] == 2
+    assert sum(rows == generators for rows in calls["rref_rows"]) == 1
+
+
+def dense_orthogonalize(vectors, weights, p):
+    """The dense greedy orthogonalization the sparse `_orthogonalize`
+    replaced, kept as its reference: every step scans every entry for the
+    least weighted valuation (first vector, then lowest coordinate, on a
+    tie) and eliminates that pivot from every other vector."""
+    def wval(a, w):
+        v = padic_valuation(a, p)
+        return None if v is None else v + w
+
+    work = [list(v) for v in vectors if any(a != 0 for a in v)]
+    chosen: list[list] = []
+    pivots: list[int] = []
+    while work:
+        best = None
+        for vi, v in enumerate(work):
+            for i, a in enumerate(v):
+                wv = wval(a, weights[i])
+                if wv is None:
+                    continue
+                if best is None or wv < best[0]:
+                    best = (wv, vi, i)
+        if best is None:
+            break
+        _, vi, piv = best
+        vec = work.pop(vi)
+        inv = 1 / Fraction(vec[piv])
+        for other in itertools.chain(work, chosen):
+            c = Fraction(other[piv]) * inv
+            if c != 0:
+                for i in range(len(other)):
+                    other[i] = other[i] - c * vec[i]
+        chosen.append(vec)
+        pivots.append(piv)
+        work = [v for v in work if any(a != 0 for a in v)]
+    return chosen, pivots
+
+
+@st.composite
+def orthogonalization_instances(draw):
+    """(vectors, weights, p): p in {2, 3}, dim 0..5, up to five vectors with
+    zero vectors mixed in, and entries and weights from small sets so that
+    weighted valuations tie often."""
+    p = draw(st.sampled_from([2, 3]))
+    dim = draw(st.integers(0, 5))
+    weights = tuple(draw(st.lists(st.integers(-1, 1), min_size=dim, max_size=dim)))
+    entry = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1),
+                             Fraction(2), Fraction(p), Fraction(1, p), Fraction(-p)])
+    vector = st.one_of(st.just([Fraction(0)] * dim),
+                       st.lists(entry, min_size=dim, max_size=dim))
+    return draw(st.lists(vector, max_size=5)), weights, p
+
+
+@given(orthogonalization_instances())
+@example(([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)], [Fraction(0), Fraction(0)]],
+          (0, 0), 2))
+def test_sparse_orthogonalize_matches_dense_reference(instance):
+    vectors, weights, p = instance
+    basis, pivots = _orthogonalize([_rational(v) for v in vectors], weights, p)
+    ref_basis, ref_pivots = dense_orthogonalize(vectors, weights, p)
+    assert pivots == ref_pivots
+    assert [_dense(b, len(weights), QQ) for b in basis] == ref_basis

@@ -297,6 +297,8 @@ def test_field_modulus_beyond_primality_bound_exits_2_with_json():
     {"spaces": {"V": {"dim": True}}},
     {"spaces": {"V": {"dim": 1.5}}},
     {"spaces": {"V": {"dim": 1, "weights": [0.7]}}},
+    # a negative dimension
+    {"spaces": {"V": {"dim": -1}}},
 ])
 def test_mistyped_spec_fields_exit_2_with_json(tmp_path, spec):
     path = tmp_path / "bad.json"
@@ -305,6 +307,39 @@ def test_mistyped_spec_fields_exit_2_with_json(tmp_path, spec):
     assert code == 2
     data = json.loads(out)
     assert data["ok"] is False and data["problems"]
+
+
+def _one_dim_spec(**sections):
+    return {"spaces": {"V": {"dim": 1}}, **sections}
+
+
+COALGEBRA_K = {"space": "V", "delta": [["1"]], "epsilon": [["1"]]}
+
+
+def _without(entry, key):
+    return {k: v for k, v in entry.items() if k != key}
+
+
+@pytest.mark.parametrize("spec, name", [
+    (_one_dim_spec(coalgebras={"K": _without(COALGEBRA_K, "delta")}), "delta"),
+    (_one_dim_spec(coalgebras={"K": _without(COALGEBRA_K, "epsilon")}), "epsilon"),
+    (_one_dim_spec(coalgebras={"K": {**COALGEBRA_K, "u": [["1"]]}}), "m"),
+    (_one_dim_spec(coalgebras={"K": {**COALGEBRA_K, "m": [["1"]]}}), "u"),
+    (_one_dim_spec(coalgebras={"K": COALGEBRA_K},
+                   comodules={"M": {"over": "K", "space": "V"}}), "rho"),
+    (_one_dim_spec(transformations={"t": {"target": "V"}}), "functor"),
+    (_one_dim_spec(categories={"C": {"objects": ["a"]}},
+                   functors={"F": {"source": "C", "objects": {"a": "V"}}},
+                   transformations={"t": {"functor": "F"}}), "target"),
+], ids=["delta", "epsilon", "m", "u", "rho", "functor", "target"])
+def test_missing_required_field_exits_2_naming_it(tmp_path, spec, name):
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(["validate", str(path)])
+    assert code == 2
+    data = json.loads(out)
+    assert data["ok"] is False
+    assert any(f"missing {name!r}" in p for p in data["problems"]), data["problems"]
 
 
 def test_integral_dim_and_weights_still_validate(tmp_path):
