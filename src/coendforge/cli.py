@@ -200,13 +200,20 @@ def cmd_hopf(spec, args):
     return 0
 
 
-def _named_comodules(spec, names, what):
+def _named_comodules(spec, names, what, coalgebra):
+    """The named comodules, each of which must be over the coalgebra named
+    coalgebra."""
     out = {}
     for name in names:
         name = name.strip()
-        if name not in spec.comodules:
+        com = spec.comodules.get(name)
+        if com is None:
             raise SpecError(f"unknown comodule {name!r} in --{what}")
-        out[name] = spec.comodules[name]
+        if com.over is not spec.coalgebras[coalgebra]:
+            over = next(k for k, c in spec.coalgebras.items() if c is com.over)
+            raise SpecError(f"comodule {name!r} in --{what} is over coalgebra "
+                            f"{over!r}, not {coalgebra!r}")
+        out[name] = com
     return out
 
 
@@ -216,7 +223,7 @@ def cmd_reconstruct(spec, args):
     c = spec.coalgebras.get(args.coalgebra)
     if c is None:
         raise SpecError(f"unknown coalgebra {args.coalgebra!r}")
-    seeds = _named_comodules(spec, args.seeds.split(","), "seeds")
+    seeds = _named_comodules(spec, args.seeds.split(","), "seeds", args.coalgebra)
     res = reconstruct_coalgebra(c, seeds)
     payload = {
         "verdict": res.verdict,
@@ -238,9 +245,9 @@ def cmd_equiv(spec, args):
     c = spec.coalgebras.get(args.coalgebra)
     if c is None:
         raise SpecError(f"unknown coalgebra {args.coalgebra!r}")
-    seeds = _named_comodules(spec, args.seeds.split(","), "seeds")
+    seeds = _named_comodules(spec, args.seeds.split(","), "seeds", args.coalgebra)
     probes = _named_comodules(
-        spec, args.probes.split(",") if args.probes else [], "probes"
+        spec, args.probes.split(",") if args.probes else [], "probes", args.coalgebra
     )
     verdict = equivalence_check(c, seeds, probes)
     payload = {

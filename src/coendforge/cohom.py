@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from .exactlinalg import (
     LinearMap,
     Space,
-    _add_into,
-    _apply,
-    _apply2,
     dual,
     dual_space,
     identity,
@@ -114,18 +111,9 @@ def cohom_collapse_iso(x: Space, y: Space, z: Space, field) -> LinearMap:
 
 
 # ---------------------------------------------------------------------------
-# coalgebras, comodules, bialgebras, Hopf algebras; the checks evaluate
-# columnwise on the sparse columns of the structure maps (see
-# exactlinalg._apply2)
+# coalgebras, comodules, bialgebras, Hopf algebras; each axiom is one exact
+# map identity, with Kronecker products applied lazily
 # ---------------------------------------------------------------------------
-
-def _id_cols(n, f):
-    return [{i: f.one()} for i in range(n)]
-
-
-def _unit_vec(i, f):
-    return {i: f.one()}
-
 
 @dataclass(frozen=True)
 class Coalgebra:
@@ -140,30 +128,19 @@ class Coalgebra:
         return self.delta.field
 
     def check(self) -> list[str]:
-        f = self.field
         n = self.carrier.dim
-        if self.delta.dom.dim != n or self.delta.cod.dim != n * n:
+        d, e = self.delta, self.counit
+        if d.dom.dim != n or d.cod.dim != n * n:
             return ["comultiplication has wrong shape"]
-        if self.counit.dom.dim != n or self.counit.cod.dim != 1:
+        if e.dom.dim != n or e.cod.dim != 1:
             return ["counit has wrong shape"]
-        dcols = self.delta.cols
-        ecols = self.counit.cols
-        idc = _id_cols(n, f)
+        idc = identity(self.carrier, self.field)
         problems = []
-        coassoc = counit_l = counit_r = True
-        for i in range(n):
-            d = dcols[i]
-            if _apply2(dcols, n, idc, n, d, f) != _apply2(idc, n, dcols, n * n, d, f):
-                coassoc = False
-            if _apply2(ecols, n, idc, n, d, f) != _unit_vec(i, f):
-                counit_l = False
-            if _apply2(idc, n, ecols, 1, d, f) != _unit_vec(i, f):
-                counit_r = False
-        if not coassoc:
+        if kron_compose(d, idc, d) != kron_compose(idc, d, d):
             problems.append("comultiplication is not coassociative")
-        if not counit_l:
+        if kron_compose(e, idc, d) != idc:
             problems.append("left counit law fails")
-        if not counit_r:
+        if kron_compose(idc, e, d) != idc:
             problems.append("right counit law fails")
         return problems
 
@@ -182,27 +159,14 @@ class Comodule:
     rho: LinearMap
 
     def check(self) -> list[str]:
-        f = self.over.field
-        nv = self.space.dim
-        nc = self.over.carrier.dim
-        if self.rho.dom.dim != nv or self.rho.cod.dim != nv * nc:
+        c, rho = self.over, self.rho
+        if rho.dom.dim != self.space.dim or rho.cod.dim != self.space.dim * c.carrier.dim:
             return ["coaction has wrong shape"]
-        rcols = self.rho.cols
-        dcols = self.over.delta.cols
-        ecols = self.over.counit.cols
-        idv = _id_cols(nv, f)
-        idc = _id_cols(nc, f)
+        idv, idc = identity(self.space, c.field), identity(c.carrier, c.field)
         problems = []
-        coassoc = counit = True
-        for i in range(nv):
-            r = rcols[i]
-            if _apply2(rcols, nc, idc, nc, r, f) != _apply2(idv, nc, dcols, nc * nc, r, f):
-                coassoc = False
-            if _apply2(idv, nc, ecols, 1, r, f) != _unit_vec(i, f):
-                counit = False
-        if not coassoc:
+        if kron_compose(rho, idc, rho) != kron_compose(idv, c.delta, rho):
             problems.append("coaction is not coassociative")
-        if not counit:
+        if kron_compose(idv, c.counit, rho) != idv:
             problems.append("coaction counit law fails")
         return problems
 
@@ -228,76 +192,33 @@ class Bialgebra(Coalgebra):
 
     def algebra_problems(self) -> list[str]:
         """The axioms the multiplication and unit add to the coalgebra."""
-        f = self.field
-        n = self.carrier.dim
-        m, u = self.mult, self.unit
+        f, h = self.field, self.carrier
+        n = h.dim
+        m, u, d, e = self.mult, self.unit, self.delta, self.counit
         if m.dom.dim != n * n or m.cod.dim != n:
             return ["multiplication has wrong shape"]
         if u.dom.dim != 1 or u.cod.dim != n:
             return ["unit has wrong shape"]
-        mcols = m.cols
-        ucols = u.cols
-        dcols = self.delta.cols
-        ecols = self.counit.cols
-        idc = _id_cols(n, f)
-        assoc = unit_law = compat = eps_alg = True
-        for i in range(n):
-            for j in range(n):
-                eij = _unit_vec(i * n + j, f)
-                for k in range(n):
-                    # associativity on the basis triple (i, j, k)
-                    left = _apply(mcols, _apply2(mcols, n, idc, n,
-                                                 _unit_vec((i * n + j) * n + k, f), f), f)
-                    right = _apply(mcols, _apply2(idc, n * n, mcols, n,
-                                                  _unit_vec(i * (n * n) + j * n + k, f), f), f)
-                    if left != right:
-                        assoc = False
-                mij = _apply(mcols, eij, f)
-                # Delta(ab) vs Delta(a) Delta(b) with the middle legs swapped
-                lhs = _apply(dcols, mij, f)
-                di, dj = dcols[i], dcols[j]
-                rhs: dict = {}
-                for ab, ca in di.items():
-                    a, b = divmod(ab, n)
-                    for cd, cb in dj.items():
-                        c, d = divmod(cd, n)
-                        coef = f.mul(ca, cb)
-                        for ac, cac in mcols[a * n + c].items():
-                            for bd, cbd in mcols[b * n + d].items():
-                                _add_into(rhs, ac * n + bd, f.mul(coef, f.mul(cac, cbd)), f)
-                if lhs != rhs:
-                    compat = False
-                # eps(ab) = eps(a) eps(b)
-                li = _apply(ecols, mij, f).get(0, f.zero())
-                ri = f.mul(
-                    _apply(ecols, _unit_vec(i, f), f).get(0, f.zero()),
-                    _apply(ecols, _unit_vec(j, f), f).get(0, f.zero()),
-                )
-                if li != ri:
-                    eps_alg = False
-        one = _apply(ucols, _unit_vec(0, f), f)
-        for i in range(n):
-            # K (x) C and C (x) K are identified with C by flat indexing
-            l = _apply2(ucols, n, idc, n, _unit_vec(i, f), f)
-            r = _apply2(idc, 1, ucols, n, _unit_vec(i, f), f)
-            if _apply(mcols, l, f) != _unit_vec(i, f) or _apply(mcols, r, f) != _unit_vec(i, f):
-                unit_law = False
-        du = _apply(dcols, one, f)
-        uu = {a * n + b: f.mul(ca, cb) for a, ca in one.items() for b, cb in one.items()}
-        uu = {k: v for k, v in uu.items() if not f.is_zero(v)}
-        eps_u = _apply(ecols, one, f)
+        idc = identity(h, f)
+        # the algebra laws are read off the transposes, n columns each in
+        # place of n^3: (C, m, u) is an algebra iff (C*, m^T, u^T) is a coalgebra
+        mt, ut = dual(m), dual(u)
+        # a (x) b |-> a1 (x) b1 (x) a2 (x) b2 in two lazy steps, so no n^4
+        # permutation is built: b |-> b1 (x) b2, then a (x) b1 |-> a1 (x) b1 (x) a2
+        a1_b1_a2 = kron_compose(idc, swap_map(h, h, f), tensor(d, idc))
+        middle = kron_compose(a1_b1_a2, idc, tensor(idc, d))
         problems = []
-        if not assoc:
+        if kron_compose(mt, idc, mt) != kron_compose(idc, mt, mt):
             problems.append("multiplication is not associative")
-        if not unit_law:
+        if kron_compose(ut, idc, mt) != idc or kron_compose(idc, ut, mt) != idc:
             problems.append("unit law fails")
-        if not compat:
+        if d @ m != kron_compose(m, m, middle):
             problems.append("comultiplication is not an algebra morphism")
-        if not eps_alg:
+        if e @ m != tensor(e, e):
             problems.append("counit is not an algebra morphism")
-        if du != uu:
+        if d @ u != tensor(u, u):
             problems.append("unit is not grouplike")
-        if eps_u != {0: f.one()}:
+        if e @ u != identity(u.dom, f):
             problems.append("counit of unit is not 1")
         return problems
 
@@ -311,29 +232,16 @@ class HopfAlgebra(Bialgebra):
 
     def antipode_problems(self) -> list[str]:
         """The axioms the antipode adds to the bialgebra."""
-        f = self.field
         n = self.carrier.dim
-        s = self.antipode
+        s, m, d = self.antipode, self.mult, self.delta
         if s.dom.dim != n or s.cod.dim != n:
             return ["antipode has wrong shape"]
-        scols = s.cols
-        mcols = self.mult.cols
-        dcols = self.delta.cols
-        ecols = self.counit.cols
-        ucols = self.unit.cols
-        idc = _id_cols(n, f)
+        idc = identity(self.carrier, self.field)
+        ue = self.unit @ self.counit
         problems = []
-        left = right = True
-        for i in range(n):
-            d = dcols[i]
-            ue = _apply(ucols, _apply(ecols, _unit_vec(i, f), f), f)
-            if _apply(mcols, _apply2(scols, n, idc, n, d, f), f) != ue:
-                left = False
-            if _apply(mcols, _apply2(idc, n, scols, n, d, f), f) != ue:
-                right = False
-        if not left:
+        if m @ kron_compose(s, idc, d) != ue:
             problems.append("left antipode axiom fails")
-        if not right:
+        if m @ kron_compose(idc, s, d) != ue:
             problems.append("right antipode axiom fails")
         return problems
 

@@ -23,7 +23,6 @@ Conventions fixed once and shared by every other module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -259,35 +258,63 @@ def padic_valuation(a, p: int) -> int | None:
 # spaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Space:
     """A finite-dimensional based vector space: basis labels plus optional
-    integer norm weights (weight w means the basis vector has norm p^-w)."""
+    integer norm weights (weight w means the basis vector has norm p^-w).
 
-    labels: tuple[str, ...]
-    weights: tuple[int, ...] | None = None
+    ``Space(labels, weights)`` takes explicit labels and checks that they are
+    unique.  Derived spaces (`Space.std`, `tensor_space`, `dual_space`,
+    `direct_sum_space`, `with_weights`, cokernel quotients) know only their
+    dimension and weights; their labels are built, and checked, on the first
+    read of ``labels``, since most of them are never read."""
 
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("basis labels must be unique within a space")
-        if self.weights is not None and len(self.weights) != len(self.labels):
+    __slots__ = ("dim", "weights", "_labels", "_make_labels")
+
+    def __init__(self, labels, weights=None):
+        labels = tuple(labels)
+        self._init(len(labels), weights, lambda: labels)
+        self.labels  # explicit labels are checked at once
+
+    @classmethod
+    def _derived(cls, dim: int, weights, make_labels) -> "Space":
+        """The space whose labels make_labels() builds when first read."""
+        s = cls.__new__(cls)
+        s._init(dim, weights, make_labels)
+        return s
+
+    def _init(self, dim: int, weights, make_labels) -> None:
+        if weights is not None and len(weights) != dim:
             raise ValueError("weight count must equal dimension")
+        self.dim, self.weights = dim, None if weights is None else tuple(weights)
+        self._labels, self._make_labels = None, make_labels
 
     @property
-    def dim(self) -> int:
-        return len(self.labels)
+    def labels(self) -> tuple[str, ...]:
+        if self._labels is None:
+            labels = tuple(self._make_labels())
+            if len(set(labels)) != len(labels):
+                raise ValueError("basis labels must be unique within a space")
+            self._labels, self._make_labels = labels, None
+        return self._labels
+
+    def __eq__(self, other):
+        return (isinstance(other, Space) and self.dim == other.dim
+                and self.weights == other.weights and self.labels == other.labels)
+
+    def __hash__(self):
+        return hash((self.labels, self.weights))
+
+    def __repr__(self):
+        return f"Space(labels={self.labels!r}, weights={self.weights!r})"
 
     @staticmethod
     def std(dim: int, prefix: str = "e", weights=None) -> "Space":
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        return Space(
-            tuple(f"{prefix}{i}" for i in range(dim)),
-            None if weights is None else tuple(weights),
-        )
+        return Space._derived(dim, weights, lambda: (f"{prefix}{i}" for i in range(dim)))
 
     def with_weights(self, weights) -> "Space":
-        return Space(self.labels, tuple(weights))
+        return Space._derived(self.dim, weights, lambda: self.labels)
 
     def effective_weights(self) -> tuple[int, ...]:
         return self.weights if self.weights is not None else (0,) * self.dim
@@ -295,29 +322,27 @@ class Space:
 
 def tensor_space(x: Space, y: Space) -> Space:
     """X (x) Y with the X-major pair basis; weights add when present."""
-    labels = tuple(f"{a}(x){b}" for a in x.labels for b in y.labels)
     if x.weights is None and y.weights is None:
         weights = None
     else:
         wx, wy = x.effective_weights(), y.effective_weights()
         weights = tuple(a + b for a in wx for b in wy)
-    return Space(labels, weights)
+    return Space._derived(x.dim * y.dim, weights,
+                          lambda: (f"{a}(x){b}" for a in x.labels for b in y.labels))
 
 
 def dual_space(x: Space) -> Space:
     """Dual basis labels are primed; weights flip sign (dual of norm p^-w is p^w)."""
     weights = None if x.weights is None else tuple(-w for w in x.weights)
-    return Space(tuple(f"{a}'" for a in x.labels), weights)
+    return Space._derived(x.dim, weights, lambda: (f"{a}'" for a in x.labels))
 
 
 def direct_sum_space(spaces: list[Space]) -> Space:
-    labels = []
-    weights = []
+    spaces = list(spaces)
     has_weights = any(s.weights is not None for s in spaces)
-    for k, s in enumerate(spaces):
-        labels.extend(f"{k}.{a}" for a in s.labels)
-        weights.extend(s.effective_weights())
-    return Space(tuple(labels), tuple(weights) if has_weights else None)
+    weights = [w for s in spaces for w in s.effective_weights()] if has_weights else None
+    return Space._derived(sum(s.dim for s in spaces), weights,
+                          lambda: (f"{k}.{a}" for k, s in enumerate(spaces) for a in s.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -628,13 +653,10 @@ def cokernel(m: LinearMap):
     rows, pivots = _rref(f, m.cols)
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
-    q_labels = tuple(m.cod.labels[j] for j in free)
-    q_weights = (
-        None
-        if m.cod.weights is None
-        else tuple(m.cod.weights[j] for j in free)
-    )
-    q_space = Space(q_labels, q_weights)
+    cod = m.cod
+    q_weights = None if cod.weights is None else [cod.weights[j] for j in free]
+    q_space = Space._derived(len(free), q_weights,
+                             lambda: (cod.labels[j] for j in free))
     index = {j: k for k, j in enumerate(free)}
     one = f.one()
     # pi(e_j) = e_j for free j; pi(e_p) = -(the rest of the row pivoted at p)

@@ -82,9 +82,6 @@ class FinCategory:
 
     # -- structure ----------------------------------------------------------
 
-    def identity_name(self, obj: str) -> str:
-        return _id_name(obj)
-
     def is_identity(self, name: str) -> bool:
         return name.startswith("id:")
 
@@ -110,31 +107,6 @@ class FinCategory:
             return self._table[(g, f)]
         except KeyError:
             raise KeyError(f"composition table has no entry for ({g}, {f})") from None
-
-    def tensor_objects(self, a: str, b: str) -> str:
-        if self.monoidal is None:
-            raise ValueError("category carries no monoidal data")
-        try:
-            return self.monoidal.tensor_obj[(a, b)]
-        except KeyError:
-            raise KeyError(f"tensor table has no entry for ({a}, {b})") from None
-
-    def tensor_morphisms(self, f: str, g: str) -> str:
-        if self.monoidal is None:
-            raise ValueError("category carries no monoidal data")
-        if self.is_identity(f) and self.is_identity(g):
-            a = self.morphisms[f].dom
-            b = self.morphisms[g].dom
-            return _id_name(self.tensor_objects(a, b))
-        try:
-            return self.monoidal.tensor_mor[(f, g)]
-        except KeyError:
-            raise KeyError(f"morphism tensor table has no entry for ({f}, {g})") from None
-
-    def dual_object(self, a: str) -> str:
-        if self.monoidal is None or self.monoidal.duals is None:
-            raise KeyError(f"no dual declared for object {a!r}")
-        return self.monoidal.duals[a]
 
 
 def validate_category(cat: FinCategory) -> ValidationReport:

@@ -236,14 +236,14 @@ def _eliminate(vec: dict, row: dict, c) -> None:
         _add_into(vec, i, f.neg(f.mul(coef, a)), f)
 
 
-def _reduce_quotient(ns: NormedSpace, generators, vectors, certify):
+def _reduce_quotient(ns: NormedSpace, generators, vectors):
     """Reduce each vector v modulo the span W of the generators against one
     greedy orthogonal basis {b_j} (pivot pi_j) of W.  Returns the residuals x
-    and their norms ||x|| = ||v + W||.  With certify=True all values are
-    proved by one `_check_certificate` call, with lam the e_i0 coordinate
-    functional of the orthogonal basis {b_j} u {e_i : i not a pivot}, where x
-    attains its norm at i0: lam_i0 = 1, lam_pi_j = -b_j[i0] / b_j[pi_j], 0
-    elsewhere.  All vectors are sparse dicts of Fractions."""
+    and their norms ||x|| = ||v + W||.  All values are proved by one
+    `_check_certificate` call, with lam the e_i0 coordinate functional of
+    the orthogonal basis {b_j} u {e_i : i not a pivot}, where x attains its
+    norm at i0: lam_i0 = 1, lam_pi_j = -b_j[i0] / b_j[pi_j], 0 elsewhere.
+    All vectors are sparse dicts of Fractions."""
     f, weights, p = QQ, ns.weights, ns.p
     basis, pivots = _orthogonalize(generators, weights, p)
     residuals = [dict(v) for v in vectors]
@@ -251,34 +251,33 @@ def _reduce_quotient(ns: NormedSpace, generators, vectors, certify):
         for b, piv in zip(basis, pivots):
             if piv in x:
                 _eliminate(x, b, piv)
-    if certify:
-        certificates = []
-        for v, x in zip(vectors, residuals):
-            lam = {}
-            if x:
-                i0 = _lead(x.items(), weights, p)[1]
-                lam[i0] = f.one()
-                for b, piv in zip(basis, pivots):
-                    if i0 in b:
-                        lam[piv] = f.neg(f.mul(b[i0], f.invert(b[piv])))
-            certificates.append((v, x, lam))
-        _check_certificate(ns, generators, certificates)
+    certificates = []
+    for v, x in zip(vectors, residuals):
+        lam = {}
+        if x:
+            i0 = _lead(x.items(), weights, p)[1]
+            lam[i0] = f.one()
+            for b, piv in zip(basis, pivots):
+                if i0 in b:
+                    lam[piv] = f.neg(f.mul(b[i0], f.invert(b[piv])))
+        certificates.append((v, x, lam))
+    _check_certificate(ns, generators, certificates)
     return residuals, [_norm(x.items(), weights, p) for x in residuals]
 
 
-def quotient_norm(ns: NormedSpace, subspace_vectors, v, certify=True) -> NormValue:
+def quotient_norm(ns: NormedSpace, subspace_vectors, v) -> NormValue:
     """inf_w ||v - w|| over the span W of the given vectors, computed exactly.
 
     The one-vector case of the reduction that `bounded_coend` and
     `banach_colimit` run on all their classes at once.  The greedy residual x
     realizes the infimum: it is zero at every pivot of the orthogonalized
     basis of W, and for such a vector no element of W can lower the norm
-    (ultrametric argument on the pivot coordinates).  With certify=True the
-    dual certificate of the module docstring proves the value, and
-    ArithmeticError is raised unless it checks.
+    (ultrametric argument on the pivot coordinates).  The dual certificate of
+    the module docstring proves the value, and ArithmeticError is raised
+    unless it checks.
     """
     gens = [_rational(g) for g in subspace_vectors]
-    return _reduce_quotient(ns, gens, [_rational(v)], certify)[1][0]
+    return _reduce_quotient(ns, gens, [_rational(v)])[1][0]
 
 
 def _rational(v) -> dict:
@@ -491,12 +490,12 @@ class OrthogonalizedQuotient:
 
 
 def _orthogonalize_quotient(total: NormedSpace, relation_vectors, pi: LinearMap,
-                            section: LinearMap, certify) -> OrthogonalizedQuotient:
+                            section: LinearMap) -> OrthogonalizedQuotient:
     f, p = pi.field, total.p
     # one reduction gives the class norms and the reduced section lifts, which
     # are then orthogonalized among themselves; combinations stay zero at
     # kernel pivots, hence stay norm-reduced
-    lifts, class_norms = _reduce_quotient(total, relation_vectors, section.cols, certify)
+    lifts, class_norms = _reduce_quotient(total, relation_vectors, section.cols)
     lift_basis, _ = _orthogonalize(lifts, total.weights, p)
     if len(lift_basis) != section.dom.dim:
         raise ArithmeticError("section lifts became dependent during reduction")
@@ -522,7 +521,7 @@ class BanachColimit:
     closure_is_identity: bool = True
 
 
-def banach_colimit(F: DiagramFunctor, certify=True) -> BanachColimit:
+def banach_colimit(F: DiagramFunctor) -> BanachColimit:
     """Quotient of the Banach direct sum by the span of the transition
     relations; in finite dimension the span is already closed, so the
     closure step is the identity (flagged in the result)."""
@@ -538,7 +537,11 @@ def banach_colimit(F: DiagramFunctor, certify=True) -> BanachColimit:
                                             F.map(m.name), offsets[m.cod]))
     rel = LinearMap.from_sparse(f, Space.std(len(rel_cols), prefix="r"), total.space, rel_cols)
     pi, section = cokernel(rel)
-    orth = _orthogonalize_quotient(total, _rref(f, rel.cols)[0], pi, section, certify)
+    # the relations' reduced echelon basis without a second elimination: row p
+    # is e_p - s(pi(e_p)) for each coordinate p outside the section's image,
+    # and those are exactly the nonzero columns of id - s o pi
+    generators = [c for c in (identity(total.space, f) - section @ pi).cols if c]
+    orth = _orthogonalize_quotient(total, generators, pi, section)
     # carrier expressed in the orthogonal class basis (via orth.transport)
     carrier = NormedSpace(Space.std(len(orth.weights), prefix="q",
                                     weights=orth.weights), p)
@@ -587,7 +590,7 @@ class BoundedCoendResult:
     closure_is_identity: bool = True
 
 
-def bounded_coend(F: DiagramFunctor, certify=True) -> BoundedCoendResult:
+def bounded_coend(F: DiagramFunctor) -> BoundedCoendResult:
     """The algebraic coend equipped with the quotient norm.
 
     The carrier and every matrix are bit-identical to the algebraic coend
@@ -601,7 +604,7 @@ def bounded_coend(F: DiagramFunctor, certify=True) -> BoundedCoendResult:
     p = _prime_of(f)
     total = NormedSpace(r.nspace, p)
     ambient_weights = total.weights
-    orth = _orthogonalize_quotient(total, kernel(r.pi).cols, r.pi, r.section, certify)
+    orth = _orthogonalize_quotient(total, kernel(r.pi).cols, r.pi, r.section)
     q_weights = orth.weights
     normed_carrier = NormedSpace(
         Space.std(r.carrier.dim, prefix="q", weights=q_weights), p

@@ -124,18 +124,22 @@ def _space_from_json(name, data) -> Space:
     data = _expect(data, dict, f"space {name!r}")
     if "labels" in data:
         labels = tuple(str(a) for a in _expect(data["labels"], list, f"space {name!r}: 'labels'"))
+        dim = len(labels)
     elif "dim" in data:
         dim = _int(data["dim"], f"space {name!r}: 'dim'")
         if dim < 0:
             raise SpecError(f"space {name!r}: 'dim' must be nonnegative")
-        labels = tuple(f"{name}.{i}" for i in range(dim))
+        labels = None
     else:
         raise SpecError(f"space {name!r}: needs 'labels' or 'dim'")
     weights = data.get("weights")
     if weights is not None:
-        if len(_expect(weights, list, f"space {name!r}: 'weights'")) != len(labels):
+        if len(_expect(weights, list, f"space {name!r}: 'weights'")) != dim:
             raise SpecError(f"space {name!r}: weight count != dimension")
         weights = tuple(_int(w, f"space {name!r}: each weight") for w in weights)
+    if labels is None:
+        # the labels name.0, name.1, ... are built only if read
+        return Space.std(dim, prefix=f"{name}.", weights=weights)
     try:
         return Space(labels, weights)
     except ValueError as exc:

@@ -16,7 +16,9 @@ from coendforge.exactlinalg import (
     _is_prime,
     cokernel,
     compose_kron,
+    direct_sum_space,
     dual,
+    dual_space,
     echelon,
     field_from_descriptor,
     identity,
@@ -26,6 +28,7 @@ from coendforge.exactlinalg import (
     parse_matrix,
     solve_factor,
     tensor,
+    tensor_space,
     zero_map,
 )
 
@@ -349,3 +352,42 @@ def test_mixed_fields_rejected():
         a @ b
     with pytest.raises(ScalarError):
         tensor(a, b)
+
+
+# -- lazy basis labels ---------------------------------------------------------
+
+def test_derived_spaces_build_labels_only_when_read():
+    big = Space.std(10**6, prefix="b")
+    x, y = Space(("a", "b")), Space.std(3, weights=(0, 1, 2))
+    derived = [big, tensor_space(big, big), dual_space(big), direct_sum_space([big, big]),
+               big.with_weights((0,) * 10**6), tensor_space(x, y)]
+    assert [s._labels for s in derived] == [None] * len(derived)
+    assert derived[1].dim == 10**12 and derived[3].dim == 2 * 10**6
+    assert tensor_space(x, y).labels == tuple(
+        f"{a}(x){b}" for a in ("a", "b") for b in ("e0", "e1", "e2"))
+    assert tensor_space(x, y).weights == (0, 1, 2, 0, 1, 2)
+    assert direct_sum_space([x, y]).labels == ("0.a", "0.b", "1.e0", "1.e1", "1.e2")
+    assert direct_sum_space([x, y]).weights == (0, 0, 0, 1, 2)
+    assert dual_space(y).labels == ("e0'", "e1'", "e2'")
+    # the cokernel's quotient keeps the free coordinates' labels
+    m = LinearMap(QQ, Space.std(1), x, ((Fraction(1),), (Fraction(0),)))
+    q = cokernel(m)[0].cod
+    assert q._labels is None and q.labels == ("b",)
+
+
+def test_explicit_labels_are_checked_at_once():
+    with pytest.raises(ValueError, match="unique"):
+        Space(("a", "a"))
+    with pytest.raises(ValueError, match="weight count"):
+        Space.std(2, weights=(0,))
+    # derived labels that collide are refused when read
+    clash = tensor_space(Space(("a", "a(x)b")), Space(("b(x)c", "c")))
+    with pytest.raises(ValueError, match="unique"):
+        clash.labels
+
+
+def test_space_equality_and_hash_see_labels_and_weights():
+    assert Space.std(2) == Space(("e0", "e1"))
+    assert hash(Space.std(2)) == hash(Space(("e0", "e1")))
+    assert Space.std(2) != Space.std(2, prefix="f")
+    assert Space.std(2) != Space.std(2, weights=(0, 0))

@@ -16,9 +16,11 @@ from coendforge.exactlinalg import (
     Space,
     _dense,
     _rref,
+    cokernel,
     identity,
     padic_valuation,
 )
+from coendforge import padic_banach
 from coendforge.cli import main
 from coendforge.coend import coend_of_functor
 from coendforge.exactlinalg import kernel
@@ -195,7 +197,7 @@ def test_quotient_norm_against_window_oracle_randomized(rng):
             for _ in range(k)
         ]
         v = [Fraction(rng.randint(-4, 4), rng.choice([1, p])) for _ in range(ns.dim)]
-        fast = quotient_norm(ns, w, v, certify=False)
+        fast = quotient_norm(ns, w, v)
         slow = quotient_norm_bruteforce(ns, w, v)
         assert fast == slow
         cases += 1
@@ -228,7 +230,7 @@ def quotient_instances(draw):
           [Fraction(2), Fraction(7), Fraction(4)]))
 def test_certified_quotient_norm_matches_window_oracle(instance):
     ns, gens, v = instance
-    certified = quotient_norm(ns, gens, v, certify=True)
+    certified = quotient_norm(ns, gens, v)
     try:
         # a smaller candidate bound keeps each draw well under a second
         oracle = quotient_norm_bruteforce(ns, gens, v, max_candidates=20_000)
@@ -484,7 +486,7 @@ def test_certified_bcoend_ladder(tmp_path, spec):
     relations = [ker.col(j) for j in range(ker.dom.dim)]
     ns = NormedSpace(r.nspace, r.field.p)
     assert norms == [
-        quotient_norm(ns, relations, r.section.col(j), certify=False).to_json()
+        quotient_norm(ns, relations, r.section.col(j)).to_json()
         for j in range(r.carrier.dim)
     ]
 
@@ -529,7 +531,7 @@ def test_bounded_coend_reduces_its_quotient_once(monkeypatch):
     F = load_spec(K4_PADIC3).functors["F"]
     generators = kernel(coend_of_functor(F).pi).cols
     calls = count_reductions(monkeypatch)
-    b = bounded_coend(F, certify=True)
+    b = bounded_coend(F)
     assert len(b.class_norms) == 16
     # once on the kernel, once on the reduced lifts
     assert calls["orthogonalize"] == 2
@@ -546,12 +548,19 @@ def test_banach_colimit_reduces_its_quotient_once(monkeypatch):
     F = DiagramFunctor(cat, Q3, k, {"f": pmap(rows, k["a"], k["b"], Q3),
                                     "g": pmap(rows[::-1], k["a"], k["c"], Q3)})
     # the generators are the reduced echelon basis of ker(pi), which is unique
-    generators = _rref(QQ, kernel(banach_colimit(F, certify=False).pi).cols)[0]
+    generators = _rref(QQ, kernel(banach_colimit(F).pi).cols)[0]
     calls = count_reductions(monkeypatch)
-    col = banach_colimit(F, certify=True)
+    quotients = []
+    monkeypatch.setattr(padic_banach, "cokernel",
+                        lambda m: quotients.append(m) or cokernel(m))
+    col = banach_colimit(F)
     assert len(col.class_norms) == 4
     assert calls["orthogonalize"] == 2
     assert sum(rows == generators for rows in calls["rref_rows"]) == 1
+    # the relation columns are reduced once, inside cokernel: the generators
+    # come from pi and the section, not from a second elimination
+    (rel,) = quotients
+    assert sum(rows == rel.cols for rows in calls["rref_rows"]) == 1
 
 
 def dense_orthogonalize(vectors, weights, p):

@@ -405,3 +405,49 @@ def test_out_flag_writes_file(tmp_path):
     ])
     assert code == 0
     assert json.loads(target.read_text())["carrier_dim"] == 4
+
+
+# -- resource bounds and cross-coalgebra names ---------------------------------
+
+def test_validate_huge_declared_dim_builds_no_labels(tmp_path):
+    # a 40-byte file declaring dim 10^9: under a 1 GB address-space limit the
+    # command must finish without materializing a label per basis vector
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"spaces": {"V": {"dim": 1000000000}}}))
+    proc = subprocess.run([sys.executable, "-m", "coendforge", "validate", str(path)],
+                          capture_output=True, text=True, timeout=60, preexec_fn=limit)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"ok": True, "problems": []}
+
+
+def merged_k2_z2_spec():
+    """one_object_k2 (coalgebra M2) plus the coalgebra KZ2 of z2_grading and
+    its comodules, renamed with a leading z."""
+    spec = json.loads((SPECS / "one_object_k2.json").read_text())
+    z2 = json.loads((SPECS / "z2_grading.json").read_text())
+    spec["spaces"].update(z2["spaces"])
+    spec["coalgebras"].update(z2["coalgebras"])
+    spec["comodules"].update({f"z{name}": c for name, c in z2["comodules"].items()})
+    return spec
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (["reconstruct", "--coalgebra", "M2", "--seeds", "zk0,zk1"],
+     "comodule 'zk0' in --seeds is over coalgebra 'KZ2', not 'M2'"),
+    (["equiv", "--coalgebra", "M2", "--seeds", "zk0"],
+     "comodule 'zk0' in --seeds is over coalgebra 'KZ2', not 'M2'"),
+    (["equiv", "--coalgebra", "M2", "--seeds", "V", "--probes", "zregular"],
+     "comodule 'zregular' in --probes is over coalgebra 'KZ2', not 'M2'"),
+])
+def test_comodules_over_another_coalgebra_are_refused(tmp_path, capsys, argv, problem):
+    path = tmp_path / "merged.json"
+    path.write_text(json.dumps(merged_k2_z2_spec()))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "problems": [problem]}
