@@ -471,7 +471,7 @@ def monoidal_diagram_of_functor(F: DiagramFunctor) -> MonoidalDiagram:
     )
 
 
-def _pair_braid(f, x_dim: int, y_dim: int) -> "list[int]":
+def _pair_braid(x_dim: int, y_dim: int) -> "list[int]":
     """Index permutation cohom(FX,FX) (x) cohom(FY,FY) ->
     cohom(FX (x) FY, FX (x) FY): ((j,i),(l,k)) |-> ((j,l),(i,k)).
     Returns target index per source index."""
@@ -500,7 +500,7 @@ def bialgebra_from_monoidal(r: CoendResult, mon: MonoidalDiagram) -> Bialgebra:
             if xi is None:
                 raise WellDefinednessFailure(f"missing xi at ({x}, {y})")
             fx, fy = d.spaces[x], d.spaces[y]
-            braid = _pair_braid(f, fx.dim, fy.dim)
+            braid = _pair_braid(fx.dim, fy.dim)
             conj = tensor(dual(invert_map(xi)), xi)
             ex, ey = r.blocks[x].carrier.dim, r.blocks[y].carrier.dim
             for u in range(ex):

@@ -287,11 +287,12 @@ def tensor_comodule(a: Comodule, b: Comodule, bialg: Bialgebra) -> Comodule:
     f = bialg.field
     h = bialg.carrier
     ab = tensor_space(a.space, b.space)
-    middle = tensor(identity(a.space, f), swap_map(h, b.space, f))
-    rho = kron_compose(
-        identity(ab, f), bialg.mult,
-        kron_compose(middle, identity(h, f), tensor(a.rho, b.rho)),
-    )
+    # x (x) y |-> x0 (x) y0 (x) x1 (x) y1 in two lazy steps, so no dim A*H*B
+    # permutation is built: y |-> y0 (x) y1, then x (x) y0 |-> x0 (x) y0 (x) x1
+    x0_y_x1 = kron_compose(identity(a.space, f), swap_map(h, b.space, f),
+                           tensor(a.rho, identity(b.space, f)))
+    middle = kron_compose(x0_y_x1, identity(h, f), tensor(identity(a.space, f), b.rho))
+    rho = kron_compose(identity(ab, f), bialg.mult, middle)
     return Comodule(ab, Coalgebra(h, bialg.delta, bialg.counit), rho)
 
 

@@ -536,7 +536,7 @@ def test_pair_braid_intertwines_comatrix_coalgebras():
     ex = coend_object(x, QQ).coalgebra
     ey = coend_object(y, QQ).coalgebra
     exy = coend_object(tensor_space(x, y), QQ).coalgebra
-    perm = _pair_braid(QQ, x.dim, y.dim)
+    perm = _pair_braid(x.dim, y.dim)
     n = len(perm)
     rows = [[QQ.zero()] * n for _ in range(n)]
     for src, tgt in enumerate(perm):

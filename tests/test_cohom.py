@@ -4,6 +4,7 @@ import pytest
 
 from coendforge.cohom import (
     AxiomError,
+    Coalgebra,
     Comodule,
     FactorShapeError,
     coact,
@@ -28,6 +29,8 @@ from coendforge.exactlinalg import (
     Space,
     identity,
     kernel,
+    kron_compose,
+    swap_map,
     tensor,
     tensor_space,
 )
@@ -375,6 +378,35 @@ def test_tensor_comodule_over_group_hopf():
     assert t.check() == []
     # sign (x) sign has degree zero
     assert t.rho.col(0) == [Fraction(1), Fraction(0)]
+
+
+def reference_tensor_comodule_rho(a, b, bialg):
+    """The coaction of a (x) b through the full leg permutation
+    id_A (x) swap(H, B), with dim A * dim H * dim B columns."""
+    f, h = bialg.field, bialg.carrier
+    ab = tensor_space(a.space, b.space)
+    middle = tensor(identity(a.space, f), swap_map(h, b.space, f))
+    return kron_compose(
+        identity(ab, f), bialg.mult,
+        kron_compose(middle, identity(h, f), tensor(a.rho, b.rho)),
+    )
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(7)])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tensor_comodule_matches_full_permutation(f, n):
+    h = group_hopf_algebra(f, [f"g{i}" for i in range(n)],
+                           lambda i, j: (i + j) % n, lambda i: (-i) % n)
+    c = Coalgebra(h.carrier, h.delta, h.counit)
+    v = Space.std(1, prefix="s")
+    sign = Comodule(v, c, LinearMap.from_sparse(
+        f, v, tensor_space(v, h.carrier), [{1 % n: f.one()}]))
+    regular = Comodule(h.carrier, c, h.delta)
+    for a, b in [(sign, sign), (regular, regular), (sign, regular), (regular, sign)]:
+        t = tensor_comodule(a, b, h)
+        assert t.rho == reference_tensor_comodule_rho(a, b, h)
+        assert t.rho.cod == tensor_space(t.space, h.carrier)
+        assert t.check() == []
 
 
 def test_cohom_coactions_with_nontrivial_antipode():

@@ -1,15 +1,26 @@
 from fractions import Fraction
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coendforge.exactlinalg import QQ, LinearMap, PrimeField, Space, identity, tensor
+from coendforge import fincat
+from coendforge.exactlinalg import (
+    QQ,
+    LinearMap,
+    PrimeField,
+    Space,
+    compose_kron,
+    identity,
+    tensor,
+)
 from coendforge.fincat import (
     CategoryMonoidalData,
     DiagramFunctor,
     FinCategory,
     FunctorMonoidalData,
     Transformation,
+    ValidationReport,
     check_dinatural,
     check_monoidal,
     check_natural,
@@ -297,3 +308,179 @@ def test_validators_idempotent_and_pure():
     first = (validate_category(cat).problems, validate_functor(F).problems)
     second = (validate_category(cat).problems, validate_functor(F).problems)
     assert first == second == ([], [])
+
+
+# -- check_monoidal against the per-triple reference --------------------------
+
+def reference_check_monoidal(F: DiagramFunctor) -> ValidationReport:
+    """Validate the structure isomorphisms of a monoidal functor.
+
+    Checks invertibility of every xi, the associativity square
+    xi_{X(x)Y,Z} o (xi_{X,Y} (x) id) = xi_{X,Y(x)Z} o (id (x) xi_{Y,Z}),
+    the unit squares against xi_unit, and naturality of xi on every pair
+    in the morphism tensor table.  The source category is trusted: callers
+    run ``validate_category`` on it first.
+    """
+    problems = []
+    cat = F.source
+    if cat.monoidal is None:
+        return ValidationReport(False, ["source category carries no monoidal data"])
+    if F.monoidal is None:
+        return ValidationReport(False, ["functor carries no monoidal data"])
+    mon = cat.monoidal
+    fld = F.field
+    for a in cat.objects:
+        for b in cat.objects:
+            ab = mon.tensor_obj[(a, b)]
+            xi = F.monoidal.xi.get((a, b))
+            if xi is None:
+                problems.append(f"missing xi at ({a}, {b})")
+                continue
+            if xi.dom.dim != F.space(a).dim * F.space(b).dim or xi.cod.dim != F.space(ab).dim:
+                problems.append(f"xi at ({a}, {b}) has wrong shape")
+            elif xi.rank() != xi.cod.dim or xi.dom.dim != xi.cod.dim:
+                problems.append(f"xi at ({a}, {b}) is not invertible")
+    xi_u = F.monoidal.xi_unit
+    if xi_u.dom.dim != 1 or xi_u.cod.dim != F.space(mon.unit).dim or xi_u.rank() != 1:
+        problems.append("xi_unit is not an isomorphism K -> F(I)")
+    if problems:
+        return ValidationReport(False, problems)
+    for a in cat.objects:
+        for b in cat.objects:
+            for c in cat.objects:
+                ab = mon.tensor_obj[(a, b)]
+                bc = mon.tensor_obj[(b, c)]
+                left = compose_kron(F.xi(ab, c), F.xi(a, b), identity(F.space(c), fld))
+                right = compose_kron(F.xi(a, bc), identity(F.space(a), fld), F.xi(b, c))
+                if left != right:
+                    problems.append(f"xi associativity fails at ({a}, {b}, {c})")
+    for a in cat.objects:
+        # K (x) F(a) and F(a) (x) K are identified with F(a) by flat indexing
+        left_unit = compose_kron(F.xi(mon.unit, a), xi_u, identity(F.space(a), fld))
+        right_unit = compose_kron(F.xi(a, mon.unit), identity(F.space(a), fld), xi_u)
+        if left_unit != identity(F.space(a), fld):
+            problems.append(f"left unit square fails at {a}")
+        if right_unit != identity(F.space(a), fld):
+            problems.append(f"right unit square fails at {a}")
+    for (fname, gname), hname in mon.tensor_mor.items():
+        mf, mg = cat.morphisms[fname], cat.morphisms[gname]
+        lhs = F.map(hname) @ F.xi(mf.dom, mg.dom)
+        rhs = compose_kron(F.xi(mf.cod, mg.cod), F.map(fname), F.map(gname))
+        if lhs != rhs:
+            problems.append(f"xi naturality fails at ({fname}, {gname})")
+    return ValidationReport(not problems, problems)
+
+
+def scalar(f, a):
+    return LinearMap(f, K, K, ((a,),))
+
+
+def graded_functor(f, lam, absorbing=False, idem=None):
+    """Z/n on copies of K, n = len(lam), with the coboundary
+    xi_{a,b} = l_a l_b / l_{a+b} and xi_unit = 1 / l_0, which satisfy every
+    square.  With absorbing, an object z with z (x) x = x (x) z = z and
+    F(z) = 0 is added.  With idem, each g_i carries an idempotent t_i with
+    t_i (x) t_j = t_{i+j} and F(t_i) = idem[i]; naturality of xi then holds
+    iff idem[i + j] = idem[i] idem[j]."""
+    n = len(lam)
+    g = [f"g{i}" for i in range(n)]
+    objs = g + ["z"] * absorbing
+    tensor_obj = {(g[i], g[j]): g[(i + j) % n] for i in range(n) for j in range(n)}
+    if absorbing:
+        tensor_obj.update({pair: "z" for x in objs for pair in ((x, "z"), ("z", x))})
+    morphisms, composition, tensor_mor, mor = [], {}, {}, {}
+    if idem is not None:
+        for i in range(n):
+            morphisms.append((f"t{i}", g[i], g[i]))
+            composition[(f"t{i}", f"t{i}")] = f"t{i}"
+            mor[f"t{i}"] = scalar(f, idem[i])
+        tensor_mor = {(f"t{i}", f"t{j}"): f"t{(i + j) % n}" for i in range(n) for j in range(n)}
+    cat = FinCategory(objs, morphisms, composition,
+                      monoidal=CategoryMonoidalData("g0", tensor_obj, tensor_mor))
+    zero = Space.std(0, prefix="z")
+    ob = {x: zero if x == "z" else K for x in objs}
+    xi = {}
+    for (a, b), ab in tensor_obj.items():
+        if ab == "z":
+            xi[(a, b)] = LinearMap(f, Space.std(0), zero, ())
+        else:
+            i, j = int(a[1:]), int(b[1:])
+            xi[(a, b)] = scalar(f, f.mul(f.mul(lam[i], lam[j]), f.invert(lam[(i + j) % n])))
+    fmon = FunctorMonoidalData(xi=xi, xi_unit=scalar(f, f.invert(lam[0])))
+    return DiagramFunctor(cat, f, ob, mor, monoidal=fmon)
+
+
+@st.composite
+def graded_cases(draw):
+    """A seeded valid Z/n grading (n = 1..6, maybe with a zero-dimensional
+    absorbing object, maybe with idempotents), left valid or with one xi
+    entry scaled, one xi set to zero, one xi missing or xi_unit scaled."""
+    f = draw(st.sampled_from([QQ, PrimeField(7)]))
+    n = draw(st.integers(1, 6))
+    nonzero = st.builds(lambda a, b: f.mul(f.from_int(a), f.invert(f.from_int(b))),
+                     st.integers(-6, 6).filter(bool), st.integers(1, 6))
+    lam = draw(st.lists(nonzero, min_size=n, max_size=n))
+    idem = draw(st.none() | st.lists(st.sampled_from([f.zero(), f.one()]),
+                                     min_size=n, max_size=n))
+    F = graded_functor(f, lam, draw(st.booleans()), idem)
+    mode = draw(st.sampled_from(["valid", "scale", "zero", "missing", "unit"]))
+    pair = (f"g{draw(st.integers(0, n - 1))}", f"g{draw(st.integers(0, n - 1))}")
+    xi = dict(F.monoidal.xi)
+    s = draw(nonzero.filter(lambda v: v != f.one()))
+    if mode == "scale":
+        xi[pair] = xi[pair].scale(s)
+    elif mode == "zero":
+        xi[pair] = scalar(f, f.zero())
+    elif mode == "missing":
+        del xi[pair]
+    elif mode == "unit":
+        F.monoidal.xi_unit = F.monoidal.xi_unit.scale(s)
+    F.monoidal.xi = xi
+    return F
+
+
+@settings(max_examples=200)
+@given(graded_cases())
+def test_check_monoidal_matches_reference(F):
+    assert validate_category(F.source).ok
+    assert validate_functor(F).ok
+    report, reference = check_monoidal(F), reference_check_monoidal(F)
+    assert report.problems == reference.problems
+    assert report.ok == reference.ok
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(7)])
+def test_check_monoidal_names_every_broken_square_in_order(f):
+    # every single xi on Z/4 with a zero object and natural idempotents,
+    # scaled by 2 in turn; the message lists must match the reference, and
+    # each must be nonempty
+    lam = [f.from_int(a) for a in (3, -2, 5, 1)]
+    F = graded_functor(f, lam, absorbing=True, idem=[f.one()] * 4)
+    assert check_monoidal(F).ok
+    valid = F.monoidal.xi
+    for pair, xi in valid.items():
+        if "z" not in pair:
+            F.monoidal.xi = valid | {pair: xi.scale(f.from_int(2))}
+            problems = check_monoidal(F).problems
+            assert problems and problems == reference_check_monoidal(F).problems
+
+
+@pytest.mark.parametrize("idem, extra", [(None, 0), ([1] + [0] * 7, 64)])
+def test_check_monoidal_builds_no_map_per_triple(monkeypatch, idem, extra):
+    # on Z/8, compose_kron runs only for the two unit squares per object and
+    # once per tensor_mor entry: 16 (+ 64) calls, against 2*8^3 + 16 for a
+    # per-triple check
+    calls = []
+    real = fincat.compose_kron
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(fincat, "compose_kron", counting)
+    lam = [QQ.from_int(a) for a in (2, -3, 5, 7, 1, -1, 4, 9)]
+    idem = None if idem is None else [QQ.from_int(a) for a in idem]
+    F = graded_functor(QQ, lam, idem=idem)
+    report = check_monoidal(F)
+    assert report.ok == (idem is None)
+    assert len(calls) == 2 * 8 + extra

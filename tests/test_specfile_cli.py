@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -451,3 +452,63 @@ def test_comodules_over_another_coalgebra_are_refused(tmp_path, capsys, argv, pr
     capsys.readouterr()
     assert main([argv[0], str(path), *argv[1:]]) == 2
     assert json.loads(capsys.readouterr().out) == {"ok": False, "problems": [problem]}
+
+
+# -- scale ceiling ---------------------------------------------------------------
+
+def zn_grading(n, p, seed):
+    """Z/n on n copies of the line over F_p with a seeded coboundary
+    xi_{a,b} = l_a l_b / l_{a+b}; the induced Hopf algebra is F_p[Z/n]."""
+    rng = random.Random(seed)
+    lam = [rng.randint(1, p - 1) for _ in range(n)]
+    g = [f"g{i}" for i in range(n)]
+    return {
+        "field": f"fp:{p}",
+        "spaces": {"K1": {"dim": 1}},
+        "categories": {"Zn": {
+            "objects": g, "morphisms": [], "composition": [],
+            "monoidal": {
+                "unit": "g0",
+                "tensor": [[g[a], g[b], g[(a + b) % n]] for a in range(n) for b in range(n)],
+                "duals": {g[a]: g[-a % n] for a in range(n)},
+            },
+        }},
+        "functors": {"F": {
+            "source": "Zn",
+            "objects": {o: "K1" for o in g},
+            "morphisms": {},
+            "xi": [[g[a], g[b], [[str(lam[a] * lam[b] * pow(lam[(a + b) % n], -1, p) % p)]]]
+                   for a in range(n) for b in range(n)],
+            "xi_unit": [[str(pow(lam[0], -1, p))]],
+            "dual_maps": {o: [[str(rng.randint(1, p - 1))]] for o in g},
+        }},
+    }
+
+
+def all_lists_empty(tree):
+    if isinstance(tree, dict):
+        return all(all_lists_empty(v) for v in tree.values())
+    return tree == []
+
+
+def test_hopf_on_z32_grading_is_the_group_algebra(tmp_path, capsys):
+    # the largest Z/n the hopf command is meant to reach in about a second
+    n, p = 32, 7
+    spec = zn_grading(n, p, seed=32)
+    path = tmp_path / "z32.json"
+    path.write_text(json.dumps(spec))
+    assert main(["hopf", str(path), "--functor", "F"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["carrier_dim"] == n
+    assert data["multiplication"] == [
+        ["1" if k == (i + j) % n else "0" for i in range(n) for j in range(n)] for k in range(n)
+    ]
+    assert data["antipode"] == [["1" if k == -i % n else "0" for i in range(n)] for k in range(n)]
+    assert all_lists_empty(data["verification"])
+
+    xi = spec["functors"]["F"]["xi"]
+    xi[n + 1][2] = [[str(2 * int(xi[n + 1][2][0][0]) % p)]]  # xi at (g1, g1), doubled
+    path.write_text(json.dumps(spec))
+    assert main(["hopf", str(path), "--functor", "F"]) == 2
+    problems = json.loads(capsys.readouterr().out)["problems"]
+    assert any("xi associativity fails at" in q for q in problems)
