@@ -1,8 +1,10 @@
 """Exact scalar arithmetic and linear algebra over Q, F_p and p-adic-flavored Q.
 
-Everything here is exact: rationals are `fractions.Fraction`, prime-field
-elements are reduced ints, and the p-adic flavor stores exact rationals whose
-valuations are computed on demand.  No floating point anywhere.
+Everything here is exact: a rational is an int when it is integral and a
+`fractions.Fraction` otherwise (the two forms compare and hash equal),
+prime-field elements are reduced ints, and the p-adic flavor stores exact
+rationals whose valuations are computed on demand.  No floating point
+anywhere.
 
 Maps are stored as sparse columns (dicts row -> nonzero entry); the dense
 row-major `entries` are a view built on demand for the JSON boundary.
@@ -71,46 +73,54 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _qnorm(a):
+    """The canonical Q scalar equal to the exact rational a: its numerator
+    when it is integral, else a itself."""
+    return a.numerator if a.denominator == 1 else a
+
+
 class Rationals:
-    """The field Q; elements are Fraction."""
+    """The field Q.  A scalar is an int when it is integral and a Fraction
+    otherwise, and every operation returns that canonical form.  An int and
+    the equal Fraction compare equal, hash equal and print the same, so the
+    form never changes a result; the int form only skips Fraction arithmetic
+    on the integral entries most structure maps have."""
 
     kind = "q"
     p = None
-    _ZERO = Fraction(0)
-    _ONE = Fraction(1)
 
     def zero(self):
-        return self._ZERO
+        return 0
 
     def one(self):
-        return self._ONE
+        return 1
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return n
 
     def add(self, a, b):
-        return a + b
+        return _qnorm(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _qnorm(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _qnorm(a * b)
 
     def neg(self, a):
-        return -a
+        return _qnorm(-a)
 
     def invert(self, a):
         if a == 0:
             raise ZeroDivisionError("inverting 0")
-        return 1 / a
+        return _qnorm(Fraction(1) / a)
 
     def is_zero(self, a) -> bool:
         return not a
 
     def parse(self, s: str):
         try:
-            return Fraction(s)
+            return _qnorm(Fraction(s))
         except (ValueError, ZeroDivisionError) as exc:
             raise ScalarError(f"cannot parse scalar {s!r}: {exc}") from None
 
@@ -238,8 +248,7 @@ def field_from_descriptor(desc: str):
 
 
 def padic_valuation(a, p: int) -> int | None:
-    """v_p of an exact rational (None for 0)."""
-    a = Fraction(a)
+    """v_p of an exact rational, an int or a Fraction (None for 0)."""
     if a == 0:
         return None
     v = 0
@@ -353,9 +362,10 @@ class LinearMap:
     """A matrix between two based spaces, stored as sparse columns.
 
     ``cols[j]`` is the image of the j-th domain basis vector: a dict
-    row -> value holding only the nonzero entries.  Entries are canonical
-    field elements (Fractions over Q, reduced ints over F_p), so two maps are
-    equal exactly when their columns are, however they were built.
+    row -> value holding only the nonzero entries.  Entries are field
+    elements (over Q an int or a Fraction, which compare and hash equal when
+    their values are; reduced ints over F_p), so two maps are equal exactly
+    when their columns are, however they were built.
 
     ``LinearMap(field, dom, cod, entries)`` takes the dense row-major form
     (cod.dim rows of dom.dim entries) and builds the columns on first use;

@@ -42,6 +42,7 @@ from .exactlinalg import (
     _add_into,
     _apply,
     _dense,
+    _qnorm,
     _rref,
     _sparse,
     _transpose,
@@ -243,7 +244,7 @@ def _reduce_quotient(ns: NormedSpace, generators, vectors):
     `_check_certificate` call, with lam the e_i0 coordinate functional of
     the orthogonal basis {b_j} u {e_i : i not a pivot}, where x attains its
     norm at i0: lam_i0 = 1, lam_pi_j = -b_j[i0] / b_j[pi_j], 0 elsewhere.
-    All vectors are sparse dicts of Fractions."""
+    All vectors are sparse dicts of canonical Q scalars."""
     f, weights, p = QQ, ns.weights, ns.p
     basis, pivots = _orthogonalize(generators, weights, p)
     residuals = [dict(v) for v in vectors]
@@ -281,17 +282,18 @@ def quotient_norm(ns: NormedSpace, subspace_vectors, v) -> NormValue:
 
 
 def _rational(v) -> dict:
-    """A dense coordinate vector as a sparse dict of Fractions."""
-    return {i: Fraction(a) for i, a in enumerate(v) if a}
+    """A dense coordinate vector as a sparse dict of canonical Q scalars."""
+    return {i: _qnorm(Fraction(a)) for i, a in enumerate(v) if a}
 
 
 def _check_certificate(ns: NormedSpace, generators, certificates) -> None:
     """Raise ArithmeticError unless every (v, x, lam) in certificates proves
     ||v + W|| = ||x||, W the span of the generators, by conditions (a)-(c) of
-    the module docstring; all vectors are sparse dicts of Fractions.  They
-    are tested on the generators themselves, never on a basis derived from
-    them, so the proof holds however x and lam were found.  One echelon form
-    and one transpose of the generators serve every certificate."""
+    the module docstring; all vectors are sparse dicts of canonical Q
+    scalars.  They are tested on the generators themselves, never on a basis
+    derived from them, so the proof holds however x and lam were found.  One
+    echelon form and one transpose of the generators serve every
+    certificate."""
     def fail(why):
         raise ArithmeticError(f"quotient norm certification failed: {why}")
 

@@ -58,6 +58,44 @@ def test_rational_arithmetic_exact(a, b):
     assert QQ.sub(QQ.add(a, b), b) == a
 
 
+def canonical(q):
+    """The Q scalar a field operation returns: an int when integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+@pytest.mark.parametrize("f", [QQ, PadicRationals(3)])
+@given(a=rationals.map(canonical), b=rationals.map(canonical), raw=rationals,
+       k=st.integers(1, 6), n=st.integers(-10**6, 10**6))
+def test_q_scalars_are_ints_exactly_when_integral(f, a, b, raw, k, n):
+    # a and b are field elements; raw is any rational, integral Fractions
+    # included, as maps built from Fraction rows hold them
+    results = [
+        (f.add(a, b), Fraction(a) + Fraction(b)),
+        (f.sub(a, b), Fraction(a) - Fraction(b)),
+        (f.mul(a, b), Fraction(a) * Fraction(b)),
+        (f.neg(a), -Fraction(a)),
+        (f.neg(raw), -raw),
+        (f.add(raw, raw), 2 * raw),
+        (f.mul(raw, f.one()), raw),
+        (f.sub(raw, f.zero()), raw),
+        (f.parse(f"{raw.numerator * k}/{raw.denominator * k}"), raw),
+        (f.from_int(n), Fraction(n)),
+    ]
+    if a:
+        results.append((f.invert(a), 1 / Fraction(a)))
+    if raw:
+        results.append((f.invert(raw), 1 / raw))
+    for got, want in results:
+        assert got == want and hash(got) == hash(want) and str(got) == str(want)
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
+def test_q_invert_never_returns_a_float():
+    assert QQ.invert(2) == Fraction(1, 2) and type(QQ.invert(2)) is Fraction
+    assert QQ.invert(Fraction(1, 2)) == 2 and type(QQ.invert(Fraction(1, 2))) is int
+    assert type(QQ.invert(-1)) is int and type(Q2.invert(4)) is Fraction
+
+
 @given(st.integers(), st.integers())
 def test_prime_field_arithmetic_exact(a, b):
     x, y = F5.from_int(a), F5.from_int(b)
@@ -117,6 +155,11 @@ def test_padic_valuation():
     assert padic_valuation(Fraction(5, 3), 2) == 0
     assert padic_valuation(0, 2) is None
     assert Q2.valuation(Fraction(6)) == 1
+
+
+@given(st.integers(-10**9, 10**9), st.sampled_from([2, 3, 7]))
+def test_padic_valuation_of_an_int_matches_its_fraction(a, p):
+    assert padic_valuation(a, p) == padic_valuation(Fraction(a), p)
 
 
 # -- echelon / kernel / cokernel ---------------------------------------------

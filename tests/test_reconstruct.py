@@ -3,11 +3,13 @@ from fractions import Fraction
 
 from coendforge import exactlinalg
 from coendforge.cohom import (
+    Coalgebra,
     Comodule,
     coend_object,
     group_hopf_algebra,
     grouplike_coalgebra,
     trivial_coalgebra,
+    unit_space,
 )
 from coendforge.exactlinalg import (
     QQ,
@@ -15,6 +17,7 @@ from coendforge.exactlinalg import (
     PrimeField,
     Space,
     identity,
+    kron_compose,
     tensor,
     tensor_space,
 )
@@ -329,3 +332,29 @@ def test_reconstruct_comatrix_never_builds_large_kronecker(monkeypatch):
     ambient = res.coend.nspace.dim
     assert ambient == 36
     assert max(cells, default=0) <= ambient ** 2
+
+
+def test_reconstruct_comatrix_8_over_q_at_the_ceiling():
+    # comatrix(8), carrier dim 64: the top of the d = 4..8 ladder the
+    # package is meant to reconstruct exactly at desk scale
+    d = 8
+    n = d * d
+    x, carrier = Space.std(d), Space.std(n, prefix="c")
+    # closed form on the basis e_ji = index j*d + i:
+    # delta(e_ji) = sum_k e_jk (x) e_ki, eps(e_ji) = [i = j], and the
+    # standard comodule x_i -> sum_j x_j (x) e_ji
+    delta = LinearMap.from_sparse(QQ, carrier, tensor_space(carrier, carrier), [
+        {(j * d + k) * n + k * d + i: 1 for k in range(d)} for j in range(d) for i in range(d)])
+    counit = LinearMap.from_sparse(QQ, carrier, unit_space(), [
+        {0: 1} if i == j else {} for j in range(d) for i in range(d)])
+    rho = LinearMap.from_sparse(QQ, x, tensor_space(x, carrier), [
+        {j * n + j * d + i: 1 for j in range(d)} for i in range(d)])
+    c = Coalgebra(carrier, delta, counit)
+    res = reconstruct_coalgebra(c, {"std": Comodule(x, c, rho)})
+    assert res.verdict == "Isomorphism"
+    assert res.coend.carrier.dim == n
+    q = res.coend.coalgebra
+    # h carries the reconstructed comultiplication and counit onto the
+    # closed form
+    assert kron_compose(res.h, res.h, q.delta) == delta @ res.h
+    assert counit @ res.h == q.counit

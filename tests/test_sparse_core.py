@@ -154,3 +154,51 @@ def test_reconstruct_comatrix_touches_only_nonzero_entries(monkeypatch):
     res = reconstruct_coalgebra(coalgebra, {"std": comodule})
     assert res.verdict == "Isomorphism"
     assert calls[0] < 100_000
+
+
+def two_forms(data, nrows, ncols):
+    """One Q matrix in two forms: every entry a Fraction, and each integral
+    entry an int or a Fraction at random."""
+    entry = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+    fracs = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    mixed = [[a.numerator if a.denominator == 1 and data.draw(st.booleans()) else a
+              for a in row] for row in fracs]
+    return fracs, mixed
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_int_and_fraction_entries_are_one_representation(data):
+    f = data.draw(st.sampled_from([QQ, PadicRationals(3)]))
+    ra, ca, rb, cb, cm = (data.draw(st.integers(0, 3)) for _ in range(5))
+    shapes = {"a": (ra, ca), "b": (rb, cb), "m": (ca * cb, cm)}
+    built = {"fraction": {}, "mixed": {}}
+    for name, (nrows, ncols) in shapes.items():
+        dom, cod = Space.std(ncols, "x"), Space.std(nrows, "y")
+        for form, rows in zip(built, two_forms(data, nrows, ncols)):
+            built[form][name] = LinearMap(f, dom, cod, tuple(map(tuple, rows)))
+    fr, mx = built["fraction"], built["mixed"]
+    for name in shapes:
+        assert fr[name] == mx[name] and hash(fr[name]) == hash(mx[name])
+        assert format_matrix(fr[name]) == format_matrix(mx[name])
+    results = [(kron_compose(fr["a"], fr["b"], fr["m"]), kron_compose(mx["a"], mx["b"], mx["m"])),
+               (kernel(fr["a"]), kernel(mx["a"])),
+               *zip(cokernel(fr["a"]), cokernel(mx["a"]))]
+    for want, got in results:
+        assert got == want and hash(got) == hash(want)
+        assert format_matrix(got) == format_matrix(want)
+
+
+def test_reconstruction_stores_integral_q_entries_as_ints(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    pkg = SimpleNamespace(**{m: importlib.import_module(f"coendforge.{m}")
+                             for m in ("cohom", "exactlinalg")})
+    coalgebra, comodule = workloads.comatrix_input(pkg, QQ, 6, random.Random(0))
+    res = reconstruct_coalgebra(coalgebra, {"std": comodule})
+    assert res.verdict == "Isomorphism"
+    q = res.coend.coalgebra
+    entries = [a for m in (res.h, q.delta, q.counit) for col in m.cols for a in col.values()]
+    assert entries and all(type(a) in (int, Fraction) for a in entries)
+    assert all(type(a) is int for a in entries if a.denominator == 1)
