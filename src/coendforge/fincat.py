@@ -16,10 +16,9 @@ cohom(F(X), F(X)) -> M).  ``check_natural`` is the general F => G reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from .cohom import cohom_on_maps, intertwines
-from .exactlinalg import LinearMap, Space, _apply, compose_kron, identity, tensor, tensor_space
+from .exactlinalg import LinearMap, Space, compose_kron, identity, tensor, tensor_space
 
 
 @dataclass(frozen=True)
@@ -378,9 +377,14 @@ def check_monoidal(F: DiagramFunctor) -> ValidationReport:
 
     Once every xi is invertible, dim F(a) * dim F(b) = dim F(a (x) b), so the
     dimensions of the objects form a finite multiplicatively closed subset
-    of N, which lies in {0, 1} (the powers of any d > 1 are unbounded).  Each
-    associativity square is therefore at most a 1x1 scalar identity, checked
-    column by column from the xi maps' stored columns, with no map built.
+    of N, which lies in {0, 1} (the powers of any d > 1 are unbounded).  A
+    square with a 0-dim F(a), F(b) or F(c) holds trivially; every other one
+    is the 2-cocycle identity xi(a(x)b, c) xi(a, b) = xi(a, b(x)c) xi(b, c)
+    of scalars.  Each xi is read once as an exact integer pair n/d (over F_p
+    an int, d = 1).  With xi(a(x)b, c) = n1/d1 and xi(a, b(x)c) = n2/d2 the
+    square holds iff the integer n1 n_ab d2 d_bc - n2 n_bc d1 d_ab (the
+    identity times its nonzero denominators) is zero once read into the
+    field by ``from_int``: exactly over Q, mod p over F_p.
     """
     problems = []
     cat = F.source
@@ -406,21 +410,23 @@ def check_monoidal(F: DiagramFunctor) -> ValidationReport:
         problems.append("xi_unit is not an isomorphism K -> F(I)")
     if problems:
         return ValidationReport(False, problems)
-    dim = {a: F.space(a).dim for a in cat.objects}
-    cols = {pair: xi.cols for pair, xi in F.monoidal.xi.items()}
+    # each xi as n/d from its one entry; no pair where F(a) (x) F(b) is 0-dim
+    ratio = {pair: (v.numerator, v.denominator)
+             for pair, xi in F.monoidal.xi.items() for col in xi.cols for v in col.values()}
     for a in cat.objects:
         for b in cat.objects:
+            if (r_ab := ratio.get((a, b))) is None:
+                continue
+            n_ab, d_ab = r_ab
             ab = mon.tensor_obj[(a, b)]
             for c in cat.objects:
-                bc = mon.tensor_obj[(b, c)]
-                db, dc, dbc = dim[b], dim[c], dim[bc]
-                # e_i (x) e_j (x) e_k is column (i*db + j)*dc + k in both bracketings
-                for i, j, k in product(range(dim[a]), range(db), range(dc)):
-                    via_ab = {r * dc + k: v for r, v in cols[(a, b)][i * db + j].items()}
-                    via_bc = {i * dbc + r: v for r, v in cols[(b, c)][j * dc + k].items()}
-                    if _apply(cols[(ab, c)], via_ab, fld) != _apply(cols[(a, bc)], via_bc, fld):
-                        problems.append(f"xi associativity fails at ({a}, {b}, {c})")
-                        break
+                if (r_bc := ratio.get((b, c))) is None:
+                    continue
+                n_bc, d_bc = r_bc
+                n1, d1 = ratio[(ab, c)]
+                n2, d2 = ratio[(a, mon.tensor_obj[(b, c)])]
+                if not fld.is_zero(fld.from_int(n1 * n_ab * d2 * d_bc - n2 * n_bc * d1 * d_ab)):
+                    problems.append(f"xi associativity fails at ({a}, {b}, {c})")
     for a in cat.objects:
         # K (x) F(a) and F(a) (x) K are identified with F(a) by flat indexing
         left_unit = compose_kron(F.xi(mon.unit, a), xi_u, identity(F.space(a), fld))

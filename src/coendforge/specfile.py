@@ -177,12 +177,16 @@ def _category_from_json(name, data) -> FinCategory:
             if not _names(entry, 3):
                 raise SpecError(f"category {name!r}: tensor_morphisms entries are [f, g, fg]")
             tensor_mor[(entry[0], entry[1])] = entry[2]
+        duals = mon.get("duals")
+        if duals is not None and not all(
+                isinstance(a, str) and isinstance(astar, str)
+                for a, astar in _expect(duals, dict, f"{what} 'duals'").items()):
+            raise SpecError(f"{what} 'duals' must map names to names")
         monoidal = CategoryMonoidalData(
             unit=mon.get("unit"),
             tensor_obj=tensor_obj,
             tensor_mor=tensor_mor,
-            duals=None if mon.get("duals") is None else _expect(mon["duals"], dict,
-                                                                 f"{what} 'duals'"),
+            duals=duals,
         )
     try:
         return FinCategory(objects, morphisms, composition, monoidal)
@@ -220,22 +224,22 @@ def _functor_from_json(fld, name, data, spaces, categories) -> DiagramFunctor:
         if cat.monoidal is None:
             raise SpecError(f"functor {name!r}: xi given but {src_name!r} is not monoidal")
         xi = {}
-        for entry in data.get("xi", []):
+        for entry in _expect(data.get("xi", []), list, f"functor {name!r}: 'xi'"):
             if not (isinstance(entry, list) and len(entry) == 3 and _names(entry[:2], 2)):
                 raise SpecError(f"functor {name!r}: xi entries are [a, b, matrix]")
             a, b, rows = entry
             ab = cat.monoidal.tensor_obj.get((a, b))
             if ab is None:
                 raise SpecError(f"functor {name!r}: no tensor entry for ({a}, {b})")
-            xi[(a, b)] = _parse_rows(
-                fld, rows, tensor_space(ob[a], ob[b]), ob[ab],
-                f"functor {name!r} xi at ({a}, {b})",
-            )
+            what = f"functor {name!r} xi at ({a}, {b})"
+            fa, fb, fab = (_named(ob, x, f"{what}: unknown object") for x in (a, b, ab))
+            xi[(a, b)] = _parse_rows(fld, rows, tensor_space(fa, fb), fab, what)
         xi_unit_rows = data.get("xi_unit")
         if xi_unit_rows is None:
             raise SpecError(f"functor {name!r}: monoidal data needs 'xi_unit'")
+        what = f"functor {name!r} xi_unit"
         xi_unit = _parse_rows(fld, xi_unit_rows, unit_space(),
-                              ob[cat.monoidal.unit], f"functor {name!r} xi_unit")
+                              _named(ob, cat.monoidal.unit, f"{what}: unknown object"), what)
         dual_maps = None
         if "dual_maps" in data:
             if cat.monoidal.duals is None:
@@ -243,14 +247,14 @@ def _functor_from_json(fld, name, data, spaces, categories) -> DiagramFunctor:
                     f"functor {name!r}: dual_maps given but category declares no duals"
                 )
             dual_maps = {}
-            for obj, rows in data["dual_maps"].items():
+            for obj, rows in _expect(data["dual_maps"], dict,
+                                     f"functor {name!r}: 'dual_maps'").items():
                 star = cat.monoidal.duals.get(obj)
                 if star is None:
                     raise SpecError(f"functor {name!r}: no dual declared for {obj!r}")
-                dual_maps[obj] = _parse_rows(
-                    fld, rows, ob[star], dual_space(ob[obj]),
-                    f"functor {name!r} dual map at {obj!r}",
-                )
+                what = f"functor {name!r} dual map at {obj!r}"
+                fobj, fstar = (_named(ob, x, f"{what}: unknown object") for x in (obj, star))
+                dual_maps[obj] = _parse_rows(fld, rows, fstar, dual_space(fobj), what)
         monoidal = FunctorMonoidalData(xi=xi, xi_unit=xi_unit, dual_maps=dual_maps)
     return DiagramFunctor(cat, fld, ob, mor, monoidal)
 

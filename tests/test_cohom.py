@@ -427,14 +427,16 @@ def test_cohom_coactions_with_nontrivial_antipode():
     assert res.rho.col(0) == [Fraction(0), Fraction(0), Fraction(1)]
 
 
-def test_cohom_uses_only_the_public_exactlinalg_surface():
-    # every axiom check is a map identity, so no private sparse helper is needed
+@pytest.mark.parametrize("module", ["cohom", "fincat"])
+def test_cohom_uses_only_the_public_exactlinalg_surface(module):
+    # every axiom check is a map identity (in fincat, the associativity
+    # squares are integer identities), so no private sparse helper is needed
     import ast
     import importlib
     import inspect
 
     # the package itself rebinds the name cohom to the function
-    tree = ast.parse(inspect.getsource(importlib.import_module("coendforge.cohom")))
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"coendforge.{module}")))
     imported = [alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module == "exactlinalg"
                 for alias in node.names]

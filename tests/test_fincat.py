@@ -8,7 +8,9 @@ from coendforge import fincat
 from coendforge.exactlinalg import (
     QQ,
     LinearMap,
+    PadicRationals,
     PrimeField,
+    Rationals,
     Space,
     compose_kron,
     identity,
@@ -412,13 +414,20 @@ def graded_functor(f, lam, absorbing=False, idem=None):
 
 @st.composite
 def graded_cases(draw):
-    """A seeded valid Z/n grading (n = 1..6, maybe with a zero-dimensional
+    """A seeded valid Z/n grading (n = 1..8, maybe with a zero-dimensional
     absorbing object, maybe with idempotents), left valid or with one xi
-    entry scaled, one xi set to zero, one xi missing or xi_unit scaled."""
-    f = draw(st.sampled_from([QQ, PrimeField(7)]))
-    n = draw(st.integers(1, 6))
+    entry scaled, one xi set to zero, one xi missing or xi_unit scaled.  The
+    scalars are a/b with |a|, b up to 6 or up to 10^9, so that cross products
+    of numerators and denominators run to several machine words."""
+    f = draw(st.sampled_from([QQ, PrimeField(7), PadicRationals(3)]))
+    n = draw(st.integers(1, 8))
+
+    def invertible(a):
+        return not f.is_zero(f.from_int(a))
+
     nonzero = st.builds(lambda a, b: f.mul(f.from_int(a), f.invert(f.from_int(b))),
-                     st.integers(-6, 6).filter(bool), st.integers(1, 6))
+                        (st.integers(-6, 6) | st.integers(-10**9, 10**9)).filter(invertible),
+                        (st.integers(1, 6) | st.integers(1, 10**9)).filter(invertible))
     lam = draw(st.lists(nonzero, min_size=n, max_size=n))
     idem = draw(st.none() | st.lists(st.sampled_from([f.zero(), f.one()]),
                                      min_size=n, max_size=n))
@@ -449,7 +458,7 @@ def test_check_monoidal_matches_reference(F):
     assert report.ok == reference.ok
 
 
-@pytest.mark.parametrize("f", [QQ, PrimeField(7)])
+@pytest.mark.parametrize("f", [QQ, PrimeField(7), PadicRationals(3)])
 def test_check_monoidal_names_every_broken_square_in_order(f):
     # every single xi on Z/4 with a zero object and natural idempotents,
     # scaled by 2 in turn; the message lists must match the reference, and
@@ -469,18 +478,26 @@ def test_check_monoidal_names_every_broken_square_in_order(f):
 def test_check_monoidal_builds_no_map_per_triple(monkeypatch, idem, extra):
     # on Z/8, compose_kron runs only for the two unit squares per object and
     # once per tensor_mor entry: 16 (+ 64) calls, against 2*8^3 + 16 for a
-    # per-triple check
-    calls = []
-    real = fincat.compose_kron
+    # per-triple check; and the squares themselves multiply no field
+    # scalars: fewer than 8^3 Rationals.mul calls, against 2*8^3 plus the
+    # unit squares for a product of xi scalars per triple
+    lam = [QQ.from_int(a) for a in (2, -3, 5, 7, 1, -1, 4, 9)]
+    idem = None if idem is None else [QQ.from_int(a) for a in idem]
+    F = graded_functor(QQ, lam, idem=idem)
+    calls, muls = [], []
+    real, real_mul = fincat.compose_kron, Rationals.mul
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
+    def counting_mul(self, a, b):
+        muls.append(1)
+        return real_mul(self, a, b)
+
     monkeypatch.setattr(fincat, "compose_kron", counting)
-    lam = [QQ.from_int(a) for a in (2, -3, 5, 7, 1, -1, 4, 9)]
-    idem = None if idem is None else [QQ.from_int(a) for a in idem]
-    F = graded_functor(QQ, lam, idem=idem)
+    monkeypatch.setattr(Rationals, "mul", counting_mul)
     report = check_monoidal(F)
     assert report.ok == (idem is None)
     assert len(calls) == 2 * 8 + extra
+    assert len(muls) < 8 ** 3

@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -300,6 +301,14 @@ def test_field_modulus_beyond_primality_bound_exits_2_with_json():
     {"spaces": {"V": {"dim": 1, "weights": [0.7]}}},
     # a negative dimension
     {"spaces": {"V": {"dim": -1}}},
+    # functor monoidal data of the wrong JSON type
+    {"spaces": {"V": {"dim": 1}}, "categories": {"C": {"objects": ["a"], "monoidal": {
+        "unit": "a", "tensor": [["a", "a", "a"]]}}},
+     "functors": {"F": {"source": "C", "objects": {"a": "V"}, "xi": 5}}},
+    {"spaces": {"V": {"dim": 1}}, "categories": {"C": {"objects": ["a"], "monoidal": {
+        "unit": "a", "tensor": [["a", "a", "a"]], "duals": {"a": "a"}}}},
+     "functors": {"F": {"source": "C", "objects": {"a": "V"}, "xi": [], "xi_unit": [["1"]],
+                        "dual_maps": 5}}},
 ])
 def test_mistyped_spec_fields_exit_2_with_json(tmp_path, spec):
     path = tmp_path / "bad.json"
@@ -454,6 +463,43 @@ def test_comodules_over_another_coalgebra_are_refused(tmp_path, capsys, argv, pr
     assert json.loads(capsys.readouterr().out) == {"ok": False, "problems": [problem]}
 
 
+def z3_grading_with(edit):
+    """specs/z3_grading.json after edit(monoidal data of Z3, functor F)."""
+    spec = json.loads((SPECS / "z3_grading.json").read_text())
+    edit(spec["categories"]["Z3"]["monoidal"], spec["functors"]["F"])
+    return spec
+
+
+@pytest.mark.parametrize("command", ["validate", "hopf"])
+@pytest.mark.parametrize("dual", [{}, ["g1"]], ids=["object", "list"])
+def test_duals_that_are_not_names_exit_2_naming_the_category(tmp_path, command, dual):
+    path = tmp_path / "duals.json"
+    path.write_text(json.dumps(z3_grading_with(lambda mon, F: mon["duals"].update(g0=dual))))
+    code, out = run_cli([command, str(path), "--functor", "F"])
+    assert code == 2
+    assert json.loads(out) == {
+        "ok": False, "problems": ["category 'Z3': monoidal 'duals' must map names to names"]}
+
+
+def _retarget_tensor(mon, a, b, ab):
+    next(e for e in mon["tensor"] if e[:2] == [a, b])[2] = ab
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda mon, F: _retarget_tensor(mon, "g0", "g1", "1/0"),
+     "functor 'F' xi at (g0, g1): unknown object '1/0'"),
+    (lambda mon, F: mon["duals"].update(g1="nope"),
+     "functor 'F' dual map at 'g1': unknown object 'nope'"),
+    (lambda mon, F: mon.update(unit=["g0"]),
+     "functor 'F' xi_unit: unknown object ['g0']"),
+], ids=["xi-target", "dual-target", "unit"])
+def test_unknown_objects_in_functor_monoidal_data_are_named(tmp_path, capsys, edit, problem):
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(z3_grading_with(edit)))
+    assert main(["validate", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "problems": [problem]}
+
+
 # -- scale ceiling ---------------------------------------------------------------
 
 def zn_grading(n, p, seed):
@@ -508,6 +554,34 @@ def test_hopf_on_z32_grading_is_the_group_algebra(tmp_path, capsys):
 
     xi = spec["functors"]["F"]["xi"]
     xi[n + 1][2] = [[str(2 * int(xi[n + 1][2][0][0]) % p)]]  # xi at (g1, g1), doubled
+    path.write_text(json.dumps(spec))
+    assert main(["hopf", str(path), "--functor", "F"]) == 2
+    problems = json.loads(capsys.readouterr().out)["problems"]
+    assert any("xi associativity fails at" in q for q in problems)
+
+
+@pytest.mark.parametrize("desc", ["q", "fp:7"])
+def test_hopf_on_the_benchmark_z32_grading(tmp_path, capsys, monkeypatch, desc):
+    # the hopf_ladder spec at n = 32; over q its xi are non-integral
+    # fractions, and the induced Hopf algebra is K[Z/32] whatever they are
+    monkeypatch.syspath_prepend(str(SPECS.parent / "perfbench"))
+    import workloads
+
+    n = 32
+    spec = workloads.zn_grading_spec(desc, n, random.Random(1))
+    path = tmp_path / "z32.json"
+    path.write_text(json.dumps(spec))
+    assert main(["hopf", str(path), "--functor", "F"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["carrier_dim"] == n
+    assert data["multiplication"] == [
+        ["1" if k == (i + j) % n else "0" for i in range(n) for j in range(n)] for k in range(n)
+    ]
+    assert data["antipode"] == [["1" if k == -i % n else "0" for i in range(n)] for k in range(n)]
+    assert all_lists_empty(data["verification"])
+
+    xi = spec["functors"]["F"]["xi"]
+    xi[n + 1][2] = [[str(2 * Fraction(xi[n + 1][2][0][0]))]]  # xi at (g1, g1), doubled
     path.write_text(json.dumps(spec))
     assert main(["hopf", str(path), "--functor", "F"]) == 2
     problems = json.loads(capsys.readouterr().out)["problems"]
