@@ -68,7 +68,6 @@ from .fincat import (
     DiagramFunctor,
     FinCategory,
     Transformation,
-    check_dinatural,
     check_monoidal,
     check_natural,
     cowedge_problems,

@@ -29,7 +29,6 @@ from .coend import (
     comodule_on,
     epi_to_c_coend,
     factor_through_coend,
-    monoidal_diagram_of_functor,
     unit_control,
     verify_cowedge,
 )
@@ -178,7 +177,7 @@ def cmd_ccoend(spec, args):
 def cmd_bialgebra(spec, args):
     F = _require_functor(spec, args.functor)
     r = coend_of_functor(F)
-    b = bialgebra_from_monoidal(r, monoidal_diagram_of_functor(F))
+    b = bialgebra_from_monoidal(r, F.source.monoidal, F.monoidal)
     payload = _coend_payload(r)
     payload["multiplication"] = matrix_json(b.mult)
     payload["unit"] = matrix_json(b.unit)
@@ -190,7 +189,7 @@ def cmd_bialgebra(spec, args):
 def cmd_hopf(spec, args):
     F = _require_functor(spec, args.functor)
     r = coend_of_functor(F)
-    h = antipode_from_monoidal(r, monoidal_diagram_of_functor(F))
+    h = antipode_from_monoidal(r, F.source.monoidal, F.monoidal)
     payload = _coend_payload(r)
     payload["multiplication"] = matrix_json(h.mult)
     payload["unit"] = matrix_json(h.unit)

@@ -16,9 +16,12 @@ coalgebra; the algebra axioms over that coalgebra; the antipode) and keeps
 the problem list in ``CoendResult.checks``, so callers report it without
 re-running it.  The naturality of the universal family is checked once per
 coend, by the first ``comodule_on``, and kept there too.  The
-``*_from_monoidal`` constructors trust their ``MonoidalDiagram``;
-``bialgebra_on_coend`` and ``antipode_on_coend`` run ``validate_category`` and
-``check_monoidal`` first.
+``*_from_monoidal`` constructors read the multiplication, unit and antipode
+off the category's and the functor's monoidal tables, on blocks that are
+1-dim or 0-dim once every xi is invertible; they refuse a missing entry or a
+non-invertible xi or dual identification, and trust the rest (the cocycle,
+unit and naturality squares).  ``bialgebra_on_coend`` and
+``antipode_on_coend`` run ``validate_category`` and ``check_monoidal`` first.
 
 ``Diagram`` and the naturality and cowedge laws live in ``fincat``
 (``natural_problems``, ``cowedge_problems``); this module applies them.
@@ -48,19 +51,16 @@ from .exactlinalg import (
     cokernel,
     compose_kron,
     direct_sum_space,
-    dual,
-    dual_space,
     identity,
-    invert_map,
     kron_compose,
-    swap_map,
-    tensor,
     tensor_space,
 )
 from .fincat import (
+    CategoryMonoidalData,
     Diagram,
     DiagramFunctor,
     DiagramMorphism,
+    FunctorMonoidalData,
     Transformation,
     check_monoidal,
     cowedge_problems,
@@ -192,7 +192,7 @@ def _control_relation_columns(d: Diagram, offsets, ctrl: ControlData):
             raise MissingControlData(
                 f"control {ctrl.name!r}: xi at {x!r} has wrong shape"
             )
-        if xi.rank() != xi.cod.dim or xi.dom.dim != xi.cod.dim:
+        if not xi.is_invertible():
             raise MissingControlData(
                 f"control {ctrl.name!r}: xi at {x!r} is not an isomorphism"
             )
@@ -433,18 +433,6 @@ def epi_to_c_coend(r: CoendResult, r_c: CoendResult) -> LinearMap:
 # bialgebra and Hopf structure
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MonoidalDiagram:
-    """Monoidal data at the diagram level: object tensor table, structure
-    isomorphisms, and optionally duals with identifications F(X*) ~ F(X)^*."""
-
-    unit: str
-    tensor_obj: dict[tuple[str, str], str]
-    xi: dict[tuple[str, str], LinearMap]
-    xi_unit: LinearMap
-    duals: dict[str, str] | None = None
-    dual_maps: dict[str, LinearMap] | None = None
-
 
 def _require_monoidal(F: DiagramFunctor) -> None:
     # check_monoidal names missing monoidal data first, then trusts a valid source
@@ -457,57 +445,46 @@ def _require_monoidal(F: DiagramFunctor) -> None:
         )
 
 
-def monoidal_diagram_of_functor(F: DiagramFunctor) -> MonoidalDiagram:
-    """F's monoidal data at the diagram level, taken as given."""
-    if F.source.monoidal is None or F.monoidal is None:
-        _require_monoidal(F)  # check_monoidal stops at once, naming what is missing
-    return MonoidalDiagram(
-        unit=F.source.monoidal.unit,
-        tensor_obj=dict(F.source.monoidal.tensor_obj),
-        xi=dict(F.monoidal.xi),
-        xi_unit=F.monoidal.xi_unit,
-        duals=None if F.source.monoidal.duals is None else dict(F.source.monoidal.duals),
-        dual_maps=None if F.monoidal.dual_maps is None else dict(F.monoidal.dual_maps),
-    )
+def _require_tables(cat_mon: CategoryMonoidalData | None,
+                    fun_mon: FunctorMonoidalData | None) -> None:
+    """Refuse absent monoidal data with ``check_monoidal``'s words."""
+    for data, owner in ((cat_mon, "source category"), (fun_mon, "functor")):
+        if data is None:
+            raise WellDefinednessFailure(
+                f"functor is not monoidal: {owner} carries no monoidal data"
+            )
 
 
-def _pair_braid(x_dim: int, y_dim: int) -> "list[int]":
-    """Index permutation cohom(FX,FX) (x) cohom(FY,FY) ->
-    cohom(FX (x) FY, FX (x) FY): ((j,i),(l,k)) |-> ((j,l),(i,k)).
-    Returns target index per source index."""
-    out = []
-    for j in range(x_dim):
-        for i in range(x_dim):
-            for l in range(y_dim):
-                for k in range(y_dim):
-                    out.append((j * y_dim + l) * (x_dim * y_dim) + (i * y_dim + k))
-    return out
+def bialgebra_from_monoidal(r: CoendResult, cat_mon: CategoryMonoidalData | None,
+                            fun_mon: FunctorMonoidalData | None) -> Bialgebra:
+    """Multiplication and unit on the coend, read off the monoidal tables.
 
-
-def bialgebra_from_monoidal(r: CoendResult, mon: MonoidalDiagram) -> Bialgebra:
-    """Multiplication on the coend from the blockwise cohom tensor law
-    conjugated by the structure isomorphisms; unit from the monoidal unit."""
+    In general the product of the blocks at x and y is the blockwise cohom
+    tensor law conjugated by xi at (x, y).  Invertible xi force every
+    dim F(x) into {0, 1} (see ``check_monoidal``), so each xi between
+    nonzero spaces is a nonzero scalar, the conjugation multiplies
+    xi^-1 xi = 1, and the law reads e_x (x) e_y |-> e_(x (x) y) on the 1-dim
+    blocks; the unit is the unit block's injection.  Every xi and xi_unit is
+    checked to be an isomorphism of the right shape before the result is
+    returned, which is what makes the lemma apply."""
+    _require_tables(cat_mon, fun_mon)
     f = r.field
     d = r.diagram
-    n = r.nspace.dim
+    n, one = r.nspace.dim, f.one()
     mu = [{} for _ in range(n * n)]  # sparse columns
     for x in d.objects:
         for y in d.objects:
-            if (x, y) not in mon.tensor_obj:
+            xy = cat_mon.tensor_obj.get((x, y))
+            if xy is None:
                 raise WellDefinednessFailure(f"missing object tensor ({x}, {y})")
-            xy = mon.tensor_obj[(x, y)]
-            xi = mon.xi.get((x, y))
+            xi = fun_mon.xi.get((x, y))
             if xi is None:
                 raise WellDefinednessFailure(f"missing xi at ({x}, {y})")
-            fx, fy = d.spaces[x], d.spaces[y]
-            braid = _pair_braid(fx.dim, fy.dim)
-            conj = tensor(dual(invert_map(xi)), xi)
-            ex, ey = r.blocks[x].carrier.dim, r.blocks[y].carrier.dim
-            for u in range(ex):
-                for v in range(ey):
-                    src = (r.offsets[x] + u) * n + (r.offsets[y] + v)
-                    for i2, val in conj.cols[braid[u * ey + v]].items():
-                        _add_into(mu[src], r.offsets[xy] + i2, val, f)
+            fx, fy = d.spaces[x].dim, d.spaces[y].dim
+            if (xi.dom.dim, xi.cod.dim) != (fx * fy, d.spaces[xy].dim) or not xi.is_invertible():
+                raise WellDefinednessFailure(f"xi at ({x}, {y}) is not invertible")
+            if fx == fy == 1:
+                mu[r.offsets[x] * n + r.offsets[y]] = {r.offsets[xy]: one}
     mu_n = LinearMap.from_sparse(f, tensor_space(r.nspace, r.nspace), r.nspace, mu)
     try:
         m_q = _descend(r, r.pi @ mu_n, pair=True)
@@ -515,11 +492,13 @@ def bialgebra_from_monoidal(r: CoendResult, mon: MonoidalDiagram) -> Bialgebra:
         raise WellDefinednessFailure(
             "multiplication does not descend to the quotient"
         ) from None
-    if mon.unit not in d.objects:
+    if cat_mon.unit not in d.objects:
         raise WellDefinednessFailure("monoidal unit is not a diagram object")
-    xi_u = mon.xi_unit
-    u_q = compose_kron(r.injections[mon.unit], dual(invert_map(xi_u)), xi_u)
-    bialg = Bialgebra(r.carrier, r.coalgebra.delta, r.coalgebra.counit, m_q, u_q)
+    xi_u = fun_mon.xi_unit
+    if xi_u.dom.dim != 1 or xi_u.cod.dim != d.spaces[cat_mon.unit].dim or not xi_u.is_invertible():
+        raise WellDefinednessFailure("xi_unit is not an isomorphism K -> F(I)")
+    bialg = Bialgebra(r.carrier, r.coalgebra.delta, r.coalgebra.counit, m_q,
+                      r.injections[cat_mon.unit])
     _record_check(r, "bialgebra", bialg.algebra_problems())
     r.bialgebra = bialg
     return bialg
@@ -527,36 +506,37 @@ def bialgebra_from_monoidal(r: CoendResult, mon: MonoidalDiagram) -> Bialgebra:
 
 def bialgebra_on_coend(F: DiagramFunctor, r: CoendResult) -> Bialgebra:
     _require_monoidal(F)
-    return bialgebra_from_monoidal(r, monoidal_diagram_of_functor(F))
+    return bialgebra_from_monoidal(r, F.source.monoidal, F.monoidal)
 
 
-def antipode_from_monoidal(r: CoendResult, mon: MonoidalDiagram) -> HopfAlgebra:
-    """Antipode from declared duals: each block flips onto the block of the
-    dual object through the identification F(X*) ~ F(X)^*.  The bialgebra is
-    r.bialgebra, built from mon first if there is none."""
-    f = r.field
+def antipode_from_monoidal(r: CoendResult, cat_mon: CategoryMonoidalData | None,
+                           fun_mon: FunctorMonoidalData | None) -> HopfAlgebra:
+    """Antipode from the declared duals: e_x |-> e_(x*) on the 1-dim blocks.
+
+    In general the block at x flips onto the block at x* through the
+    identification F(x*) ~ F(x)^*, conjugated by it; on a 1-dim block that
+    is a nonzero scalar times its inverse.  Every identification is checked
+    to be an isomorphism before the result is returned.  The bialgebra is
+    r.bialgebra, built from the tables first if there is none."""
+    _require_tables(cat_mon, fun_mon)
     d = r.diagram
-    bialg = r.bialgebra or bialgebra_from_monoidal(r, mon)
-    if mon.duals is None or mon.dual_maps is None:
+    bialg = r.bialgebra or bialgebra_from_monoidal(r, cat_mon, fun_mon)
+    if cat_mon.duals is None or fun_mon.dual_maps is None:
         raise MissingDual("no dual objects or dual identifications declared")
     sigma = [{} for _ in range(r.nspace.dim)]  # sparse columns
     for x in d.objects:
-        if x not in mon.duals:
+        if x not in cat_mon.duals:
             raise MissingDual(f"object {x!r} has no declared dual")
-        xstar = mon.duals[x]
-        dmap = mon.dual_maps.get(x)
+        xstar = cat_mon.duals[x]
+        dmap = fun_mon.dual_maps.get(x)
         if dmap is None:
             raise MissingDual(f"object {x!r} has no identification F(X*) ~ F(X)^*")
-        fx = d.spaces[x]
-        fxs = d.spaces[xstar]
-        if dmap.dom.dim != fxs.dim or dmap.cod.dim != fx.dim or dmap.rank() != fx.dim:
+        fx = d.spaces[x].dim
+        if (dmap.dom.dim, dmap.cod.dim) != (d.spaces[xstar].dim, fx) or not dmap.is_invertible():
             raise MissingDual(f"dual identification at {x!r} is not an isomorphism")
-        flip = swap_map(dual_space(fx), fx, f)
-        block_map = kron_compose(dual(dmap), invert_map(dmap), flip)
-        for u, col in enumerate(block_map.cols):
-            for i2, val in col.items():
-                _add_into(sigma[r.offsets[x] + u], r.offsets[xstar] + i2, val, f)
-    sigma_n = LinearMap.from_sparse(f, r.nspace, r.nspace, sigma)
+        if fx == 1:
+            sigma[r.offsets[x]] = {r.offsets[xstar]: r.field.one()}
+    sigma_n = LinearMap.from_sparse(r.field, r.nspace, r.nspace, sigma)
     try:
         s_q = _descend(r, r.pi @ sigma_n)
     except NoSolution:
@@ -573,4 +553,4 @@ def antipode_from_monoidal(r: CoendResult, mon: MonoidalDiagram) -> HopfAlgebra:
 
 def antipode_on_coend(F: DiagramFunctor, r: CoendResult) -> HopfAlgebra:
     _require_monoidal(F)
-    return antipode_from_monoidal(r, monoidal_diagram_of_functor(F))
+    return antipode_from_monoidal(r, F.source.monoidal, F.monoidal)

@@ -492,6 +492,15 @@ class LinearMap:
     def rank(self) -> int:
         return echelon(self)[0]
 
+    def is_invertible(self) -> bool:
+        """Square and of full rank.  A map with at most one column is read
+        off its column (0x0 is invertible, 1x1 iff its entry is nonzero);
+        larger maps are row-reduced."""
+        n = self.dom.dim
+        if n != self.cod.dim:
+            return False
+        return all(self.cols) if n <= 1 else self.rank() == n
+
 
 def identity(space: Space, f) -> LinearMap:
     one = f.one()

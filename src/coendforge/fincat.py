@@ -361,11 +361,6 @@ def check_natural(t: Transformation, F: DiagramFunctor, G: DiagramFunctor) -> bo
     return True
 
 
-def check_dinatural(w: dict[str, LinearMap], F: DiagramFunctor, m_space: Space) -> bool:
-    """True iff the components w_X: cohom(F(X), F(X)) -> M form a cowedge."""
-    return not cowedge_problems(diagram_of_functor(F), w, m_space)
-
-
 def check_monoidal(F: DiagramFunctor) -> ValidationReport:
     """Validate the structure isomorphisms of a monoidal functor.
 
@@ -403,10 +398,10 @@ def check_monoidal(F: DiagramFunctor) -> ValidationReport:
                 continue
             if xi.dom.dim != F.space(a).dim * F.space(b).dim or xi.cod.dim != F.space(ab).dim:
                 problems.append(f"xi at ({a}, {b}) has wrong shape")
-            elif xi.rank() != xi.cod.dim or xi.dom.dim != xi.cod.dim:
+            elif not xi.is_invertible():
                 problems.append(f"xi at ({a}, {b}) is not invertible")
     xi_u = F.monoidal.xi_unit
-    if xi_u.dom.dim != 1 or xi_u.cod.dim != F.space(mon.unit).dim or xi_u.rank() != 1:
+    if xi_u.dom.dim != 1 or xi_u.cod.dim != F.space(mon.unit).dim or not xi_u.is_invertible():
         problems.append("xi_unit is not an isomorphism K -> F(I)")
     if problems:
         return ValidationReport(False, problems)

@@ -24,7 +24,6 @@ from .cohom import (
 )
 from .coend import (
     CoendResult,
-    MonoidalDiagram,
     bialgebra_from_monoidal,
     coend_of_diagram,
     comodule_on,
@@ -43,7 +42,14 @@ from .exactlinalg import (
     solve_through_injection,
     tensor,
 )
-from .fincat import Diagram, DiagramMorphism, Transformation, natural_problems
+from .fincat import (
+    CategoryMonoidalData,
+    Diagram,
+    DiagramMorphism,
+    FunctorMonoidalData,
+    Transformation,
+    natural_problems,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -209,19 +215,19 @@ def reconstruct_coalgebra(c: Coalgebra, seeds: dict[str, Comodule]) -> Reconstru
     return ReconstructionResult(cat, r, h, generated, injective, iso, problems)
 
 
-def reconstruct_bialgebra(b: Bialgebra, seeds: dict[str, Comodule],
-                          monoidal: MonoidalDiagram) -> tuple[ReconstructionResult, Bialgebra]:
-    """Reconstruction with monoidal seeds: the tensor table names seeds and
-    xi[(a, b)]: F(a) (x) F(b) -> F(a (x) b) must be comodule isomorphisms.
-    Additionally induces the multiplication on the coend and verifies that h
-    transports it to the multiplication of b."""
-    for (x, y), name in monoidal.tensor_obj.items():
-        xi = monoidal.xi[(x, y)]
+def reconstruct_bialgebra(b: Bialgebra, seeds: dict[str, Comodule], cat_mon: CategoryMonoidalData,
+                          fun_mon: FunctorMonoidalData) -> tuple[ReconstructionResult, Bialgebra]:
+    """Reconstruction with monoidal seeds: the category's tensor table names
+    seeds, and the functor's xi[(a, b)]: F(a) (x) F(b) -> F(a (x) b) must be
+    comodule isomorphisms.  Additionally induces the multiplication on the
+    coend and verifies that h transports it to the multiplication of b."""
+    for (x, y), name in cat_mon.tensor_obj.items():
+        xi = fun_mon.xi[(x, y)]
         t = tensor_comodule(seeds[x], seeds[y], b)
         if not intertwines(xi, t.rho, seeds[name].rho, b.carrier):
             raise ValueError(f"xi at ({x}, {y}) is not a comodule morphism")
     res = reconstruct_coalgebra(Coalgebra(b.carrier, b.delta, b.counit), seeds)
-    bialg_q = bialgebra_from_monoidal(res.coend, monoidal)
+    bialg_q = bialgebra_from_monoidal(res.coend, cat_mon, fun_mon)
     if res.iso:
         h = res.h
         if h @ bialg_q.mult != compose_kron(b.mult, h, h):
@@ -357,7 +363,7 @@ def _lift_through_equalizer(com: Comodule, q: Coalgebra) -> str:
         psi = solve_through_injection(com.rho, incl)
     except NoSolution:
         return "failed: coaction does not land in the equalizer"
-    if psi.rank() != m_space.dim:
+    if not psi.is_invertible():
         return "failed: coaction is not an isomorphism onto the equalizer"
     # comodule structure on the equalizer: restrict id (x) delta
     try:

@@ -330,10 +330,12 @@ def load_spec(source, field_override: str | None = None) -> SpecData:
                           tensor_space(s, c.carrier), f"comodule {name!r} rho")
         spec.comodules[name] = Comodule(s, c, rho)
     for name, data in _section(raw, "controls").items():
-        space_name = _expect(data, dict, f"control {name!r}").get("space")
+        what = f"control {name!r}"
+        space_name = _expect(data, dict, what).get("space")
         spec.controls[name] = ControlSpec(
-            name, _named(spec.spaces, space_name, f"control {name!r}: unknown space"),
-            dict(data.get("action", {})), dict(data.get("xi", {})),
+            name, _named(spec.spaces, space_name, f"{what}: unknown space"),
+            dict(_expect(data.get("action", {}), dict, f"{what}: 'action'")),
+            dict(_expect(data.get("xi", {}), dict, f"{what}: 'xi'")),
         )
     for name, data in _section(raw, "transformations").items():
         what = f"transformation {name!r}"
@@ -342,7 +344,8 @@ def load_spec(source, field_override: str | None = None) -> SpecData:
         _named(spec.functors, functor, f"{what}: unknown functor")
         _named(spec.spaces, target, f"{what}: unknown target space")
         spec.transformations[name] = TransformationSpec(
-            name, functor, target, dict(data.get("components", {}))
+            name, functor, target,
+            dict(_expect(data.get("components", {}), dict, f"{what}: 'components'")),
         )
     return spec
 

@@ -231,6 +231,16 @@ def test_rank_nullity_and_cokernel_contract(n, m, rnd):
     assert pi.cod.dim == m - rank
 
 
+@given(st.integers(0, 4), st.integers(0, 4), st.sampled_from([QQ, F5, Q2]),
+       st.randoms(use_true_random=False))
+def test_is_invertible_is_square_and_full_rank(n, m, f, rnd):
+    # small entries so that singular maps are drawn often; at most one
+    # column is read off that column, more are row-reduced
+    rows = tuple(tuple(f.from_int(rnd.randint(-1, 1)) for _ in range(n)) for _ in range(m))
+    mp = LinearMap(f, Space.std(n), Space.std(m), rows)
+    assert mp.is_invertible() == (n == m and echelon(mp)[0] == n)
+
+
 # -- tensor / dual -----------------------------------------------------------
 
 def test_tensor_of_identities():

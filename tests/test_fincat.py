@@ -23,9 +23,9 @@ from coendforge.fincat import (
     FunctorMonoidalData,
     Transformation,
     ValidationReport,
-    check_dinatural,
     check_monoidal,
     check_natural,
+    cowedge_problems,
     diagram_of_functor,
     natural_problems,
     tensor_functor,
@@ -247,7 +247,7 @@ def test_zero_cowedge_is_dinatural():
     for x in F.source.objects:
         car = cohom(F.space(x), F.space(x), QQ).carrier
         w[x] = qmap([[0] * car.dim], car, M)
-    assert check_dinatural(w, F, M)
+    assert cowedge_problems(diagram_of_functor(F), w, M) == []
 
 
 def test_dinaturality_against_hexagon_oracle(rng):
@@ -267,7 +267,7 @@ def test_dinaturality_against_hexagon_oracle(rng):
         ff = F.map("f")
         lhs = w["a"] @ cohom_on_maps(identity(F.space("a"), QQ), ff)
         rhs = w["b"] @ cohom_on_maps(ff, identity(F.space("b"), QQ))
-        assert check_dinatural(w, F, M) == (lhs == rhs)
+        assert (cowedge_problems(diagram_of_functor(F), w, M) == []) == (lhs == rhs)
 
 
 def test_strict_monoidal_functor_valid():
@@ -296,6 +296,18 @@ def test_scaled_xi_in_tensor_chain_reported():
     report = check_monoidal(F)
     assert not report.ok
     assert any("associativity" in p for p in report.problems)
+
+
+def test_xi_unit_into_a_plane_is_not_an_isomorphism():
+    # F(I) = K^2: xi at (I, I) cannot be invertible, and xi_unit: K -> K^2,
+    # injective but not square, is reported as well
+    cat = FinCategory(["u"], [], monoidal=CategoryMonoidalData("u", {("u", "u"): "u"}))
+    xi = LinearMap(QQ, Space.std(4), K2, ((1, 0, 0, 0), (0, 0, 0, 1)))
+    F = DiagramFunctor(cat, QQ, {"u": K2}, {},
+                       monoidal=FunctorMonoidalData(xi={("u", "u"): xi},
+                                                    xi_unit=qmap([[1], [0]], K, K2)))
+    assert check_monoidal(F).problems == [
+        "xi at (u, u) is not invertible", "xi_unit is not an isomorphism K -> F(I)"]
 
 
 def test_z2_grading_category_exhaustive():

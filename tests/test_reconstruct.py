@@ -1,6 +1,8 @@
 import sys
 from fractions import Fraction
 
+import pytest
+
 from coendforge import exactlinalg
 from coendforge.cohom import (
     Coalgebra,
@@ -21,8 +23,9 @@ from coendforge.exactlinalg import (
     tensor,
     tensor_space,
 )
+from coendforge.coend import WellDefinednessFailure
+from coendforge.fincat import CategoryMonoidalData, FunctorMonoidalData
 from coendforge.reconstruct import (
-    MonoidalDiagram,
     comodule_category_of,
     comodule_hom_basis,
     diagram_of_comodule_category,
@@ -187,22 +190,33 @@ def test_reconstruct_from_redundant_graded_seeds():
     assert res.coend.carrier.dim == 2
 
 
-def test_reconstruct_bialgebra_kz2():
+def kz2_monoidal_seeds():
     h = group_hopf_algebra(QQ, ["g0", "g1"], lambda i, j: (i + j) % 2,
                            lambda i: (-i) % 2)
     seeds = {"k0": graded_line(h, 0), "k1": graded_line(h, 1, "w")}
+    cat_mon = CategoryMonoidalData(
+        "k0", {("k0", "k0"): "k0", ("k0", "k1"): "k1",
+               ("k1", "k0"): "k1", ("k1", "k1"): "k0"})
     one = qmap([[1]], K, K)
-    monoidal = MonoidalDiagram(
-        unit="k0",
-        tensor_obj={("k0", "k0"): "k0", ("k0", "k1"): "k1",
-                    ("k1", "k0"): "k1", ("k1", "k1"): "k0"},
-        xi={p: one for p in [("k0", "k0"), ("k0", "k1"), ("k1", "k0"), ("k1", "k1")]},
-        xi_unit=one,
-    )
-    res, bialg = reconstruct_bialgebra(h, seeds, monoidal)
+    fun_mon = FunctorMonoidalData(xi={p: one for p in cat_mon.tensor_obj}, xi_unit=one)
+    return h, seeds, cat_mon, fun_mon
+
+
+def test_reconstruct_bialgebra_kz2():
+    h, seeds, cat_mon, fun_mon = kz2_monoidal_seeds()
+    res, bialg = reconstruct_bialgebra(h, seeds, cat_mon, fun_mon)
     assert res.iso
     assert bialg.check() == []
     assert res.h @ bialg.mult == h.mult @ tensor(res.h, res.h)
+
+
+def test_reconstruct_bialgebra_refuses_a_zero_xi():
+    # a zero xi intertwines trivially, so only the constructor's own
+    # invertibility test can refuse it; it names the pair
+    h, seeds, cat_mon, fun_mon = kz2_monoidal_seeds()
+    fun_mon.xi[("k0", "k1")] = qmap([[0]], K, K)
+    with pytest.raises(WellDefinednessFailure, match=r"xi at \(k0, k1\) is not invertible"):
+        reconstruct_bialgebra(h, seeds, cat_mon, fun_mon)
 
 
 # -- recognition ---------------------------------------------------------------

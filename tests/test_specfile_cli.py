@@ -309,6 +309,12 @@ def test_field_modulus_beyond_primality_bound_exits_2_with_json():
         "unit": "a", "tensor": [["a", "a", "a"]], "duals": {"a": "a"}}}},
      "functors": {"F": {"source": "C", "objects": {"a": "V"}, "xi": [], "xi_unit": [["1"]],
                         "dual_maps": 5}}},
+    # control and transformation tables that are not JSON objects
+    {"spaces": {"V": {"dim": 1}}, "controls": {"c": {"space": "V", "action": 5}}},
+    {"spaces": {"V": {"dim": 1}}, "controls": {"c": {"space": "V", "xi": [1]}}},
+    {"spaces": {"V": {"dim": 1}}, "categories": {"C": {"objects": ["a"]}},
+     "functors": {"F": {"source": "C", "objects": {"a": "V"}}},
+     "transformations": {"t": {"functor": "F", "target": "V", "components": 5}}},
 ])
 def test_mistyped_spec_fields_exit_2_with_json(tmp_path, spec):
     path = tmp_path / "bad.json"
@@ -498,6 +504,35 @@ def test_unknown_objects_in_functor_monoidal_data_are_named(tmp_path, capsys, ed
     path.write_text(json.dumps(z3_grading_with(edit)))
     assert main(["validate", str(path)]) == 2
     assert json.loads(capsys.readouterr().out) == {"ok": False, "problems": [problem]}
+
+
+def zero_object_dual_spec(dual_map_z):
+    """g0 (the unit, F(g0) = K) and an absorbing z with F(z) = 0, z* = g0,
+    and dual_map_z as the identification F(z*) ~ F(z)^*."""
+    objs = ["g0", "z"]
+    return {
+        "spaces": {"K1": {"dim": 1}, "Z0": {"dim": 0}},
+        "categories": {"C": {"objects": objs, "monoidal": {
+            "unit": "g0",
+            "tensor": [[a, b, "z" if "z" in (a, b) else "g0"] for a in objs for b in objs],
+            "duals": {"g0": "g0", "z": "g0"}}}},
+        "functors": {"F": {
+            "source": "C", "objects": {"g0": "K1", "z": "Z0"},
+            "xi": [[a, b, [["1"]] if a == b == "g0" else []] for a in objs for b in objs],
+            "xi_unit": [["1"]],
+            "dual_maps": {"g0": [["1"]], "z": dual_map_z}}},
+    }
+
+
+def test_non_square_dual_identification_exits_2(tmp_path):
+    # F(z*) = K -> F(z)^* = 0 has full rank 0 = dim F(z) but is no isomorphism
+    path = tmp_path / "zero_dual.json"
+    path.write_text(json.dumps(zero_object_dual_spec([])))
+    assert run_cli(["validate", str(path)])[0] == 0
+    code, out = run_cli(["hopf", str(path), "--functor", "F"])
+    assert code == 2
+    assert json.loads(out) == {
+        "ok": False, "problems": ["dual identification at 'z' is not an isomorphism"]}
 
 
 # -- scale ceiling ---------------------------------------------------------------
