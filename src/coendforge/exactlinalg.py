@@ -11,8 +11,8 @@ row-major `entries` are a view built on demand for the JSON boundary.
 Composition, Kronecker products and echelon forms touch only nonzero
 entries, and Kronecker products are applied lazily: `kron_compose(a, b, m)`
 equals `tensor(a, b) @ m` and `compose_kron(m, a, b)` equals
-`m @ tensor(a, b)`, both computed column by column without ever building
-a (x) b.
+`m @ tensor(a, b)`, both computed one leg at a time without ever building
+a (x) b, and skipping a leg that is the identity map.
 
 Conventions fixed once and shared by every other module:
   * matrices are stored row-major; column j is the image of the j-th domain
@@ -562,27 +562,29 @@ def _apply(cols, vec: dict, f) -> dict:
     return out
 
 
-def _apply2(cols1, n2, cols2, m2, vec: dict, f) -> dict:
-    """Apply (m1 (x) m2) to a sparse vector over dom1 (x) dom2; n2/m2 are the
-    domain/codomain dimensions of the second factor."""
+def _apply_leg(cols, n, m, inner, vecs, f) -> list:
+    """Apply id (x) c (x) id_inner to each sparse vector of vecs, c: K^n -> K^m
+    with sparse columns cols: entry (o * n + j) * inner + t goes to
+    (o * m + r) * inner + t for each entry r of column j."""
     add, mul, is_zero = f.add, f.mul, f.is_zero
-    out: dict = {}
-    for k, c in vec.items():
-        j1, j2 = divmod(k, n2)
-        col2 = cols2[j2]
-        for r1, a1 in cols1[j1].items():
-            ca1 = mul(c, a1)
-            base = r1 * m2
-            for r2, a2 in col2.items():
-                idx = base + r2
-                v = mul(ca1, a2)
+    outs = []
+    for vec in vecs:
+        out: dict = {}
+        for k, x in vec.items():
+            q, t = divmod(k, inner)
+            o, j = divmod(q, n)
+            base = o * m
+            for r, a in cols[j].items():
+                idx = (base + r) * inner + t
+                v = mul(x, a)
                 if idx in out:
                     v = add(out[idx], v)
                     if is_zero(v):
                         del out[idx]
                         continue
                 out[idx] = v
-    return out
+        outs.append(out)
+    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -594,15 +596,17 @@ def _rref(f, rows):
     value).  Returns (the nonzero reduced rows, their pivot columns), in
     pivot order.  Gauss-Jordan by increasing column; each pivot is the first
     row, in the current row order, that is nonzero in its column.  Only
-    nonzero entries are touched: `holders` indexes the rows by column."""
-    rows = [dict(r) for r in rows]
-    holders: dict = {}
-    for i, row in enumerate(rows):
-        for c in row:
-            holders.setdefault(c, set()).add(i)
+    nonzero entries are touched: `holders` indexes the rows by column, an
+    eliminated row `pop`s its pivot entry, and empty rows keep their places
+    in the row order but are never copied."""
     order = list(range(len(rows)))  # row at each position
     pos = list(range(len(rows)))  # position of each row
-    zero = f.zero()
+    rows = {i: dict(r) for i, r in enumerate(rows) if r}
+    holders: dict = {}
+    for i, row in rows.items():
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+    sub, mul, is_zero, zero = f.sub, f.mul, f.is_zero, f.zero()
     pivots = []
     for c in sorted(holders):
         r = len(pivots)
@@ -616,15 +620,16 @@ def _rref(f, rows):
         prow = rows[sel]
         inv = f.invert(prow[c])
         for k in prow:
-            prow[k] = f.mul(inv, prow[k])
-        for i in list(holders[c]):
+            prow[k] = mul(inv, prow[k])
+        rest = [(k, b) for k, b in prow.items() if k != c]
+        for i in holders[c]:
             if i == sel:
                 continue
             row = rows[i]
-            coef = row[c]
-            for k, b in prow.items():
-                v = f.sub(row.get(k, zero), f.mul(coef, b))
-                if f.is_zero(v):
+            coef = row.pop(c)
+            for k, b in rest:
+                v = sub(row.get(k, zero), mul(coef, b))
+                if is_zero(v):
                     if k in row:
                         del row[k]
                         holders[k].discard(i)
@@ -705,9 +710,9 @@ def tensor(a: LinearMap, b: LinearMap) -> LinearMap:
 
 
 # ---------------------------------------------------------------------------
-# lazy Kronecker products: (a (x) b) o m pushes one sparse column at a time
-# through both factors, so the dense a (x) b (millions of cells at
-# dimension ~36+) is never built
+# lazy Kronecker products: (a (x) b) o m pushes the sparse columns of m through
+# one factor and then the other, skipping an identity factor, so the dense
+# a (x) b (millions of cells at dimension ~36+) is never built
 # ---------------------------------------------------------------------------
 
 def _check_kron(a: LinearMap, b: LinearMap, m: LinearMap, dom_dim: int, cod_dim: int):
@@ -717,32 +722,43 @@ def _check_kron(a: LinearMap, b: LinearMap, m: LinearMap, dom_dim: int, cod_dim:
     if m.field != a.field:
         raise ScalarError("composing maps over different fields")
     if dom_dim != cod_dim:
-        raise ValueError(
-            f"composition mismatch: dom dim {dom_dim} vs cod dim {cod_dim}"
-        )
+        raise ValueError(f"composition mismatch: dom dim {dom_dim} vs cod dim {cod_dim}")
+
+
+def _is_identity(m: LinearMap) -> bool:
+    """Square, with each column exactly {j: one}."""
+    one = m.field.one()
+    return m.dom.dim == m.cod.dim and all(
+        len(col) == 1 and col.get(j) == one for j, col in enumerate(m.cols))
+
+
+def _kron_legs(a: LinearMap, b: LinearMap, vecs, transpose: bool):
+    """(id (x) b) o (a (x) id), or its transpose, on the sparse vectors vecs,
+    skipping an identity leg; a goes first, as in a one-pass product."""
+    for c, inner in ((a, b.cod.dim if transpose else b.dom.dim), (b, 1)):
+        if not _is_identity(c):
+            n, m = (c.cod.dim, c.dom.dim) if transpose else (c.dom.dim, c.cod.dim)
+            cols = _transpose(c.cols, c.cod.dim) if transpose else c.cols
+            vecs = _apply_leg(cols, n, m, inner, vecs, a.field)
+    return vecs
 
 
 def kron_compose(a: LinearMap, b: LinearMap, m: LinearMap) -> LinearMap:
-    """tensor(a, b) @ m, computed without building a (x) b: each sparse
-    column of m is pushed through both factors at once, which is the
-    identity (A (x) B) vec(X) = vec(B X A^T) read column by column."""
+    """tensor(a, b) @ m without building a (x) b: each sparse column of m
+    goes through (a (x) id), then (id (x) b), skipping an identity leg; this
+    is the identity (A (x) B) vec(X) = vec(B X A^T) read one leg at a time."""
     _check_kron(a, b, m, a.dom.dim * b.dom.dim, m.cod.dim)
-    f = a.field
-    acols, bcols, n2, m2 = a.cols, b.cols, b.dom.dim, b.cod.dim
-    cols = [_apply2(acols, n2, bcols, m2, col, f) for col in m.cols]
-    return LinearMap.from_sparse(f, m.dom, tensor_space(a.cod, b.cod), cols)
+    cols = _kron_legs(a, b, m.cols, False)
+    return LinearMap.from_sparse(a.field, m.dom, tensor_space(a.cod, b.cod), cols)
 
 
 def compose_kron(m: LinearMap, a: LinearMap, b: LinearMap) -> LinearMap:
-    """m @ tensor(a, b), by the same kernel transposed: row i of the result
-    is (a^T (x) b^T) applied to row i of m."""
+    """m @ tensor(a, b) by the same passes transposed: row i of the result
+    is (a^T (x) b^T) applied to row i of m, leg by leg."""
     _check_kron(a, b, m, m.dom.dim, a.cod.dim * b.cod.dim)
-    f = a.field
     dom = tensor_space(a.dom, b.dom)
-    arows, brows = _transpose(a.cols, a.cod.dim), _transpose(b.cols, b.cod.dim)
-    n2, m2 = b.cod.dim, b.dom.dim
-    rows = [_apply2(arows, n2, brows, m2, row, f) for row in _transpose(m.cols, m.cod.dim)]
-    return LinearMap.from_sparse(f, dom, m.cod, _transpose(rows, dom.dim))
+    rows = _kron_legs(a, b, _transpose(m.cols, m.cod.dim), True)
+    return LinearMap.from_sparse(a.field, dom, m.cod, _transpose(rows, dom.dim))
 
 
 def dual(m: LinearMap) -> LinearMap:

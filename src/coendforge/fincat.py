@@ -364,7 +364,8 @@ def check_natural(t: Transformation, F: DiagramFunctor, G: DiagramFunctor) -> bo
 def check_monoidal(F: DiagramFunctor) -> ValidationReport:
     """Validate the structure isomorphisms of a monoidal functor.
 
-    Checks invertibility of every xi, the associativity square
+    Checks invertibility of every xi and dual identification F(x*) -> F(x)^*,
+    the associativity square
     xi_{X(x)Y,Z} o (xi_{X,Y} (x) id) = xi_{X,Y(x)Z} o (id (x) xi_{Y,Z}),
     the unit squares against xi_unit, and naturality of xi on every pair
     in the morphism tensor table.  The source category is trusted: callers
@@ -403,6 +404,11 @@ def check_monoidal(F: DiagramFunctor) -> ValidationReport:
     xi_u = F.monoidal.xi_unit
     if xi_u.dom.dim != 1 or xi_u.cod.dim != F.space(mon.unit).dim or not xi_u.is_invertible():
         problems.append("xi_unit is not an isomorphism K -> F(I)")
+    duals = mon.duals or {}
+    for x, dmap in (F.monoidal.dual_maps or {}).items():
+        if x in duals and ((dmap.dom.dim, dmap.cod.dim) != (F.space(duals[x]).dim, F.space(x).dim)
+                           or not dmap.is_invertible()):
+            problems.append(f"dual identification at {x!r} is not an isomorphism")
     if problems:
         return ValidationReport(False, problems)
     # each xi as n/d from its one entry; no pair where F(a) (x) F(b) is 0-dim

@@ -24,6 +24,7 @@ from .cohom import (
 )
 from .coend import (
     CoendResult,
+    WellDefinednessFailure,
     bialgebra_from_monoidal,
     coend_of_diagram,
     comodule_on,
@@ -222,7 +223,9 @@ def reconstruct_bialgebra(b: Bialgebra, seeds: dict[str, Comodule], cat_mon: Cat
     comodule isomorphisms.  Additionally induces the multiplication on the
     coend and verifies that h transports it to the multiplication of b."""
     for (x, y), name in cat_mon.tensor_obj.items():
-        xi = fun_mon.xi[(x, y)]
+        xi = fun_mon.xi.get((x, y))
+        if xi is None:
+            raise WellDefinednessFailure(f"missing xi at ({x}, {y})")
         t = tensor_comodule(seeds[x], seeds[y], b)
         if not intertwines(xi, t.rho, seeds[name].rho, b.carrier):
             raise ValueError(f"xi at ({x}, {y}) is not a comodule morphism")

@@ -30,7 +30,6 @@ from coendforge.exactlinalg import (
     Space,
     _add_into,
     _apply,
-    _apply2,
     tensor_space,
 )
 
@@ -40,6 +39,29 @@ FIELDS = [QQ, PrimeField(7)]
 # ---------------------------------------------------------------------------
 # reference checks: the basis-by-basis loops the map identities replaced
 # ---------------------------------------------------------------------------
+
+def _apply2(cols1, n2, cols2, m2, vec: dict, f) -> dict:
+    """Apply (m1 (x) m2) to a sparse vector over dom1 (x) dom2; n2/m2 are the
+    domain/codomain dimensions of the second factor."""
+    add, mul, is_zero = f.add, f.mul, f.is_zero
+    out: dict = {}
+    for k, c in vec.items():
+        j1, j2 = divmod(k, n2)
+        col2 = cols2[j2]
+        for r1, a1 in cols1[j1].items():
+            ca1 = mul(c, a1)
+            base = r1 * m2
+            for r2, a2 in col2.items():
+                idx = base + r2
+                v = mul(ca1, a2)
+                if idx in out:
+                    v = add(out[idx], v)
+                    if is_zero(v):
+                        del out[idx]
+                        continue
+                out[idx] = v
+    return out
+
 
 def _id_cols(n, f):
     return [{i: f.one()} for i in range(n)]

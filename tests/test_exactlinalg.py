@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coendforge.cohom import coend_object
 from coendforge.exactlinalg import (
     QQ,
     LinearMap,
     NoSolution,
     PadicRationals,
     PrimeField,
+    Rationals,
     ScalarError,
     Space,
     _is_prime,
@@ -300,8 +302,9 @@ KRON_FIELDS = [QQ, PrimeField(7), PadicRationals(2)]
 @st.composite
 def kron_operands(draw):
     """Two factors a, b over one of Q, F_7, padic:2 (zero dimensions
-    included), a mostly sparse m with tensor(a, b) @ m defined, and an m2
-    with m2 @ tensor(a, b) defined."""
+    included), each a random map, an identity or twice an identity, a
+    mostly sparse m with tensor(a, b) @ m defined, and an m2 with
+    m2 @ tensor(a, b) defined."""
     f = draw(st.sampled_from(KRON_FIELDS))
     dims = st.integers(0, 3)
     scalar = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))
@@ -311,9 +314,18 @@ def kron_operands(draw):
                                 min_size=rows, max_size=rows))
         return LinearMap(f, dom, cod, tuple(tuple(f.from_int(a) for a in r) for r in entries))
 
-    ad, ac, bd, bc, k, k2 = (draw(dims) for _ in range(6))
-    a = mat(ac, ad, Space.std(ad, "x"), Space.std(ac, "y"))
-    b = mat(bc, bd, Space.std(bd, "u"), Space.std(bc, "v"))
+    def leg(x, y):
+        # twice an identity is square with one entry per column, and must
+        # not be skipped as an identity leg
+        kind, n = draw(st.sampled_from(["map", "identity", "twice"])), draw(dims)
+        if kind == "map":
+            c = draw(dims)
+            return mat(c, n, Space.std(n, x), Space.std(c, y))
+        ident = identity(Space.std(n, x), f)
+        return ident if kind == "identity" else ident.scale(f.from_int(2))
+
+    a, b = leg("x", "y"), leg("u", "v")
+    k, k2 = draw(dims), draw(dims)
     ab = tensor(a, b)
     m = mat(ab.dom.dim, k, Space.std(k, "z"), ab.dom)
     m2 = mat(k2, ab.cod.dim, ab.cod, Space.std(k2, "w"))
@@ -333,6 +345,25 @@ def test_kron_compose_matches_dense_tensor(ops):
     assert (lazy_r.dom, lazy_r.cod) == (dense_r.dom, dense_r.cod)
     assert (lazy_r.dom.dim, lazy_r.cod.dim) == (dense_r.dom.dim, dense_r.cod.dim)
     assert lazy_r.entries == dense_r.entries
+
+
+def test_identity_legs_cost_no_multiplication(monkeypatch):
+    # comatrix(4): each of the 16 columns of delta has 4 entries, each of
+    # which the d leg of kron_compose(d, id, d) sends to 4 entries: 256
+    # products, and none through the identity leg (512 with them).  The
+    # check is the two sides of coassociativity (256 each) and the two
+    # counit laws (16 each: one entry per column meets a nonzero counit
+    # column); multiplying through the identity legs makes it 944
+    c = coend_object(Space.std(4), QQ).coalgebra
+    d, idc = c.delta, identity(c.carrier, QQ)
+    calls = []
+    real = Rationals.mul
+    monkeypatch.setattr(Rationals, "mul", lambda self, a, b: calls.append(1) or real(self, a, b))
+    kron_compose(d, idc, d)
+    assert len(calls) == 256
+    calls.clear()
+    assert c.check() == []
+    assert len(calls) == 544
 
 
 def test_kron_compose_raises_like_dense():

@@ -324,6 +324,16 @@ def test_validators_idempotent_and_pure():
     assert first == second == ([], [])
 
 
+def test_dual_identification_that_is_no_isomorphism_is_reported():
+    # zero at g1, and a map from K^2 where F(g1) = K at g2
+    F = z3_functor()
+    F.monoidal.dual_maps = dict(F.monoidal.dual_maps, g1=qmap([[0]], K, K),
+                                g2=qmap([[1, 1]], K2, K))
+    assert check_monoidal(F).problems == [
+        "dual identification at 'g1' is not an isomorphism",
+        "dual identification at 'g2' is not an isomorphism"]
+
+
 # -- check_monoidal against the per-triple reference --------------------------
 
 def reference_check_monoidal(F: DiagramFunctor) -> ValidationReport:

@@ -219,6 +219,13 @@ def test_reconstruct_bialgebra_refuses_a_zero_xi():
         reconstruct_bialgebra(h, seeds, cat_mon, fun_mon)
 
 
+def test_reconstruct_bialgebra_refuses_a_missing_xi():
+    h, seeds, cat_mon, fun_mon = kz2_monoidal_seeds()
+    del fun_mon.xi[("k0", "k1")]
+    with pytest.raises(WellDefinednessFailure, match=r"^missing xi at \(k0, k1\)$"):
+        reconstruct_bialgebra(h, seeds, cat_mon, fun_mon)
+
+
 # -- recognition ---------------------------------------------------------------
 
 def test_recognition_on_comodule_category_diagram():

@@ -16,6 +16,7 @@ from coendforge.exactlinalg import (
     LinearMap,
     PadicRationals,
     PrimeField,
+    Rationals,
     Space,
     _rref,
     cokernel,
@@ -66,7 +67,8 @@ def dense_rref(f, rows):
 @st.composite
 def dense_matrices(draw, max_dim=5, field=None):
     """A field, a row count, a column count (zero included) and canonical
-    entries, mostly zero, with whole rows and columns zeroed at random."""
+    entries, mostly zero, with whole rows and columns zeroed at random and
+    then some rows replaced by single entries in one common column."""
     f = field or draw(st.sampled_from(FIELDS))
     nrows, ncols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
     scalar = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
@@ -77,6 +79,12 @@ def dense_matrices(draw, max_dim=5, field=None):
     for j in draw(st.sets(st.integers(0, max(ncols - 1, 0)))) if ncols else ():
         for row in rows:
             row[j] = f.zero()
+    if ncols:
+        # rows with a single entry, all in one column, as in hom systems
+        j = draw(st.integers(0, ncols - 1))
+        for i in draw(st.sets(st.integers(0, max(nrows - 1, 0)))) if nrows else ():
+            rows[i] = [f.zero()] * ncols
+            rows[i][j] = f.parse(str(draw(st.sampled_from([1, 1, -2, 3]))))
     return f, nrows, ncols, rows
 
 
@@ -104,6 +112,27 @@ def test_sparse_rref_matches_dense_reference(case):
     assert got_pivots == ref_pivots
     assert [[r.get(j, f.zero()) for j in range(ncols)] for r in got_rows] == ref_rows
     assert all(not f.is_zero(a) for r in got_rows for a in r.values())
+
+
+def test_rref_does_no_arithmetic_on_the_pivot_column(monkeypatch):
+    # the eliminated rows lose their pivot-column entry without a product;
+    # only the two pivot rows are scaled (5 products when the elimination
+    # multiplies through the pivot column)
+    calls = []
+    real = Rationals.mul
+    monkeypatch.setattr(Rationals, "mul", lambda self, a, b: calls.append(1) or real(self, a, b))
+    assert _rref(QQ, [{0: 2}, {0: 3}, {0: 5}, {0: 7, 1: 1}, {}]) == ([{0: 1}, {1: 1}], [0, 1])
+    assert len(calls) == 2
+
+
+def test_rref_keeps_the_key_order_of_the_pivot_rows():
+    # the empty row keeps its place: the pivot of column 0 swaps with it, so
+    # {1: 1, 2: 1} stays ahead of {2: 1, 1: 1} and pivots column 1 with its
+    # keys in their order (dropping the empty row's place would move it
+    # behind, and the reduced row would read {2: 1, 1: 1})
+    rows, pivots = _rref(QQ, [{}, {1: 1, 2: 1}, {2: 1, 1: 1}, {0: 1}])
+    assert (rows, pivots) == ([{0: 1}, {1: 1, 2: 1}], [0, 1])
+    assert [list(r) for r in rows] == [[0], [1, 2]]
 
 
 @settings(max_examples=200)

@@ -528,11 +528,12 @@ def test_non_square_dual_identification_exits_2(tmp_path):
     # F(z*) = K -> F(z)^* = 0 has full rank 0 = dim F(z) but is no isomorphism
     path = tmp_path / "zero_dual.json"
     path.write_text(json.dumps(zero_object_dual_spec([])))
-    assert run_cli(["validate", str(path)])[0] == 0
+    problems = ["functor F: dual identification at 'z' is not an isomorphism"]
+    code, out = run_cli(["validate", str(path)])
+    assert code == 2 and json.loads(out)["problems"] == problems
     code, out = run_cli(["hopf", str(path), "--functor", "F"])
     assert code == 2
-    assert json.loads(out) == {
-        "ok": False, "problems": ["dual identification at 'z' is not an isomorphism"]}
+    assert json.loads(out) == {"ok": False, "problems": problems}
 
 
 # -- scale ceiling ---------------------------------------------------------------
