@@ -33,14 +33,13 @@ from .coend import (
     verify_cowedge,
 )
 from .cohom import cohom as cohom_op
-from .exactlinalg import ScalarError
+from .exactlinalg import ScalarError, format_matrix
 from .fincat import check_monoidal, diagram_of_functor, validate_category, validate_functor
 from .padic_banach import PrimeMismatch, bounded_coend
 from .reconstruct import equivalence_check, reconstruct_coalgebra
 from .specfile import (
     SpecError,
     load_spec,
-    matrix_json,
     resolve_control,
     resolve_transformation,
 )
@@ -108,12 +107,12 @@ def _coend_payload(r):
     return {
         "carrier_dim": r.carrier.dim,
         "objects": list(r.diagram.objects),
-        "pi": matrix_json(r.pi),
-        "section": matrix_json(r.section),
-        "injections": {x: matrix_json(m) for x, m in r.injections.items()},
-        "comultiplication": matrix_json(r.coalgebra.delta),
-        "counit": matrix_json(r.coalgebra.counit),
-        "delta": {x: matrix_json(m) for x, m in r.delta.items()},
+        "pi": format_matrix(r.pi),
+        "section": format_matrix(r.section),
+        "injections": {x: format_matrix(m) for x, m in r.injections.items()},
+        "comultiplication": format_matrix(r.coalgebra.delta),
+        "counit": format_matrix(r.coalgebra.counit),
+        "delta": {x: format_matrix(m) for x, m in r.delta.items()},
         "verification": {
             "cowedge": verify_cowedge(r),
             "coalgebra": r.checks["coalgebra"],
@@ -139,7 +138,7 @@ def cmd_cohom(spec, args):
         {
             "carrier_dim": ch.carrier.dim,
             "carrier_labels": list(ch.carrier.labels),
-            "coev": matrix_json(ch.coev),
+            "coev": format_matrix(ch.coev),
         },
         args.out,
     )
@@ -169,7 +168,7 @@ def cmd_ccoend(spec, args):
     payload = _coend_payload(r)
     payload["controls"] = [c.name for c in controls]
     payload["plain_carrier_dim"] = r_plain.carrier.dim
-    payload["epi_from_plain"] = matrix_json(h)
+    payload["epi_from_plain"] = format_matrix(h)
     _emit(payload, args.out)
     return 0
 
@@ -179,8 +178,8 @@ def cmd_bialgebra(spec, args):
     r = coend_of_functor(F)
     b = bialgebra_from_monoidal(r, F.source.monoidal, F.monoidal)
     payload = _coend_payload(r)
-    payload["multiplication"] = matrix_json(b.mult)
-    payload["unit"] = matrix_json(b.unit)
+    payload["multiplication"] = format_matrix(b.mult)
+    payload["unit"] = format_matrix(b.unit)
     payload["verification"]["bialgebra"] = r.checks["bialgebra"]
     _emit(payload, args.out)
     return 0
@@ -191,9 +190,9 @@ def cmd_hopf(spec, args):
     r = coend_of_functor(F)
     h = antipode_from_monoidal(r, F.source.monoidal, F.monoidal)
     payload = _coend_payload(r)
-    payload["multiplication"] = matrix_json(h.mult)
-    payload["unit"] = matrix_json(h.unit)
-    payload["antipode"] = matrix_json(h.antipode)
+    payload["multiplication"] = format_matrix(h.mult)
+    payload["unit"] = format_matrix(h.unit)
+    payload["antipode"] = format_matrix(h.antipode)
     payload["verification"]["hopf"] = r.checks["hopf"]
     _emit(payload, args.out)
     return 0
@@ -231,7 +230,7 @@ def cmd_reconstruct(spec, args):
         "injective": res.injective,
         "carrier_dim": res.coend.carrier.dim,
         "base_dim": c.carrier.dim,
-        "h": matrix_json(res.h),
+        "h": format_matrix(res.h),
         "problems": res.problems,
     }
     _emit(payload, args.out)
@@ -290,7 +289,7 @@ def cmd_factor(spec, args):
     psi = factor_through_coend(r, t, target)
     _emit(
         {
-            "psi": matrix_json(psi),
+            "psi": format_matrix(psi),
             "carrier_dim": r.carrier.dim,
             "target_dim": target.dim,
         },

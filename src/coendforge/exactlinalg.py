@@ -269,33 +269,49 @@ def padic_valuation(a, p: int) -> int | None:
 
 class Space:
     """A finite-dimensional based vector space: basis labels plus optional
-    integer norm weights (weight w means the basis vector has norm p^-w).
+    integer norm weights (weight w means the basis vector has norm p^-w;
+    ``weights`` is None for an unweighted space).
 
     ``Space(labels, weights)`` takes explicit labels and checks that they are
     unique.  Derived spaces (`Space.std`, `tensor_space`, `dual_space`,
     `direct_sum_space`, `with_weights`, cokernel quotients) know only their
-    dimension and weights; their labels are built, and checked, on the first
-    read of ``labels``, since most of them are never read."""
+    dimension; their labels are built, and checked, on the first read of
+    ``labels``, and the weights of a space derived from other spaces on the
+    first read of ``weights``, since most of them are never read.  Explicit
+    weights are counted against the dimension at once."""
 
-    __slots__ = ("dim", "weights", "_labels", "_make_labels")
+    __slots__ = ("dim", "_weights", "_make_weights", "_labels", "_make_labels")
 
     def __init__(self, labels, weights=None):
         labels = tuple(labels)
-        self._init(len(labels), weights, lambda: labels)
+        self._init(len(labels), Space._given(weights, len(labels)), lambda: labels)
         self.labels  # explicit labels are checked at once
 
     @classmethod
-    def _derived(cls, dim: int, weights, make_labels) -> "Space":
-        """The space whose labels make_labels() builds when first read."""
+    def _derived(cls, dim: int, make_weights, make_labels) -> "Space":
+        """The space whose weights and labels make_weights() and
+        make_labels() build when first read."""
         s = cls.__new__(cls)
-        s._init(dim, weights, make_labels)
+        s._init(dim, make_weights, make_labels)
         return s
 
-    def _init(self, dim: int, weights, make_labels) -> None:
+    def _init(self, dim: int, make_weights, make_labels) -> None:
+        self.dim, self._weights, self._make_weights = dim, None, make_weights
+        self._labels, self._make_labels = None, make_labels
+
+    @staticmethod
+    def _given(weights, dim: int):
+        """Explicit weights as a thunk, after counting them against dim."""
         if weights is not None and len(weights) != dim:
             raise ValueError("weight count must equal dimension")
-        self.dim, self.weights = dim, None if weights is None else tuple(weights)
-        self._labels, self._make_labels = None, make_labels
+        weights = None if weights is None else tuple(weights)
+        return lambda: weights
+
+    @property
+    def weights(self) -> tuple[int, ...] | None:
+        if self._make_weights is not None:
+            self._weights, self._make_weights = self._make_weights(), None
+        return self._weights
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -320,10 +336,11 @@ class Space:
     def std(dim: int, prefix: str = "e", weights=None) -> "Space":
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        return Space._derived(dim, weights, lambda: (f"{prefix}{i}" for i in range(dim)))
+        return Space._derived(dim, Space._given(weights, dim),
+                              lambda: (f"{prefix}{i}" for i in range(dim)))
 
     def with_weights(self, weights) -> "Space":
-        return Space._derived(self.dim, weights, lambda: self.labels)
+        return Space._derived(self.dim, Space._given(weights, self.dim), lambda: self.labels)
 
     def effective_weights(self) -> tuple[int, ...]:
         return self.weights if self.weights is not None else (0,) * self.dim
@@ -331,27 +348,27 @@ class Space:
 
 def tensor_space(x: Space, y: Space) -> Space:
     """X (x) Y with the X-major pair basis; weights add when present."""
-    if x.weights is None and y.weights is None:
-        weights = None
-    else:
+    def weights():
+        if x.weights is None and y.weights is None:
+            return None
         wx, wy = x.effective_weights(), y.effective_weights()
-        weights = tuple(a + b for a in wx for b in wy)
+        return tuple(a + b for a in wx for b in wy)
     return Space._derived(x.dim * y.dim, weights,
                           lambda: (f"{a}(x){b}" for a in x.labels for b in y.labels))
 
 
 def dual_space(x: Space) -> Space:
     """Dual basis labels are primed; weights flip sign (dual of norm p^-w is p^w)."""
-    weights = None if x.weights is None else tuple(-w for w in x.weights)
-    return Space._derived(x.dim, weights, lambda: (f"{a}'" for a in x.labels))
+    return Space._derived(x.dim, lambda: x.weights and tuple(-w for w in x.weights),
+                          lambda: (f"{a}'" for a in x.labels))
 
 
 def direct_sum_space(spaces: list[Space]) -> Space:
     spaces = list(spaces)
-    has_weights = any(s.weights is not None for s in spaces)
-    weights = [w for s in spaces for w in s.effective_weights()] if has_weights else None
-    return Space._derived(sum(s.dim for s in spaces), weights,
-                          lambda: (f"{k}.{a}" for k, s in enumerate(spaces) for a in s.labels))
+    return Space._derived(
+        sum(s.dim for s in spaces), lambda: None if all(s.weights is None for s in spaces)
+        else tuple(w for s in spaces for w in s.effective_weights()),
+        lambda: (f"{k}.{a}" for k, s in enumerate(spaces) for a in s.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -678,9 +695,9 @@ def cokernel(m: LinearMap):
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
     cod = m.cod
-    q_weights = None if cod.weights is None else [cod.weights[j] for j in free]
-    q_space = Space._derived(len(free), q_weights,
-                             lambda: (cod.labels[j] for j in free))
+    q_space = Space._derived(
+        len(free), lambda: cod.weights and tuple(cod.weights[j] for j in free),
+        lambda: (cod.labels[j] for j in free))
     index = {j: k for k, j in enumerate(free)}
     one = f.one()
     # pi(e_j) = e_j for free j; pi(e_p) = -(the rest of the row pivoted at p)

@@ -50,7 +50,6 @@ from .exactlinalg import (
     direct_sum_space,
     identity,
     invert_map,
-    kernel,
     kron_compose,
     padic_valuation,
 )
@@ -188,11 +187,12 @@ def _prime_of(f) -> int:
     return f.p
 
 
-def operator_norm(m: LinearMap, dom_weights=None, cod_weights=None) -> NormValue:
-    """||m|| = max_{i,j} |m_ji|_p p^(-u_j + w_i) for diagonal norms; exact."""
+def operator_norm(m: LinearMap) -> NormValue:
+    """||m|| = max_{i,j} |m_ji|_p p^(-u_j + w_i) for the diagonal norms of m's
+    own spaces: w are the weights of m.dom, u those of m.cod, and an
+    unweighted space has weight 0 everywhere; exact."""
     p = _prime_of(m.field)
-    w = dom_weights if dom_weights is not None else m.dom.effective_weights()
-    u = cod_weights if cod_weights is not None else m.cod.effective_weights()
+    w, u = m.dom.effective_weights(), m.cod.effective_weights()
     return max((NormValue.of_exp(-(padic_valuation(a, p) + u[j] - w[i]))
                 for i, col in enumerate(m.cols) for j, a in col.items()),
                default=NormValue.zero())
@@ -479,25 +479,31 @@ def banach_product(spaces: list[NormedSpace]) -> NormedSpace:
 
 @dataclass
 class OrthogonalizedQuotient:
-    """A quotient carrier with its quotient norm made diagonal: transport
-    sends quotient coordinates to coordinates in an orthogonal class basis
-    whose weights realize the quotient norm exactly.  lifts are that basis
-    as sparse ambient vectors; class_norms[j] is the quotient norm of the
-    class of section column j."""
+    """A quotient carrier with its quotient norm made diagonal.  class_basis
+    sends the coordinates of an orthogonal class basis to quotient
+    coordinates, and its domain carries weights that realize the quotient
+    norm exactly; transport is its inverse.  class_norms[j] is the quotient
+    norm of the class of section column j."""
 
     transport: LinearMap
     weights: tuple[int, ...]
-    lifts: list[dict]
+    class_basis: LinearMap
     class_norms: list[NormValue]
 
 
-def _orthogonalize_quotient(total: NormedSpace, relation_vectors, pi: LinearMap,
+def _orthogonalize_quotient(total: NormedSpace, pi: LinearMap,
                             section: LinearMap) -> OrthogonalizedQuotient:
+    """The orthogonal class basis of the quotient pi: total -> Q, for a
+    cokernel pi with section s."""
     f, p = pi.field, total.p
+    # the relations' reduced echelon basis without a second elimination: row q
+    # is e_q - s(pi(e_q)) for each coordinate q outside the section's image,
+    # and those are exactly the nonzero columns of id - s o pi
+    relations = [c for c in (identity(total.space, f) - section @ pi).cols if c]
     # one reduction gives the class norms and the reduced section lifts, which
     # are then orthogonalized among themselves; combinations stay zero at
     # kernel pivots, hence stay norm-reduced
-    lifts, class_norms = _reduce_quotient(total, relation_vectors, section.cols)
+    lifts, class_norms = _reduce_quotient(total, relations, section.cols)
     lift_basis, _ = _orthogonalize(lifts, total.weights, p)
     if len(lift_basis) != section.dom.dim:
         raise ArithmeticError("section lifts became dependent during reduction")
@@ -506,7 +512,7 @@ def _orthogonalize_quotient(total: NormedSpace, relation_vectors, pi: LinearMap,
     basis_map = LinearMap.from_sparse(
         f, Space.std(len(cols), prefix="o", weights=weights), pi.cod, cols
     )
-    return OrthogonalizedQuotient(invert_map(basis_map), tuple(weights), lift_basis,
+    return OrthogonalizedQuotient(invert_map(basis_map), tuple(weights), basis_map,
                                   class_norms)
 
 
@@ -539,11 +545,7 @@ def banach_colimit(F: DiagramFunctor) -> BanachColimit:
                                             F.map(m.name), offsets[m.cod]))
     rel = LinearMap.from_sparse(f, Space.std(len(rel_cols), prefix="r"), total.space, rel_cols)
     pi, section = cokernel(rel)
-    # the relations' reduced echelon basis without a second elimination: row p
-    # is e_p - s(pi(e_p)) for each coordinate p outside the section's image,
-    # and those are exactly the nonzero columns of id - s o pi
-    generators = [c for c in (identity(total.space, f) - section @ pi).cols if c]
-    orth = _orthogonalize_quotient(total, generators, pi, section)
+    orth = _orthogonalize_quotient(total, pi, section)
     # carrier expressed in the orthogonal class basis (via orth.transport)
     carrier = NormedSpace(Space.std(len(orth.weights), prefix="q",
                                     weights=orth.weights), p)
@@ -553,11 +555,7 @@ def banach_colimit(F: DiagramFunctor) -> BanachColimit:
         lo = offsets[x]
         kappa = LinearMap.from_sparse(f, F.space(x), pi.cod, pi.cols[lo:lo + F.space(x).dim])
         cocone[x] = kappa
-        cocone_norms[x] = operator_norm(
-            orth.transport @ kappa,
-            dom_weights=F.space(x).effective_weights(),
-            cod_weights=orth.weights,
-        )
+        cocone_norms[x] = operator_norm(orth.transport @ kappa)
     return BanachColimit(total, carrier, pi, section, cocone, cocone_norms,
                          orth.class_norms, orth)
 
@@ -604,47 +602,22 @@ def bounded_coend(F: DiagramFunctor) -> BoundedCoendResult:
     r = coend_of_functor(F)
     f = r.field
     p = _prime_of(f)
-    total = NormedSpace(r.nspace, p)
-    ambient_weights = total.weights
-    orth = _orthogonalize_quotient(total, kernel(r.pi).cols, r.pi, r.section)
-    q_weights = orth.weights
-    normed_carrier = NormedSpace(
-        Space.std(r.carrier.dim, prefix="q", weights=q_weights), p
-    )
-    t = orth.transport
-    pi_norm = operator_norm(t @ r.pi, dom_weights=ambient_weights,
-                            cod_weights=q_weights)
-    injection_norms = {
-        x: operator_norm(
-            t @ r.injections[x],
-            dom_weights=r.blocks[x].carrier.effective_weights(),
-            cod_weights=q_weights,
-        )
-        for x in r.diagram.objects
-    }
-    t_inv = invert_map(t)
-    qq_weights = tuple(a + b for a in q_weights for b in q_weights)
-    comult_norm = operator_norm(
-        kron_compose(t, t, r.coalgebra.delta @ t_inv),
-        dom_weights=q_weights, cod_weights=qq_weights,
-    )
-    counit_norm = operator_norm(
-        r.coalgebra.counit @ t_inv, dom_weights=q_weights, cod_weights=(0,),
-    )
-    delta_bound = max((
-        operator_norm(kron_compose(identity(fx, f), t, r.delta[x]),
-                      dom_weights=fx.effective_weights(),
-                      cod_weights=tuple(a + b for a in fx.effective_weights()
-                                        for b in q_weights))
-        for x, fx in r.diagram.spaces.items()), default=NormValue.zero())
+    orth = _orthogonalize_quotient(NormedSpace(r.nspace, p), r.pi, r.section)
+    # every norm is read off its map's spaces: the weights of the class basis
+    # sit on t's codomain and t^-1's domain, and tensor_space adds them
+    t, t_inv = orth.transport, orth.class_basis
     return BoundedCoendResult(
         result=r,
-        normed_carrier=normed_carrier,
+        normed_carrier=NormedSpace(
+            Space.std(r.carrier.dim, prefix="q", weights=orth.weights), p),
         orth=orth,
-        pi_norm=pi_norm,
-        injection_norms=injection_norms,
-        comultiplication_norm=comult_norm,
-        counit_norm=counit_norm,
-        delta_bound=delta_bound,
+        pi_norm=operator_norm(t @ r.pi),
+        injection_norms={x: operator_norm(t @ r.injections[x])
+                         for x in r.diagram.objects},
+        comultiplication_norm=operator_norm(
+            kron_compose(t, t, r.coalgebra.delta @ t_inv)),
+        counit_norm=operator_norm(r.coalgebra.counit @ t_inv),
+        delta_bound=max((operator_norm(kron_compose(identity(fx, f), t, r.delta[x]))
+                         for x, fx in r.diagram.spaces.items()), default=NormValue.zero()),
         class_norms=orth.class_norms,
     )

@@ -396,9 +396,3 @@ def resolve_transformation(spec: SpecData, name: str):
             f"transformation {name!r} at {x!r}",
         )
     return F, Transformation(comps), target
-
-
-def matrix_json(m: LinearMap):
-    from .exactlinalg import format_matrix
-
-    return format_matrix(m)

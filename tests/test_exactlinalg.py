@@ -457,6 +457,17 @@ def test_derived_spaces_build_labels_only_when_read():
     m = LinearMap(QQ, Space.std(1), x, ((Fraction(1),), (Fraction(0),)))
     q = cokernel(m)[0].cod
     assert q._labels is None and q.labels == ("b",)
+    # weights derived from other spaces are built on first read as well, and
+    # None still means unweighted
+    wbig = big.with_weights((1,) * 10**6)
+    w = Space(("a", "b"), (3, -1))
+    q_w = cokernel(LinearMap(QQ, Space.std(1), w, ((Fraction(1),), (Fraction(0),))))[0].cod
+    lazy = [tensor_space(wbig, wbig), tensor_space(big, wbig), dual_space(wbig),
+            direct_sum_space([big, wbig]), q_w]
+    assert all(s._make_weights is not None for s in lazy)
+    assert lazy[0].dim == 10**12 and q_w.weights == (-1,) and q.weights is None
+    assert tensor_space(x, x).weights is None and direct_sum_space([x, x]).weights is None
+    assert dual_space(y).weights == (0, -1, -2) and dual_space(x).weights is None
 
 
 def test_explicit_labels_are_checked_at_once():

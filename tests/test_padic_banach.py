@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -18,7 +19,9 @@ from coendforge.exactlinalg import (
     _rref,
     cokernel,
     identity,
+    invert_map,
     padic_valuation,
+    tensor,
 )
 from coendforge import padic_banach
 from coendforge.cli import main
@@ -491,6 +494,61 @@ def test_certified_bcoend_ladder(tmp_path, spec):
     ]
 
 
+def seeded_diagram(objects, arrows, k, seed):
+    """A diagram over padic:3 of weighted copies of K^k, one per object, and
+    one seeded k x k map per (name, dom, cod) arrow: entries 0 or 3^e * unit,
+    with e in -1..2, and weights in -2..2."""
+    rng = random.Random(seed)
+    spaces = {x: wspace([rng.randint(-2, 2) for _ in range(k)], prefix=x) for x in objects}
+
+    def entry():
+        return rng.choice([0, Fraction(3) ** rng.randint(-1, 2) * rng.choice([1, -2, 4, 5])])
+
+    maps = {name: pmap([[entry() for _ in range(k)] for _ in range(k)],
+                       spaces[dom], spaces[cod], Q3) for name, dom, cod in arrows}
+    return DiagramFunctor(FinCategory(objects, arrows), Q3, spaces, maps)
+
+
+def entrywise_norm(m, w, u, p):
+    """max_{i,j} |m_ji|_p p^(-u_j + w_i), with the domain weights w and the
+    codomain weights u given explicitly rather than read off m's spaces."""
+    return max((NormValue.of_exp(-(padic_valuation(a, p) + u[j] - w[i]))
+                for i, col in enumerate(m.cols) for j, a in col.items()),
+               default=NormValue.zero())
+
+
+@pytest.mark.parametrize("F", [
+    seeded_diagram(["a", "b"], [("f", "a", "b")], 3, seed=3),
+    seeded_diagram(["a", "b"], [("f", "a", "b")], 4, seed=4),
+    seeded_diagram(["l0", "l1", "l2", "l3"],
+                   [("f0", "l0", "l1"), ("f1", "l2", "l1"), ("f2", "l2", "l3")], 2, seed=6),
+], ids=["K3-arrow", "K4-arrow", "K2-zigzag"])
+def test_bounded_coend_norms_match_explicit_weights(F):
+    # the weights are spelled out as tuples: the ambient sum's, the class
+    # basis's q, q (x) q, F(x) (x) q and the unit's (0,), and the maps are
+    # built with tensor and invert_map instead of the lazy products
+    b = bounded_coend(F)
+    r, p = b.result, 3
+    t = b.orth.transport
+    t_inv = invert_map(t)
+    ambient, q = NormedSpace(r.nspace, p).weights, b.orth.weights
+    qq = tuple(a + c for a in q for c in q)
+    assert b.pi_norm == entrywise_norm(t @ r.pi, ambient, q, p)
+    assert b.injection_norms == {
+        x: entrywise_norm(t @ r.injections[x], r.blocks[x].carrier.effective_weights(), q, p)
+        for x in r.diagram.objects}
+    assert b.comultiplication_norm == entrywise_norm(
+        tensor(t, t) @ r.coalgebra.delta @ t_inv, q, qq, p)
+    assert b.counit_norm == entrywise_norm(r.coalgebra.counit @ t_inv, q, (0,), p)
+    fq = {x: tuple(a + c for a in fx.effective_weights() for c in q)
+          for x, fx in r.diagram.spaces.items()}
+    assert b.delta_bound == max(
+        entrywise_norm(tensor(identity(fx, Q3), t) @ r.delta[x], fx.effective_weights(),
+                       fq[x], p) for x, fx in r.diagram.spaces.items())
+    # the weights are seen: with every weight 0 the norm of pi differs
+    assert entrywise_norm(t @ r.pi, (0,) * len(ambient), (0,) * len(q), p) != b.pi_norm
+
+
 def test_bounded_coend_requires_padic():
     from coendforge.exactlinalg import QQ
 
@@ -529,13 +587,17 @@ def count_reductions(monkeypatch):
 
 def test_bounded_coend_reduces_its_quotient_once(monkeypatch):
     F = load_spec(K4_PADIC3).functors["F"]
-    generators = kernel(coend_of_functor(F).pi).cols
+    # the generators are the reduced echelon basis of ker(pi), which is unique
+    generators = _rref(QQ, kernel(coend_of_functor(F).pi).cols)[0]
     calls = count_reductions(monkeypatch)
     b = bounded_coend(F)
     assert len(b.class_norms) == 16
     # once on the kernel, once on the reduced lifts
     assert calls["orthogonalize"] == 2
     assert sum(rows == generators for rows in calls["rref_rows"]) == 1
+    # the cokernel, the certificate and the one inversion of the class basis;
+    # the relation basis and t^-1 are read off maps already built
+    assert len(calls["rref_rows"]) == 3
 
 
 def test_banach_colimit_reduces_its_quotient_once(monkeypatch):
