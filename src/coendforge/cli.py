@@ -37,12 +37,7 @@ from .exactlinalg import ScalarError, format_matrix
 from .fincat import check_monoidal, diagram_of_functor, validate_category, validate_functor
 from .padic_banach import PrimeMismatch, bounded_coend
 from .reconstruct import equivalence_check, reconstruct_coalgebra
-from .specfile import (
-    SpecError,
-    load_spec,
-    resolve_control,
-    resolve_transformation,
-)
+from .specfile import SpecError, _named, load_spec, resolve_control
 
 VALIDATION_ERRORS = (
     SpecError,
@@ -90,10 +85,7 @@ def _validate_spec(spec):
 def _require_functor(spec, name):
     if name is None:
         raise SpecError("this command needs --functor")
-    F = spec.functors.get(name)
-    if F is None:
-        raise SpecError(f"unknown functor {name!r}")
-    return F
+    return _named(spec.functors, name, "unknown functor")
 
 
 def _coend_payload(r):
@@ -130,10 +122,8 @@ def cmd_validate(spec, args):
 def cmd_cohom(spec, args):
     if args.x is None or args.y is None:
         raise SpecError("cohom needs --x and --y")
-    for name in (args.x, args.y):
-        if name not in spec.spaces:
-            raise SpecError(f"unknown space {name!r}")
-    ch = cohom_op(spec.spaces[args.x], spec.spaces[args.y], spec.field)
+    x, y = (_named(spec.spaces, name, "unknown space") for name in (args.x, args.y))
+    ch = cohom_op(x, y, spec.field)
     _emit(
         {
             "carrier_dim": ch.carrier.dim,
@@ -215,13 +205,16 @@ def _named_comodules(spec, names, what, coalgebra):
     return out
 
 
-def cmd_reconstruct(spec, args):
+def _coalgebra_and_seeds(spec, args):
+    """The coalgebra named by --coalgebra and the comodules named by --seeds."""
     if args.coalgebra is None or not args.seeds:
-        raise SpecError("reconstruct needs --coalgebra and --seeds")
-    c = spec.coalgebras.get(args.coalgebra)
-    if c is None:
-        raise SpecError(f"unknown coalgebra {args.coalgebra!r}")
-    seeds = _named_comodules(spec, args.seeds.split(","), "seeds", args.coalgebra)
+        raise SpecError(f"{args.command} needs --coalgebra and --seeds")
+    c = _named(spec.coalgebras, args.coalgebra, "unknown coalgebra")
+    return c, _named_comodules(spec, args.seeds.split(","), "seeds", args.coalgebra)
+
+
+def cmd_reconstruct(spec, args):
+    c, seeds = _coalgebra_and_seeds(spec, args)
     res = reconstruct_coalgebra(c, seeds)
     payload = {
         "verdict": res.verdict,
@@ -238,12 +231,7 @@ def cmd_reconstruct(spec, args):
 
 
 def cmd_equiv(spec, args):
-    if args.coalgebra is None or not args.seeds:
-        raise SpecError("equiv needs --coalgebra and --seeds")
-    c = spec.coalgebras.get(args.coalgebra)
-    if c is None:
-        raise SpecError(f"unknown coalgebra {args.coalgebra!r}")
-    seeds = _named_comodules(spec, args.seeds.split(","), "seeds", args.coalgebra)
+    c, seeds = _coalgebra_and_seeds(spec, args)
     probes = _named_comodules(
         spec, args.probes.split(",") if args.probes else [], "probes", args.coalgebra
     )
@@ -282,7 +270,8 @@ def cmd_bcoend(spec, args):
 def cmd_factor(spec, args):
     if args.transformation is None:
         raise SpecError("factor needs --transformation")
-    F, t, target = resolve_transformation(spec, args.transformation)
+    F, t, target = _named(spec.transformations, args.transformation,
+                          "unknown transformation")
     if args.functor and spec.functors.get(args.functor) is not F:
         raise SpecError("--functor disagrees with the transformation's functor")
     r = coend_of_functor(F)

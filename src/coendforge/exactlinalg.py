@@ -843,12 +843,7 @@ def invert_map(m: LinearMap) -> LinearMap:
 
 def parse_matrix(f, rows, dom: Space, cod: Space) -> LinearMap:
     """Build a map from row-major string (or numeric) entries."""
-    parsed = []
-    for row in rows:
-        parsed.append(
-            tuple(f.parse(str(a)) if not isinstance(a, str) else f.parse(a) for a in row)
-        )
-    return LinearMap(f, dom, cod, tuple(parsed))
+    return LinearMap(f, dom, cod, tuple(tuple(f.parse(str(a)) for a in row) for row in rows))
 
 
 def format_matrix(m: LinearMap):

@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import total_ordering
 
 from .coend import CoendResult, _difference_columns, coend_of_functor
 from .exactlinalg import (
@@ -70,38 +69,25 @@ class PrimeMismatch(ValueError):
 # norm values
 # ---------------------------------------------------------------------------
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class NormValue:
-    """Either zero or p^exp for an integer exp."""
+    """Either zero or p^exp for an integer exp.  Zero is built with exp 0
+    only, so the field order (nonzero, exp) puts zero below every power."""
 
-    is_zero: bool
+    nonzero: bool
     exp: int = 0
 
     @staticmethod
     def zero() -> "NormValue":
-        return NormValue(True, 0)
+        return NormValue(False, 0)
 
     @staticmethod
     def of_exp(e: int) -> "NormValue":
-        return NormValue(False, e)
+        return NormValue(True, e)
 
-    def __eq__(self, other):
-        if not isinstance(other, NormValue):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return self.is_zero == other.is_zero
-        return self.exp == other.exp
-
-    def __hash__(self):
-        return hash((self.is_zero, 0 if self.is_zero else self.exp))
-
-    def __lt__(self, other):
-        if self.is_zero:
-            return not other.is_zero
-        if other.is_zero:
-            return False
-        return self.exp < other.exp
+    @property
+    def is_zero(self) -> bool:
+        return not self.nonzero
 
     def __mul__(self, other: "NormValue") -> "NormValue":
         if self.is_zero or other.is_zero:
@@ -486,7 +472,6 @@ class OrthogonalizedQuotient:
     norm of the class of section column j."""
 
     transport: LinearMap
-    weights: tuple[int, ...]
     class_basis: LinearMap
     class_norms: list[NormValue]
 
@@ -512,8 +497,7 @@ def _orthogonalize_quotient(total: NormedSpace, pi: LinearMap,
     basis_map = LinearMap.from_sparse(
         f, Space.std(len(cols), prefix="o", weights=weights), pi.cod, cols
     )
-    return OrthogonalizedQuotient(invert_map(basis_map), tuple(weights), basis_map,
-                                  class_norms)
+    return OrthogonalizedQuotient(invert_map(basis_map), basis_map, class_norms)
 
 
 @dataclass
@@ -547,8 +531,7 @@ def banach_colimit(F: DiagramFunctor) -> BanachColimit:
     pi, section = cokernel(rel)
     orth = _orthogonalize_quotient(total, pi, section)
     # carrier expressed in the orthogonal class basis (via orth.transport)
-    carrier = NormedSpace(Space.std(len(orth.weights), prefix="q",
-                                    weights=orth.weights), p)
+    carrier = NormedSpace(orth.class_basis.dom, p)
     cocone = {}
     cocone_norms = {}
     for x in F.source.objects:
@@ -608,8 +591,7 @@ def bounded_coend(F: DiagramFunctor) -> BoundedCoendResult:
     t, t_inv = orth.transport, orth.class_basis
     return BoundedCoendResult(
         result=r,
-        normed_carrier=NormedSpace(
-            Space.std(r.carrier.dim, prefix="q", weights=orth.weights), p),
+        normed_carrier=NormedSpace(t_inv.dom, p),
         orth=orth,
         pi_norm=operator_norm(t @ r.pi),
         injection_norms={x: operator_norm(t @ r.injections[x])

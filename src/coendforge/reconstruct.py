@@ -27,6 +27,7 @@ from .coend import (
     WellDefinednessFailure,
     bialgebra_from_monoidal,
     coend_of_diagram,
+    coend_of_functor,
     comodule_on,
     factor_through_coend,
 )
@@ -223,9 +224,14 @@ def reconstruct_bialgebra(b: Bialgebra, seeds: dict[str, Comodule], cat_mon: Cat
     comodule isomorphisms.  Additionally induces the multiplication on the
     coend and verifies that h transports it to the multiplication of b."""
     for (x, y), name in cat_mon.tensor_obj.items():
+        if not {x, y, name} <= seeds.keys():
+            raise WellDefinednessFailure(f"object tensor ({x}, {y}) names unknown object")
         xi = fun_mon.xi.get((x, y))
         if xi is None:
             raise WellDefinednessFailure(f"missing xi at ({x}, {y})")
+        if (xi.dom.dim, xi.cod.dim) != (seeds[x].space.dim * seeds[y].space.dim,
+                                        seeds[name].space.dim):
+            raise WellDefinednessFailure(f"xi at ({x}, {y}) has wrong shape")
         t = tensor_comodule(seeds[x], seeds[y], b)
         if not intertwines(xi, t.rho, seeds[name].rho, b.carrier):
             raise ValueError(f"xi at ({x}, {y}) is not a comodule morphism")
@@ -255,16 +261,13 @@ class RecognitionResult:
     problems: list[str] = field(default_factory=list)
 
 
-def recognition_factorization(F, r: CoendResult | None = None) -> RecognitionResult:
+def recognition_factorization(F) -> RecognitionResult:
     """Factor F through the category of comodules over its coend: objects go
     to (F(X), delta_X), morphisms keep their matrices (now verified to be
     comodule morphisms), and the forgetful functor returns F on the nose.
     Raises WellDefinednessFailure when a comodule or morphism check fails, so
     a returned result is always ok."""
-    from .coend import coend_of_functor
-
-    if r is None:
-        r = coend_of_functor(F)
+    r = coend_of_functor(F)
     # comodule_on checks each coaction and, once, that the universal family
     # is natural, so every morphism is a comodule morphism
     comodules = {x: comodule_on(r, x) for x in r.diagram.objects}

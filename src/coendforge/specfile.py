@@ -4,7 +4,8 @@ A spec file declares a scalar field and named spaces, categories, functors,
 coalgebras (optionally with bialgebra/Hopf data), comodules, control objects
 and transformations.  Matrices are row-major arrays of exact-scalar strings
 ("3/4", "-2"), so values survive a byte-for-byte round trip; every name is
-resolved and every matrix shape checked before any computation runs.
+resolved and every matrix shape checked before any computation runs, except
+the xi of a control, whose shapes depend on the functor it is used with.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .exactlinalg import (
     Space,
     dual_space,
     field_from_descriptor,
+    parse_matrix,
     tensor_space,
 )
 from .fincat import (
@@ -49,14 +51,6 @@ class ControlSpec:
 
 
 @dataclass
-class TransformationSpec:
-    name: str
-    functor: str
-    target: str  # space name
-    components_rows: dict[str, list]
-
-
-@dataclass
 class SpecData:
     field: object
     spaces: dict[str, Space] = field(default_factory=dict)
@@ -65,7 +59,9 @@ class SpecData:
     coalgebras: dict[str, Coalgebra] = field(default_factory=dict)
     comodules: dict[str, Comodule] = field(default_factory=dict)
     controls: dict[str, ControlSpec] = field(default_factory=dict)
-    transformations: dict[str, TransformationSpec] = field(default_factory=dict)
+    # name -> (functor, transformation, target space)
+    transformations: dict[str, tuple[DiagramFunctor, Transformation, Space]] = field(
+        default_factory=dict)
 
 
 def _expect(value, kind, what: str):
@@ -114,10 +110,9 @@ def _parse_rows(fld, rows, dom: Space, cod: Space, what: str) -> LinearMap:
         got = f"{len(rows)}x{len(rows[0]) if rows else 0}"
         raise SpecError(f"{what}: matrix is {got}, expected {cod.dim}x{dom.dim}")
     try:
-        entries = tuple(tuple(fld.parse(str(a)) for a in r) for r in rows)
+        return parse_matrix(fld, rows, dom, cod)
     except ScalarError as exc:
         raise SpecError(f"{what}: {exc}") from None
-    return LinearMap(fld, dom, cod, entries)
 
 
 def _space_from_json(name, data) -> Space:
@@ -196,9 +191,7 @@ def _category_from_json(name, data) -> FinCategory:
 
 def _functor_from_json(fld, name, data, spaces, categories) -> DiagramFunctor:
     src_name = _expect(data, dict, f"functor {name!r}").get("source")
-    if not isinstance(src_name, str) or src_name not in categories:
-        raise SpecError(f"functor {name!r}: unknown source category {src_name!r}")
-    cat = categories[src_name]
+    cat = _named(categories, src_name, f"functor {name!r}: unknown source category")
     ob = {}
     objects = _expect(data.get("objects", {}), dict, f"functor {name!r}: 'objects'")
     for obj, space_name in objects.items():
@@ -289,9 +282,7 @@ def load_spec(source, field_override: str | None = None) -> SpecData:
         raw = source
     else:
         text = source
-        if hasattr(source, "read"):
-            text = source.read()
-        elif "\n" not in str(source) and str(source).endswith(".json"):
+        if "\n" not in str(source) and str(source).endswith(".json"):
             try:
                 with open(source, "r", encoding="utf-8") as fh:
                     text = fh.read()
@@ -341,12 +332,16 @@ def load_spec(source, field_override: str | None = None) -> SpecData:
         what = f"transformation {name!r}"
         data = _expect(data, dict, what)
         functor, target = _required(data, "functor", what), _required(data, "target", what)
-        _named(spec.functors, functor, f"{what}: unknown functor")
-        _named(spec.spaces, target, f"{what}: unknown target space")
-        spec.transformations[name] = TransformationSpec(
-            name, functor, target,
-            dict(_expect(data.get("components", {}), dict, f"{what}: 'components'")),
-        )
+        F = _named(spec.functors, functor, f"{what}: unknown functor")
+        target = _named(spec.spaces, target, f"{what}: unknown target space")
+        rows = _expect(data.get("components", {}), dict, f"{what}: 'components'")
+        comps = {}
+        for x in F.source.objects:
+            if rows.get(x) is None:
+                raise SpecError(f"{what}: missing component at {x!r}")
+            comps[x] = _parse_rows(fld, rows[x], F.space(x), tensor_space(F.space(x), target),
+                                   f"{what} at {x!r}")
+        spec.transformations[name] = (F, Transformation(comps), target)
     return spec
 
 
@@ -355,9 +350,7 @@ def resolve_control(spec: SpecData, F: DiagramFunctor, name: str):
     xi matrices parsed against that functor's spaces."""
     from .coend import ControlData, MissingControlData
 
-    cs = spec.controls.get(name)
-    if cs is None:
-        raise SpecError(f"unknown control {name!r}")
+    cs = _named(spec.controls, name, "unknown control")
     xi = {}
     for x in F.source.objects:
         if x not in cs.action:
@@ -377,22 +370,3 @@ def resolve_control(spec: SpecData, F: DiagramFunctor, name: str):
             f"control {name!r} xi at {x!r}",
         )
     return ControlData(name, cs.space, dict(cs.action), xi)
-
-
-def resolve_transformation(spec: SpecData, name: str):
-    """Build a Transformation (and its target space) from a spec entry."""
-    ts = spec.transformations.get(name)
-    if ts is None:
-        raise SpecError(f"unknown transformation {name!r}")
-    F = spec.functors[ts.functor]
-    target = spec.spaces[ts.target]
-    comps = {}
-    for x in F.source.objects:
-        rows = ts.components_rows.get(x)
-        if rows is None:
-            raise SpecError(f"transformation {name!r}: missing component at {x!r}")
-        comps[x] = _parse_rows(
-            spec.field, rows, F.space(x), tensor_space(F.space(x), target),
-            f"transformation {name!r} at {x!r}",
-        )
-    return F, Transformation(comps), target

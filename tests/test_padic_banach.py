@@ -531,7 +531,7 @@ def test_bounded_coend_norms_match_explicit_weights(F):
     r, p = b.result, 3
     t = b.orth.transport
     t_inv = invert_map(t)
-    ambient, q = NormedSpace(r.nspace, p).weights, b.orth.weights
+    ambient, q = NormedSpace(r.nspace, p).weights, b.orth.class_basis.dom.weights
     qq = tuple(a + c for a in q for c in q)
     assert b.pi_norm == entrywise_norm(t @ r.pi, ambient, q, p)
     assert b.injection_norms == {

@@ -220,10 +220,26 @@ def test_reconstruct_bialgebra_refuses_a_zero_xi():
 
 
 def test_reconstruct_bialgebra_refuses_a_missing_xi():
-    h, seeds, cat_mon, fun_mon = kz2_monoidal_seeds()
-    del fun_mon.xi[("k0", "k1")]
-    with pytest.raises(WellDefinednessFailure, match=r"^missing xi at \(k0, k1\)$"):
-        reconstruct_bialgebra(h, seeds, cat_mon, fun_mon)
+    # a malformed table entry is refused, in fincat's words, before it is read:
+    # a missing xi, a tensor entry naming an unknown seed and a 2x1 xi
+    def drop_xi(cat_mon, fun_mon):
+        del fun_mon.xi[("k0", "k1")]
+
+    def unknown_tensor(cat_mon, fun_mon):
+        cat_mon.tensor_obj[("k1", "k1")] = "zz"
+
+    def tall_xi(cat_mon, fun_mon):
+        fun_mon.xi[("k0", "k1")] = qmap([[1], [0]], K, Space.std(2))
+
+    for edit, problem in [
+        (drop_xi, r"^missing xi at \(k0, k1\)$"),
+        (unknown_tensor, r"^object tensor \(k1, k1\) names unknown object$"),
+        (tall_xi, r"^xi at \(k0, k1\) has wrong shape$"),
+    ]:
+        h, seeds, cat_mon, fun_mon = kz2_monoidal_seeds()
+        edit(cat_mon, fun_mon)
+        with pytest.raises(WellDefinednessFailure, match=problem):
+            reconstruct_bialgebra(h, seeds, cat_mon, fun_mon)
 
 
 # -- recognition ---------------------------------------------------------------

@@ -11,7 +11,7 @@ from coendforge.cli import main
 from coendforge.coend import coend_of_functor
 from coendforge.exactlinalg import kernel
 from coendforge.padic_banach import NormedSpace, OracleRefusal, quotient_norm_bruteforce
-from coendforge.specfile import SpecError, load_spec, resolve_transformation
+from coendforge.specfile import SpecError, load_spec
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -43,9 +43,7 @@ def test_load_spec_resolves_names():
     assert spec.field.kind == "q"
     assert set(spec.comodules) == {"k0", "k1", "ksum", "regular"}
     assert spec.coalgebras["KZ2"].check() == []
-    F, t, target = resolve_transformation(
-        load_spec(spec_path("one_object_k2")), "t_id"
-    )
+    F, t, target = load_spec(spec_path("one_object_k2")).transformations["t_id"]
     assert target.dim == 1
 
 
@@ -242,6 +240,26 @@ def test_factor_command():
     data = json.loads(out)
     # the identity F -> F (x) K factors through the counit
     assert data["psi"] == [["1", "0", "0", "1"]]
+
+
+@pytest.mark.parametrize("components, problem", [
+    ({"pt": [["1", "0"]]}, "transformation 't_id' at 'pt': matrix is 1x2, expected 2x2"),
+    ({}, "transformation 't_id': missing component at 'pt'"),
+    ({"pt": [["1", "x"], ["0", "1"]]}, "transformation 't_id' at 'pt': cannot parse scalar 'x'"),
+    (5, "transformation 't_id': 'components' must be a JSON object"),
+], ids=["shape", "missing", "scalar", "not-object"])
+@pytest.mark.parametrize("command", ["validate", "coend", "factor"])
+def test_malformed_transformation_exits_2_at_load(tmp_path, capsys, command, components,
+                                                  problem):
+    # every command checks the transformations while loading, as factor does
+    spec = json.loads(Path(spec_path("one_object_k2")).read_text())
+    spec["transformations"]["t_id"]["components"] = components
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code = main([command, str(path), "--functor", "F", "--transformation", "t_id"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 2 and data["ok"] is False
+    assert len(data["problems"]) == 1 and data["problems"][0].startswith(problem)
 
 
 def test_field_override_runs_z3_over_f2():
