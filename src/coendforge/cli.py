@@ -272,7 +272,7 @@ def cmd_factor(spec, args):
         raise SpecError("factor needs --transformation")
     F, t, target = _named(spec.transformations, args.transformation,
                           "unknown transformation")
-    if args.functor and spec.functors.get(args.functor) is not F:
+    if args.functor is not None and _require_functor(spec, args.functor) is not F:
         raise SpecError("--functor disagrees with the transformation's functor")
     r = coend_of_functor(F)
     psi = factor_through_coend(r, t, target)

@@ -31,6 +31,7 @@ from coendforge.exactlinalg import (
     QQ,
     LinearMap,
     NoSolution,
+    PadicRationals,
     PrimeField,
     Space,
     cokernel,
@@ -607,13 +608,14 @@ def test_randomized_universal_bijection(rng):
 
 # -- descend-by-section -------------------------------------------------------------
 
-DESCEND_FIELDS = [QQ, PrimeField(7)]
+DESCEND_FIELDS = [QQ, PrimeField(7), PadicRationals(3)]
 
 
 @st.composite
 def descent_problems(draw):
     """A relation matrix rel into N, and a target on N (or on N (x) N) that
-    factors through N / im(rel) or, usually, does not."""
+    factors through N / im(rel), that does not, or that factors and then has
+    one column outside the section's image altered, which breaks it."""
     f = draw(st.sampled_from(DESCEND_FIELDS))
     pair = draw(st.booleans())
     n = draw(st.integers(0, 3 if pair else 4))
@@ -631,11 +633,22 @@ def descent_problems(draw):
     pi, s = cokernel(rel)
     through = tensor(pi, pi) if pair else pi
     tspace = Space.std(t, prefix="t")
-    if draw(st.booleans()):
-        target = mat(t, through.cod.dim, through.cod, tspace) @ through
-    else:
+    kind = draw(st.sampled_from(["factors", "arbitrary", "altered"]))
+    if kind == "arbitrary":
         target = mat(t, through.dom.dim, through.dom, tspace)
-    r = SimpleNamespace(field=f, nspace=nspace, rel=rel, pi=pi, section=s)
+    else:
+        target = mat(t, through.cod.dim, through.cod, tspace) @ through
+    free = {j for col in s.cols for j in col}
+    outside = [c for c in range(through.dom.dim)
+               if not ({c // n, c % n} if pair else {c}) <= free]
+    if kind == "altered" and outside and t:
+        # the section fixes the free coordinates, so only these columns can
+        # make psi o pi differ from target
+        i, c = draw(st.integers(0, t - 1)), draw(st.sampled_from(outside))
+        rows = [list(row) for row in target.entries]
+        rows[i][c] = f.add(rows[i][c], f.from_int(draw(st.sampled_from([-2, -1, 1, 2]))))
+        target = LinearMap(f, target.dom, tspace, tuple(map(tuple, rows)))
+    r = SimpleNamespace(field=f, nspace=nspace, pi=pi, section=s)
     return r, target, through, pair
 
 
@@ -661,7 +674,6 @@ def requotient(r, rel_cols):
     rel = LinearMap(r.field, Space.std(len(rel_cols), prefix="r"), r.nspace,
                     tuple(tuple(col[i] for col in rel_cols) for i in range(n)))
     r.pi, r.section = cokernel(rel)
-    r.rel = rel
     r.carrier = r.pi.cod
     return r
 
@@ -708,6 +720,17 @@ def test_factor_descent_failure_message():
     with pytest.raises(NaturalityFailure) as info:
         factor_through_coend(r, t, K)
     assert str(info.value) == "cowedge does not descend to the quotient"
+
+
+def test_epi_refuses_coends_of_different_diagrams():
+    # dims (1, 2) and (2, 1) give the same ambient dim 5 with other blocks
+    cat = FinCategory(["a", "b"], [])
+    r = coend_of_functor(DiagramFunctor(cat, QQ, {"a": K, "b": K2}, {}))
+    r2 = coend_of_functor(DiagramFunctor(cat, QQ, {"a": K2, "b": K}, {}))
+    assert r.nspace.dim == r2.nspace.dim == 5
+    with pytest.raises(ValueError) as info:
+        epi_to_c_coend(r, r2)
+    assert str(info.value) == "coends were not computed from the same diagram"
 
 
 def test_epi_descent_failure_message():

@@ -18,3 +18,16 @@ def test_bcoend_ladder_script_reproduces_its_hashes():
         ("0", "4", "ad168780902ca93d9ddc81a726c0cc002e379a0dba00ec61cf062b251cf917ff"),
         ("0", "9", "73b72e43b887dfde7b8dce250a2aea815d254ef651f6e86119b762f058b47538"),
     ]
+
+
+def test_og_ladder_script_reproduces_its_hashes():
+    # O(S3) from its regular comodule over q and fp:7: the digests of h and
+    # of the coend's comultiplication, kept fixed so that a change to the
+    # descent shows here (the entries are all integral, so both fields agree)
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "og_ladder.py"), "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rungs = re.findall(r"over (\S+): (\w+), carrier_dim (\d+), [0-9.]+ s, maxrss \d+ kB, "
+                       r"sha256 ([0-9a-f]{64})", proc.stdout)
+    digest = "d047ef6f44ab9089909c41389188862b096c2b47b44d28e4502cc0af9db2634e"
+    assert rungs == [("q", "Isomorphism", "6", digest), ("fp:7", "Isomorphism", "6", digest)]

@@ -242,6 +242,22 @@ def test_factor_command():
     assert data["psi"] == [["1", "0", "0", "1"]]
 
 
+@pytest.mark.parametrize("functor, problem", [
+    ("G", "unknown functor 'G'"),
+    ("", "unknown functor ''"),
+    ("F2", "--functor disagrees with the transformation's functor"),
+], ids=["unknown", "empty", "other"])
+def test_factor_checks_the_named_functor(tmp_path, capsys, functor, problem):
+    # a named functor must exist, and must be the transformation's own
+    spec = json.loads(Path(spec_path("one_object_k2")).read_text())
+    spec["functors"]["F2"] = spec["functors"]["F"]
+    path = tmp_path / "two_functors.json"
+    path.write_text(json.dumps(spec))
+    code = main(["factor", str(path), "--functor", functor, "--transformation", "t_id"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 2 and data["problems"] == [problem]
+
+
 @pytest.mark.parametrize("components, problem", [
     ({"pt": [["1", "0"]]}, "transformation 't_id' at 'pt': matrix is 1x2, expected 2x2"),
     ({}, "transformation 't_id': missing component at 'pt'"),
