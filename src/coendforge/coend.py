@@ -19,10 +19,10 @@ re-running it.  The naturality of the universal family is checked once per
 coend, by the first ``comodule_on``, and kept there too.  The
 ``*_from_monoidal`` constructors read the multiplication, unit and antipode
 off the category's and the functor's monoidal tables, on blocks that are
-1-dim or 0-dim once every xi is invertible; they refuse a missing entry or a
-non-invertible xi or dual identification, and trust the rest (the cocycle,
-unit and naturality squares).  ``bialgebra_on_coend`` and
-``antipode_on_coend`` run ``validate_category`` and ``check_monoidal`` first.
+1-dim or 0-dim once every xi is invertible; they refuse malformed tables
+with ``fincat.monoidal_table_problems`` and trust the rest (the cocycle, unit
+and naturality squares).  ``bialgebra_on_coend`` and ``antipode_on_coend``
+run ``validate_category`` and ``check_monoidal`` first.
 
 ``Diagram`` and the naturality and cowedge laws live in ``fincat``
 (``natural_problems``, ``cowedge_problems``); this module applies them.
@@ -66,6 +66,7 @@ from .fincat import (
     check_monoidal,
     cowedge_problems,
     diagram_of_functor,
+    monoidal_table_problems,
     natural_problems,
     validate_category,
 )
@@ -173,31 +174,36 @@ def control_lambda(d: Diagram, ctrl: ControlData, x: str) -> LinearMap:
 
 
 def _control_relation_columns(d: Diagram, offsets, ctrl: ControlData):
+    """Columns in N of p - q for one control.  Its tables are checked here
+    and nowhere else: each object's action and the shape of its xi first,
+    then each xi's invertibility."""
     f = d.field
-    cols = []
     for x in d.objects:
-        if x not in ctrl.action or ctrl.action[x] not in d.spaces:
-            raise MissingControlData(
-                f"control {ctrl.name!r} has no action on object {x!r}"
-            )
+        if x not in ctrl.action:
+            raise MissingControlData(f"control {ctrl.name!r} has no action on {x!r}")
         cx = ctrl.action[x]
+        if cx not in d.objects:
+            raise MissingControlData(
+                f"control {ctrl.name!r}: action sends {x!r} to unknown object {cx!r}"
+            )
         xi = ctrl.xi.get(x)
         if xi is None:
             raise MissingControlData(
                 f"control {ctrl.name!r} has no structure isomorphism at {x!r}"
             )
-        fx = d.spaces[x]
-        fcx = d.spaces[cx]
-        if xi.dom.dim != fcx.dim or xi.cod.dim != ctrl.space.dim * fx.dim:
+        if (xi.dom.dim, xi.cod.dim) != (d.spaces[cx].dim, ctrl.space.dim * d.spaces[x].dim):
             raise MissingControlData(
                 f"control {ctrl.name!r}: xi at {x!r} has wrong shape"
             )
+    cols = []
+    for x in d.objects:
+        cx, xi = ctrl.action[x], ctrl.xi[x]
         if not xi.is_invertible():
             raise MissingControlData(
                 f"control {ctrl.name!r}: xi at {x!r} is not an isomorphism"
             )
         # p: into the block at C.X via cohom(id, xi); q: into the block at X
-        p_block = cohom_on_maps(identity(fcx, f), xi)
+        p_block = cohom_on_maps(identity(d.spaces[cx], f), xi)
         q_block = control_lambda(d, ctrl, x)
         cols.extend(_difference_columns(f, p_block, offsets[cx], q_block, offsets[x]))
     return cols
@@ -440,14 +446,12 @@ def _require_monoidal(F: DiagramFunctor) -> None:
         )
 
 
-def _require_tables(cat_mon: CategoryMonoidalData | None,
+def _require_tables(r: CoendResult, cat_mon: CategoryMonoidalData | None,
                     fun_mon: FunctorMonoidalData | None) -> None:
-    """Refuse absent monoidal data with ``check_monoidal``'s words."""
-    for data, owner in ((cat_mon, "source category"), (fun_mon, "functor")):
-        if data is None:
-            raise WellDefinednessFailure(
-                f"functor is not monoidal: {owner} carries no monoidal data"
-            )
+    """Refuse malformed monoidal tables over r's diagram, in check_monoidal's words."""
+    problems = monoidal_table_problems(r.diagram.objects, r.diagram.spaces, cat_mon, fun_mon)
+    if problems:
+        raise WellDefinednessFailure("functor is not monoidal: " + "; ".join(problems))
 
 
 def bialgebra_from_monoidal(r: CoendResult, cat_mon: CategoryMonoidalData | None,
@@ -459,27 +463,18 @@ def bialgebra_from_monoidal(r: CoendResult, cat_mon: CategoryMonoidalData | None
     dim F(x) into {0, 1} (see ``check_monoidal``), so each xi between
     nonzero spaces is a nonzero scalar, the conjugation multiplies
     xi^-1 xi = 1, and the law reads e_x (x) e_y |-> e_(x (x) y) on the 1-dim
-    blocks; the unit is the unit block's injection.  Every xi and xi_unit is
-    checked to be an isomorphism of the right shape before the result is
-    returned, which is what makes the lemma apply."""
-    _require_tables(cat_mon, fun_mon)
+    blocks; the unit is the unit block's injection.  Every table entry is
+    checked first, by ``fincat.monoidal_table_problems``, which is what makes
+    the lemma apply."""
+    _require_tables(r, cat_mon, fun_mon)
     f = r.field
     d = r.diagram
     n, one = r.nspace.dim, f.one()
     mu = [{} for _ in range(n * n)]  # sparse columns
     for x in d.objects:
         for y in d.objects:
-            xy = cat_mon.tensor_obj.get((x, y))
-            if xy is None:
-                raise WellDefinednessFailure(f"missing object tensor ({x}, {y})")
-            xi = fun_mon.xi.get((x, y))
-            if xi is None:
-                raise WellDefinednessFailure(f"missing xi at ({x}, {y})")
-            fx, fy = d.spaces[x].dim, d.spaces[y].dim
-            if (xi.dom.dim, xi.cod.dim) != (fx * fy, d.spaces[xy].dim) or not xi.is_invertible():
-                raise WellDefinednessFailure(f"xi at ({x}, {y}) is not invertible")
-            if fx == fy == 1:
-                mu[r.offsets[x] * n + r.offsets[y]] = {r.offsets[xy]: one}
+            if d.spaces[x].dim == d.spaces[y].dim == 1:
+                mu[r.offsets[x] * n + r.offsets[y]] = {r.offsets[cat_mon.tensor_obj[(x, y)]]: one}
     mu_n = LinearMap.from_sparse(f, tensor_space(r.nspace, r.nspace), r.nspace, mu)
     try:
         m_q = _descend(r, r.pi @ mu_n, pair=True)
@@ -487,11 +482,6 @@ def bialgebra_from_monoidal(r: CoendResult, cat_mon: CategoryMonoidalData | None
         raise WellDefinednessFailure(
             "multiplication does not descend to the quotient"
         ) from None
-    if cat_mon.unit not in d.objects:
-        raise WellDefinednessFailure("monoidal unit is not a diagram object")
-    xi_u = fun_mon.xi_unit
-    if xi_u.dom.dim != 1 or xi_u.cod.dim != d.spaces[cat_mon.unit].dim or not xi_u.is_invertible():
-        raise WellDefinednessFailure("xi_unit is not an isomorphism K -> F(I)")
     bialg = Bialgebra(r.carrier, r.coalgebra.delta, r.coalgebra.counit, m_q,
                       r.injections[cat_mon.unit])
     _record_check(r, "bialgebra", bialg.algebra_problems())
@@ -510,11 +500,12 @@ def antipode_from_monoidal(r: CoendResult, cat_mon: CategoryMonoidalData | None,
 
     In general the block at x flips onto the block at x* through the
     identification F(x*) ~ F(x)^*, conjugated by it; on a 1-dim block that
-    is a nonzero scalar times its inverse.  Every identification is checked
-    to be an isomorphism before the result is returned.  The bialgebra is
-    r.bialgebra, built from the tables first if there is none."""
-    _require_tables(cat_mon, fun_mon)
+    is a nonzero scalar times its inverse.  The tables are checked once: by
+    ``bialgebra_from_monoidal`` if it builds r.bialgebra, else here.  An
+    absent dual or identification is a ``MissingDual``."""
     d = r.diagram
+    if r.bialgebra is not None:
+        _require_tables(r, cat_mon, fun_mon)
     bialg = r.bialgebra or bialgebra_from_monoidal(r, cat_mon, fun_mon)
     if cat_mon.duals is None or fun_mon.dual_maps is None:
         raise MissingDual("no dual objects or dual identifications declared")
@@ -522,15 +513,10 @@ def antipode_from_monoidal(r: CoendResult, cat_mon: CategoryMonoidalData | None,
     for x in d.objects:
         if x not in cat_mon.duals:
             raise MissingDual(f"object {x!r} has no declared dual")
-        xstar = cat_mon.duals[x]
-        dmap = fun_mon.dual_maps.get(x)
-        if dmap is None:
+        if x not in fun_mon.dual_maps:
             raise MissingDual(f"object {x!r} has no identification F(X*) ~ F(X)^*")
-        fx = d.spaces[x].dim
-        if (dmap.dom.dim, dmap.cod.dim) != (d.spaces[xstar].dim, fx) or not dmap.is_invertible():
-            raise MissingDual(f"dual identification at {x!r} is not an isomorphism")
-        if fx == 1:
-            sigma[r.offsets[x]] = {r.offsets[xstar]: r.field.one()}
+        if d.spaces[x].dim == 1:
+            sigma[r.offsets[x]] = {r.offsets[cat_mon.duals[x]]: r.field.one()}
     sigma_n = LinearMap.from_sparse(r.field, r.nspace, r.nspace, sigma)
     try:
         s_q = _descend(r, r.pi @ sigma_n)

@@ -11,6 +11,8 @@ composition table.  The laws a family over a diagram can satisfy are checked
 here and nowhere else: ``natural_problems`` (a family F => F (x) M, each
 morphism tested by ``cohom.intertwines``) and ``cowedge_problems`` (a family
 cohom(F(X), F(X)) -> M).  ``check_natural`` is the general F => G reference.
+So is every monoidal table entry, once: ``monoidal_table_problems``, which
+``check_monoidal`` and every monoidal constructor call.
 """
 
 from __future__ import annotations
@@ -150,17 +152,26 @@ def validate_category(cat: FinCategory) -> ValidationReport:
     return ValidationReport(not problems, problems)
 
 
+def _entry_problems(objects, mon: CategoryMonoidalData) -> list[str]:
+    """Why the unit, an object tensor entry or a dual entry names no object."""
+    known = set(objects)
+    if mon.unit not in known:
+        return [f"monoidal unit {mon.unit!r} is not an object"]
+    problems = []
+    for a in objects:
+        for b in objects:
+            if (ab := mon.tensor_obj.get((a, b))) is None:
+                problems.append(f"missing object tensor ({a}, {b})")
+            elif ab not in known:
+                problems.append(f"object tensor ({a}, {b}) names unknown object")
+    return problems + [f"dual table entry ({a}, {astar}) names unknown object"
+                       for a, astar in (mon.duals or {}).items()
+                       if a not in known or astar not in known]
+
+
 def _validate_monoidal_tables(cat: FinCategory) -> list[str]:
     mon = cat.monoidal
-    problems = []
-    if mon.unit not in cat.objects:
-        return [f"monoidal unit {mon.unit!r} is not an object"]
-    for a in cat.objects:
-        for b in cat.objects:
-            if (a, b) not in mon.tensor_obj:
-                problems.append(f"missing object tensor ({a}, {b})")
-            elif mon.tensor_obj[(a, b)] not in cat.objects:
-                problems.append(f"object tensor ({a}, {b}) names unknown object")
+    problems = _entry_problems(cat.objects, mon)
     if problems:
         return problems
     for a in cat.objects:
@@ -182,10 +193,6 @@ def _validate_monoidal_tables(cat: FinCategory) -> list[str]:
             (mf.cod, mg.cod)
         ]:
             problems.append(f"morphism tensor ({f}, {g}) has wrong endpoints")
-    if mon.duals is not None:
-        for a, astar in mon.duals.items():
-            if a not in cat.objects or astar not in cat.objects:
-                problems.append(f"dual table entry ({a}, {astar}) names unknown object")
     return problems
 
 
@@ -198,6 +205,43 @@ class FunctorMonoidalData:
     xi: dict[tuple[str, str], LinearMap]
     xi_unit: LinearMap
     dual_maps: dict[str, LinearMap] | None = None
+
+
+def monoidal_table_problems(objects, spaces: dict[str, Space],
+                            cat_mon: CategoryMonoidalData | None,
+                            fun_mon: FunctorMonoidalData | None) -> list[str]:
+    """Why the monoidal tables over objects, with F(x) = spaces[x], cannot
+    be read entry by entry, or [] if they can: absent data, an entry naming
+    no object, a missing xi or one that is not an invertible map of the
+    right shape, and an xi_unit or dual identification that is no
+    isomorphism.  The squares relating the entries are ``check_monoidal``'s.
+    """
+    if cat_mon is None:
+        return ["source category carries no monoidal data"]
+    if fun_mon is None:
+        return ["functor carries no monoidal data"]
+    problems = _entry_problems(objects, cat_mon)
+    if problems:
+        return problems
+    for a in objects:
+        for b in objects:
+            xi = fun_mon.xi.get((a, b))
+            if xi is None:
+                problems.append(f"missing xi at ({a}, {b})")
+            elif (xi.dom.dim, xi.cod.dim) != (spaces[a].dim * spaces[b].dim,
+                                              spaces[cat_mon.tensor_obj[(a, b)]].dim):
+                problems.append(f"xi at ({a}, {b}) has wrong shape")
+            elif not xi.is_invertible():
+                problems.append(f"xi at ({a}, {b}) is not invertible")
+    xi_u = fun_mon.xi_unit
+    if (xi_u.dom.dim, xi_u.cod.dim) != (1, spaces[cat_mon.unit].dim) or not xi_u.is_invertible():
+        problems.append("xi_unit is not an isomorphism K -> F(I)")
+    duals = cat_mon.duals or {}
+    for x, dmap in (fun_mon.dual_maps or {}).items():
+        if x in duals and ((dmap.dom.dim, dmap.cod.dim) != (spaces[duals[x]].dim, spaces[x].dim)
+                           or not dmap.is_invertible()):
+            problems.append(f"dual identification at {x!r} is not an isomorphism")
+    return problems
 
 
 class DiagramFunctor:
@@ -364,12 +408,13 @@ def check_natural(t: Transformation, F: DiagramFunctor, G: DiagramFunctor) -> bo
 def check_monoidal(F: DiagramFunctor) -> ValidationReport:
     """Validate the structure isomorphisms of a monoidal functor.
 
-    Checks invertibility of every xi and dual identification F(x*) -> F(x)^*,
-    the associativity square
+    First every table entry, by ``monoidal_table_problems``; then the
+    associativity square
     xi_{X(x)Y,Z} o (xi_{X,Y} (x) id) = xi_{X,Y(x)Z} o (id (x) xi_{Y,Z}),
     the unit squares against xi_unit, and naturality of xi on every pair
-    in the morphism tensor table.  The source category is trusted: callers
-    run ``validate_category`` on it first.
+    in the morphism tensor table.  The laws of the source category (its
+    tensor associativity, unit laws and morphism tensor endpoints) are
+    trusted: callers run ``validate_category`` on it first.
 
     Once every xi is invertible, dim F(a) * dim F(b) = dim F(a (x) b), so the
     dimensions of the objects form a finite multiplicatively closed subset
@@ -382,35 +427,11 @@ def check_monoidal(F: DiagramFunctor) -> ValidationReport:
     identity times its nonzero denominators) is zero once read into the
     field by ``from_int``: exactly over Q, mod p over F_p.
     """
-    problems = []
     cat = F.source
-    if cat.monoidal is None:
-        return ValidationReport(False, ["source category carries no monoidal data"])
-    if F.monoidal is None:
-        return ValidationReport(False, ["functor carries no monoidal data"])
-    mon = cat.monoidal
-    fld = F.field
-    for a in cat.objects:
-        for b in cat.objects:
-            ab = mon.tensor_obj[(a, b)]
-            xi = F.monoidal.xi.get((a, b))
-            if xi is None:
-                problems.append(f"missing xi at ({a}, {b})")
-                continue
-            if xi.dom.dim != F.space(a).dim * F.space(b).dim or xi.cod.dim != F.space(ab).dim:
-                problems.append(f"xi at ({a}, {b}) has wrong shape")
-            elif not xi.is_invertible():
-                problems.append(f"xi at ({a}, {b}) is not invertible")
-    xi_u = F.monoidal.xi_unit
-    if xi_u.dom.dim != 1 or xi_u.cod.dim != F.space(mon.unit).dim or not xi_u.is_invertible():
-        problems.append("xi_unit is not an isomorphism K -> F(I)")
-    duals = mon.duals or {}
-    for x, dmap in (F.monoidal.dual_maps or {}).items():
-        if x in duals and ((dmap.dom.dim, dmap.cod.dim) != (F.space(duals[x]).dim, F.space(x).dim)
-                           or not dmap.is_invertible()):
-            problems.append(f"dual identification at {x!r} is not an isomorphism")
+    problems = monoidal_table_problems(cat.objects, F.ob, cat.monoidal, F.monoidal)
     if problems:
         return ValidationReport(False, problems)
+    mon, fld, xi_u = cat.monoidal, F.field, F.monoidal.xi_unit
     # each xi as n/d from its one entry; no pair where F(a) (x) F(b) is 0-dim
     ratio = {pair: (v.numerator, v.denominator)
              for pair, xi in F.monoidal.xi.items() for col in xi.cols for v in col.values()}

@@ -50,6 +50,7 @@ from .fincat import (
     DiagramMorphism,
     FunctorMonoidalData,
     Transformation,
+    monoidal_table_problems,
     natural_problems,
 )
 
@@ -221,20 +222,19 @@ def reconstruct_bialgebra(b: Bialgebra, seeds: dict[str, Comodule], cat_mon: Cat
                           fun_mon: FunctorMonoidalData) -> tuple[ReconstructionResult, Bialgebra]:
     """Reconstruction with monoidal seeds: the category's tensor table names
     seeds, and the functor's xi[(a, b)]: F(a) (x) F(b) -> F(a (x) b) must be
-    comodule isomorphisms.  Additionally induces the multiplication on the
-    coend and verifies that h transports it to the multiplication of b."""
-    for (x, y), name in cat_mon.tensor_obj.items():
-        if not {x, y, name} <= seeds.keys():
-            raise WellDefinednessFailure(f"object tensor ({x}, {y}) names unknown object")
-        xi = fun_mon.xi.get((x, y))
-        if xi is None:
-            raise WellDefinednessFailure(f"missing xi at ({x}, {y})")
-        if (xi.dom.dim, xi.cod.dim) != (seeds[x].space.dim * seeds[y].space.dim,
-                                        seeds[name].space.dim):
-            raise WellDefinednessFailure(f"xi at ({x}, {y}) has wrong shape")
-        t = tensor_comodule(seeds[x], seeds[y], b)
-        if not intertwines(xi, t.rho, seeds[name].rho, b.carrier):
-            raise ValueError(f"xi at ({x}, {y}) is not a comodule morphism")
+    comodule isomorphisms, else WellDefinednessFailure.  Additionally induces
+    the multiplication on the coend and verifies that h transports it to the
+    multiplication of b."""
+    problems = monoidal_table_problems(
+        list(seeds), {name: com.space for name, com in seeds.items()}, cat_mon, fun_mon)
+    if problems:
+        raise WellDefinednessFailure("; ".join(problems))
+    for x in seeds:
+        for y in seeds:
+            t = tensor_comodule(seeds[x], seeds[y], b)
+            if not intertwines(fun_mon.xi[(x, y)], t.rho, seeds[cat_mon.tensor_obj[(x, y)]].rho,
+                               b.carrier):
+                raise WellDefinednessFailure(f"xi at ({x}, {y}) is not a comodule morphism")
     res = reconstruct_coalgebra(Coalgebra(b.carrier, b.delta, b.counit), seeds)
     bialg_q = bialgebra_from_monoidal(res.coend, cat_mon, fun_mon)
     if res.iso:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .coend import ControlData
 from .cohom import Bialgebra, Coalgebra, Comodule, HopfAlgebra, unit_space
 from .exactlinalg import (
     LinearMap,
@@ -345,26 +346,16 @@ def load_spec(source, field_override: str | None = None) -> SpecData:
     return spec
 
 
-def resolve_control(spec: SpecData, F: DiagramFunctor, name: str):
+def resolve_control(spec: SpecData, F: DiagramFunctor, name: str) -> ControlData:
     """Turn a control spec into control data for a specific functor, with
-    xi matrices parsed against that functor's spaces."""
-    from .coend import ControlData, MissingControlData
-
+    xi matrices parsed up to the first object whose action or xi is absent
+    or names no object; ``coend.c_coend`` names what is wrong there."""
     cs = _named(spec.controls, name, "unknown control")
     xi = {}
     for x in F.source.objects:
-        if x not in cs.action:
-            raise MissingControlData(f"control {name!r} has no action on {x!r}")
-        cx = cs.action[x]
-        if cx not in F.source.objects:
-            raise MissingControlData(
-                f"control {name!r}: action sends {x!r} to unknown object {cx!r}"
-            )
-        rows = cs.xi_rows.get(x)
-        if rows is None:
-            raise MissingControlData(
-                f"control {name!r} has no structure isomorphism at {x!r}"
-            )
+        cx, rows = cs.action.get(x), cs.xi_rows.get(x)
+        if cx not in F.source.objects or rows is None:
+            break
         xi[x] = _parse_rows(
             spec.field, rows, F.space(cx), tensor_space(cs.space, F.space(x)),
             f"control {name!r} xi at {x!r}",

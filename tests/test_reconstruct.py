@@ -242,6 +242,16 @@ def test_reconstruct_bialgebra_refuses_a_missing_xi():
             reconstruct_bialgebra(h, seeds, cat_mon, fun_mon)
 
 
+def test_reconstruct_bialgebra_refuses_an_xi_that_is_no_comodule_morphism():
+    # k0 (x) k1 := k0: xi at (k0, k1) is a well-shaped isomorphism from a
+    # line of degree 1 onto one of degree 0
+    h, seeds, cat_mon, fun_mon = kz2_monoidal_seeds()
+    cat_mon.tensor_obj[("k0", "k1")] = "k0"
+    with pytest.raises(WellDefinednessFailure,
+                       match=r"^xi at \(k0, k1\) is not a comodule morphism$"):
+        reconstruct_bialgebra(h, seeds, cat_mon, fun_mon)
+
+
 # -- recognition ---------------------------------------------------------------
 
 def test_recognition_on_comodule_category_diagram():
