@@ -69,7 +69,6 @@ from .fincat import (
     FinCategory,
     Transformation,
     check_monoidal,
-    check_natural,
     cowedge_problems,
     natural_problems,
     validate_category,

@@ -13,6 +13,7 @@ are checked once, by the ``coend`` constructor that builds them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -53,8 +54,35 @@ VALIDATION_ERRORS = (
 )
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(v, indent="\n") -> str:
+    """v as ``json.dumps(v, indent=2, sort_keys=True)`` writes it, byte for
+    byte, for a JSON tree with string keys.  With ``indent`` set,
+    ``json.dumps`` runs CPython's pure-Python encoder; this writer quotes
+    each string with the C escaper and joins a row of strings at once."""
+    if isinstance(v, str):
+        return _quote(v)
+    inner = indent + "  "
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        items = (_quote(k) + ": " + _json_text(v[k], inner) for k in sorted(v))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        if all(type(a) is str for a in v):
+            items = map(_quote, v)
+        else:
+            items = (_json_text(a, inner) for a in v)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(v)
+
+
 def _emit(payload, out_path=None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(payload) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -301,7 +329,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    ``main`` call in the process."""
     parser = argparse.ArgumentParser(
         prog="coendforge",
         description="Exact cohom/coend computations and reconstruction checks "

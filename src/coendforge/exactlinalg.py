@@ -842,11 +842,28 @@ def invert_map(m: LinearMap) -> LinearMap:
 
 
 def parse_matrix(f, rows, dom: Space, cod: Space) -> LinearMap:
-    """Build a map from row-major string (or numeric) entries."""
-    return LinearMap(f, dom, cod, tuple(tuple(f.parse(str(a)) for a in row) for row in rows))
+    """Build a map from row-major string (or numeric) entries.  Each distinct
+    entry string is parsed once per call, by ``f.parse``, so the values and
+    the first error are those of parsing every entry in turn."""
+    memo = {}
+
+    def scalar(a):
+        s = str(a)
+        v = memo.get(s)
+        if v is None:
+            v = memo[s] = f.parse(s)
+        return v
+
+    return LinearMap(f, dom, cod, tuple(tuple(map(scalar, row)) for row in rows))
 
 
 def format_matrix(m: LinearMap):
-    """Row-major matrix as exact-scalar strings (the wire format)."""
+    """Row-major matrix as exact-scalar strings (the wire format); only the
+    nonzero entries are formatted, every other cell is the zero string."""
     f = m.field
-    return [[f.fmt(a) for a in row] for row in m.entries]
+    zero = f.fmt(f.zero())
+    rows = [[zero] * m.dom.dim for _ in range(m.cod.dim)]
+    for j, col in enumerate(m.cols):
+        for i, a in col.items():
+            rows[i][j] = f.fmt(a)
+    return rows

@@ -10,9 +10,9 @@ A ``Diagram`` is the minimal input of a coend: based spaces and maps, with no
 composition table.  The laws a family over a diagram can satisfy are checked
 here and nowhere else: ``natural_problems`` (a family F => F (x) M, each
 morphism tested by ``cohom.intertwines``) and ``cowedge_problems`` (a family
-cohom(F(X), F(X)) -> M).  ``check_natural`` is the general F => G reference.
-So is every monoidal table entry, once: ``monoidal_table_problems``, which
-``check_monoidal`` and every monoidal constructor call.
+cohom(F(X), F(X)) -> M).  So is every monoidal table entry, once:
+``monoidal_table_problems``, which ``check_monoidal`` and every monoidal
+constructor call.
 """
 
 from __future__ import annotations
@@ -184,11 +184,11 @@ def _validate_monoidal_tables(cat: FinCategory) -> list[str]:
                 if left != right:
                     problems.append(f"tensor associativity fails at ({a}, {b}, {c})")
     for (f, g), h in mon.tensor_mor.items():
-        mf, mg = cat.morphisms[f], cat.morphisms[g]
-        mh = cat.morphisms.get(h)
-        if mh is None:
-            problems.append(f"morphism tensor ({f}, {g}) names unknown morphism {h!r}")
+        unknown = [n for n in (f, g, h) if n not in cat.morphisms]
+        if unknown:
+            problems.append(f"morphism tensor ({f}, {g}) names unknown morphism {unknown[0]!r}")
             continue
+        mf, mg, mh = cat.morphisms[f], cat.morphisms[g], cat.morphisms[h]
         if mh.dom != mon.tensor_obj[(mf.dom, mg.dom)] or mh.cod != mon.tensor_obj[
             (mf.cod, mg.cod)
         ]:
@@ -389,20 +389,6 @@ def cowedge_problems(d: Diagram, w: dict[str, LinearMap], m_space: Space) -> lis
         if w[m.dom] @ into_dom != w[m.cod] @ into_cod:
             problems.append(f"cowedge relation fails at morphism {m.name}")
     return problems
-
-
-def check_natural(t: Transformation, F: DiagramFunctor, G: DiagramFunctor) -> bool:
-    """True iff G(f) o t_X = t_Y o F(f) holds exactly for every f: X -> Y."""
-    for obj in F.source.objects:
-        comp = t.components.get(obj)
-        if comp is None:
-            return False
-        if comp.dom.dim != F.space(obj).dim or comp.cod.dim != G.space(obj).dim:
-            return False
-    for m in F.source.non_identity():
-        if G.map(m.name) @ t[m.dom] != t[m.cod] @ F.map(m.name):
-            return False
-    return True
 
 
 def check_monoidal(F: DiagramFunctor) -> ValidationReport:

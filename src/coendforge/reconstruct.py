@@ -51,7 +51,6 @@ from .fincat import (
     FunctorMonoidalData,
     Transformation,
     monoidal_table_problems,
-    natural_problems,
 )
 
 
@@ -95,26 +94,6 @@ def comodule_hom_basis(m: Comodule, n: Comodule) -> list[LinearMap]:
     return basis
 
 
-def _flat(g: LinearMap) -> dict:
-    """g as a sparse vector in row-major order."""
-    return {i * g.dom.dim + j: a for j, col in enumerate(g.cols) for i, a in col.items()}
-
-
-def _in_span(g: LinearMap, basis: list[LinearMap]) -> bool:
-    f = g.field
-    if not basis:
-        return g.is_zero_map()
-    flat = Space.std(g.dom.dim * g.cod.dim, prefix="v")
-    a = LinearMap.from_sparse(f, Space.std(len(basis), prefix="c"), flat,
-                              [_flat(b) for b in basis])
-    b = LinearMap.from_sparse(f, Space.std(1, prefix="t"), flat, [_flat(g)])
-    try:
-        solve_through_injection(b, a)
-        return True
-    except NoSolution:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # the comodule category of a seed family
 # ---------------------------------------------------------------------------
@@ -124,29 +103,6 @@ class ComoduleCategory:
     base: Coalgebra
     objects: dict[str, Comodule]
     homs: dict[tuple[str, str], list[LinearMap]]
-
-    def check(self) -> list[str]:
-        """Every listed morphism intertwines exactly (the coactions are
-        natural on the forgetful diagram); composites of basis morphisms stay
-        inside the listed spans."""
-        coactions = Transformation({name: com.rho for name, com in self.objects.items()})
-        problems = [
-            f"hom basis: {p}"
-            for p in natural_problems(
-                diagram_of_comodule_category(self), coactions, self.base.carrier
-            )
-        ]
-        for (a, b), basis_ab in self.homs.items():
-            for (b2, c), basis_bc in self.homs.items():
-                if b2 != b:
-                    continue
-                for g in basis_ab:
-                    for h in basis_bc:
-                        if not _in_span(h @ g, self.homs[(a, c)]):
-                            problems.append(
-                                f"composite hom({a},{b}) then hom({b},{c}) leaves the span"
-                            )
-        return problems
 
 
 def comodule_category_of(c: Coalgebra, seeds: dict[str, Comodule]) -> ComoduleCategory:

@@ -24,7 +24,6 @@ from coendforge.fincat import (
     Transformation,
     ValidationReport,
     check_monoidal,
-    check_natural,
     cowedge_problems,
     diagram_of_functor,
     natural_problems,
@@ -32,6 +31,7 @@ from coendforge.fincat import (
     validate_category,
     validate_functor,
 )
+from references import check_natural
 
 K = Space.std(1)
 K2 = Space.std(2)

@@ -34,6 +34,7 @@ from coendforge.reconstruct import (
     reconstruct_coalgebra,
     recognition_factorization,
 )
+from references import comodule_category_problems
 
 K = Space.std(1)
 K2 = Space.std(2)
@@ -89,7 +90,7 @@ def test_comatrix_standard_comodule_is_simple():
 def test_comodule_category_closure():
     c = kz2()
     cat = comodule_category_of(c, {"k0": graded_line(c, 0), "k1": graded_line(c, 1, "w")})
-    assert cat.check() == []
+    assert comodule_category_problems(cat) == []
     d = diagram_of_comodule_category(cat)
     # identity basis morphisms are dropped from the diagram
     assert d.morphisms == []
@@ -100,7 +101,7 @@ def test_comodule_category_check_rejects_a_non_intertwining_hom():
     cat = comodule_category_of(c, {"k0": graded_line(c, 0), "k1": graded_line(c, 1, "w")})
     # K -> K from degree 0 to degree 1 is linear but not a comodule morphism
     cat.homs[("k0", "k1")] = [qmap([[1]], K, K)]
-    assert cat.check() == ["hom basis: naturality fails at morphism h:k0->k1:0"]
+    assert comodule_category_problems(cat) == ["hom basis: naturality fails at morphism h:k0->k1:0"]
 
 
 def test_direct_sum_seed_category_closure():
@@ -112,7 +113,7 @@ def test_direct_sum_seed_category_closure():
         "k0": graded_line(c, 0),
     }
     cat = comodule_category_of(c, seeds)
-    assert cat.check() == []
+    assert comodule_category_problems(cat) == []
     assert len(cat.homs[("sum", "sum")]) == 2
     assert len(cat.homs[("k0", "sum")]) == 1
 
