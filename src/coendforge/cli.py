@@ -98,10 +98,10 @@ def _validate_spec(spec):
         problems.extend(f"category {name}: {p}" for p in rep.problems)
     for name, F in spec.functors.items():
         rep = validate_functor(F)
-        if rep.ok and F.monoidal is not None:
-            # check_monoidal trusts its source category, validated above
-            cat_rep = cat_reports[id(F.source)]
-            rep = check_monoidal(F) if cat_rep.ok else cat_rep
+        # check_monoidal trusts its source category, validated above; the
+        # faults of an invalid one are named once, under the category
+        if rep.ok and F.monoidal is not None and cat_reports[id(F.source)].ok:
+            rep = check_monoidal(F)
         problems.extend(f"functor {name}: {p}" for p in rep.problems)
     for name, c in spec.coalgebras.items():
         problems.extend(f"coalgebra {name}: {p}" for p in c.check())

@@ -841,11 +841,13 @@ def invert_map(m: LinearMap) -> LinearMap:
     return solve_factor(identity(m.dom, m.field), m)
 
 
-def parse_matrix(f, rows, dom: Space, cod: Space) -> LinearMap:
+def parse_matrix(f, rows, dom: Space, cod: Space, memo=None) -> LinearMap:
     """Build a map from row-major string (or numeric) entries.  Each distinct
-    entry string is parsed once per call, by ``f.parse``, so the values and
-    the first error are those of parsing every entry in turn."""
-    memo = {}
+    entry string is parsed once, by ``f.parse``, and kept in memo (a dict
+    string -> scalar of f, which callers may share across matrices over f;
+    a fresh one per call by default).  Only values are kept, so the values
+    and the first error are those of parsing every entry in turn."""
+    memo = {} if memo is None else memo
 
     def scalar(a):
         s = str(a)

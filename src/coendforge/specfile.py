@@ -63,6 +63,8 @@ class SpecData:
     # name -> (functor, transformation, target space)
     transformations: dict[str, tuple[DiagramFunctor, Transformation, Space]] = field(
         default_factory=dict)
+    # every scalar string read so far -> its value, so each is parsed once
+    scalars: dict[str, object] = field(default_factory=dict)
 
 
 def _expect(value, kind, what: str):
@@ -104,14 +106,14 @@ def _names(entry, count: int) -> bool:
         isinstance(a, str) for a in entry)
 
 
-def _parse_rows(fld, rows, dom: Space, cod: Space, what: str) -> LinearMap:
+def _parse_rows(spec: SpecData, rows, dom: Space, cod: Space, what: str) -> LinearMap:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise SpecError(f"{what}: matrix must be a list of rows")
     if len(rows) != cod.dim or any(len(r) != dom.dim for r in rows):
         got = f"{len(rows)}x{len(rows[0]) if rows else 0}"
         raise SpecError(f"{what}: matrix is {got}, expected {cod.dim}x{dom.dim}")
     try:
-        return parse_matrix(fld, rows, dom, cod)
+        return parse_matrix(spec.field, rows, dom, cod, spec.scalars)
     except ScalarError as exc:
         raise SpecError(f"{what}: {exc}") from None
 
@@ -190,15 +192,15 @@ def _category_from_json(name, data) -> FinCategory:
         raise SpecError(f"category {name!r}: {exc}") from None
 
 
-def _functor_from_json(fld, name, data, spaces, categories) -> DiagramFunctor:
+def _functor_from_json(spec: SpecData, name, data) -> DiagramFunctor:
     src_name = _expect(data, dict, f"functor {name!r}").get("source")
-    cat = _named(categories, src_name, f"functor {name!r}: unknown source category")
+    cat = _named(spec.categories, src_name, f"functor {name!r}: unknown source category")
     ob = {}
     objects = _expect(data.get("objects", {}), dict, f"functor {name!r}: 'objects'")
     for obj, space_name in objects.items():
         if obj not in cat.objects:
             raise SpecError(f"functor {name!r}: {obj!r} is not an object of {src_name!r}")
-        ob[obj] = _named(spaces, space_name, f"functor {name!r}: unknown space")
+        ob[obj] = _named(spec.spaces, space_name, f"functor {name!r}: unknown space")
     for obj in cat.objects:
         if obj not in ob:
             raise SpecError(f"functor {name!r}: no space assigned to {obj!r}")
@@ -208,7 +210,7 @@ def _functor_from_json(fld, name, data, spaces, categories) -> DiagramFunctor:
         if mname not in cat.morphisms or cat.is_identity(mname):
             raise SpecError(f"functor {name!r}: unknown morphism {mname!r}")
         m = cat.morphisms[mname]
-        mor[mname] = _parse_rows(fld, rows, ob[m.dom], ob[m.cod],
+        mor[mname] = _parse_rows(spec, rows, ob[m.dom], ob[m.cod],
                                  f"functor {name!r} at {mname!r}")
     for m in cat.non_identity():
         if m.name not in mor:
@@ -227,12 +229,12 @@ def _functor_from_json(fld, name, data, spaces, categories) -> DiagramFunctor:
                 raise SpecError(f"functor {name!r}: no tensor entry for ({a}, {b})")
             what = f"functor {name!r} xi at ({a}, {b})"
             fa, fb, fab = (_named(ob, x, f"{what}: unknown object") for x in (a, b, ab))
-            xi[(a, b)] = _parse_rows(fld, rows, tensor_space(fa, fb), fab, what)
+            xi[(a, b)] = _parse_rows(spec, rows, tensor_space(fa, fb), fab, what)
         xi_unit_rows = data.get("xi_unit")
         if xi_unit_rows is None:
             raise SpecError(f"functor {name!r}: monoidal data needs 'xi_unit'")
         what = f"functor {name!r} xi_unit"
-        xi_unit = _parse_rows(fld, xi_unit_rows, unit_space(),
+        xi_unit = _parse_rows(spec, xi_unit_rows, unit_space(),
                               _named(ob, cat.monoidal.unit, f"{what}: unknown object"), what)
         dual_maps = None
         if "dual_maps" in data:
@@ -248,19 +250,19 @@ def _functor_from_json(fld, name, data, spaces, categories) -> DiagramFunctor:
                     raise SpecError(f"functor {name!r}: no dual declared for {obj!r}")
                 what = f"functor {name!r} dual map at {obj!r}"
                 fobj, fstar = (_named(ob, x, f"{what}: unknown object") for x in (obj, star))
-                dual_maps[obj] = _parse_rows(fld, rows, fstar, dual_space(fobj), what)
+                dual_maps[obj] = _parse_rows(spec, rows, fstar, dual_space(fobj), what)
         monoidal = FunctorMonoidalData(xi=xi, xi_unit=xi_unit, dual_maps=dual_maps)
-    return DiagramFunctor(cat, fld, ob, mor, monoidal)
+    return DiagramFunctor(cat, spec.field, ob, mor, monoidal)
 
 
-def _coalgebra_from_json(fld, name, data, spaces):
+def _coalgebra_from_json(spec: SpecData, name, data):
     space_name = _expect(data, dict, f"coalgebra {name!r}").get("space")
-    s = _named(spaces, space_name, f"coalgebra {name!r}: unknown space")
+    s = _named(spec.spaces, space_name, f"coalgebra {name!r}: unknown space")
     ss = tensor_space(s, s)
     what = f"coalgebra {name!r}"
 
     def matrix(key, dom, cod):
-        return _parse_rows(fld, _required(data, key, what), dom, cod, f"{what} {key}")
+        return _parse_rows(spec, _required(data, key, what), dom, cod, f"{what} {key}")
 
     delta = matrix("delta", s, ss)
     eps = matrix("epsilon", s, unit_space())
@@ -310,15 +312,14 @@ def load_spec(source, field_override: str | None = None) -> SpecData:
     for name, data in _section(raw, "categories").items():
         spec.categories[name] = _category_from_json(name, data)
     for name, data in _section(raw, "functors").items():
-        spec.functors[name] = _functor_from_json(fld, name, data, spec.spaces,
-                                                 spec.categories)
+        spec.functors[name] = _functor_from_json(spec, name, data)
     for name, data in _section(raw, "coalgebras").items():
-        spec.coalgebras[name] = _coalgebra_from_json(fld, name, data, spec.spaces)
+        spec.coalgebras[name] = _coalgebra_from_json(spec, name, data)
     for name, data in _section(raw, "comodules").items():
         over = _expect(data, dict, f"comodule {name!r}").get("over")
         c = _named(spec.coalgebras, over, f"comodule {name!r}: unknown coalgebra")
         s = _named(spec.spaces, data.get("space"), f"comodule {name!r}: unknown space")
-        rho = _parse_rows(fld, _required(data, "rho", f"comodule {name!r}"), s,
+        rho = _parse_rows(spec, _required(data, "rho", f"comodule {name!r}"), s,
                           tensor_space(s, c.carrier), f"comodule {name!r} rho")
         spec.comodules[name] = Comodule(s, c, rho)
     for name, data in _section(raw, "controls").items():
@@ -340,7 +341,7 @@ def load_spec(source, field_override: str | None = None) -> SpecData:
         for x in F.source.objects:
             if rows.get(x) is None:
                 raise SpecError(f"{what}: missing component at {x!r}")
-            comps[x] = _parse_rows(fld, rows[x], F.space(x), tensor_space(F.space(x), target),
+            comps[x] = _parse_rows(spec, rows[x], F.space(x), tensor_space(F.space(x), target),
                                    f"{what} at {x!r}")
         spec.transformations[name] = (F, Transformation(comps), target)
     return spec
@@ -357,7 +358,7 @@ def resolve_control(spec: SpecData, F: DiagramFunctor, name: str) -> ControlData
         if cx not in F.source.objects or rows is None:
             break
         xi[x] = _parse_rows(
-            spec.field, rows, F.space(cx), tensor_space(cs.space, F.space(x)),
+            spec, rows, F.space(cx), tensor_space(cs.space, F.space(x)),
             f"control {name!r} xi at {x!r}",
         )
     return ControlData(name, cs.space, dict(cs.action), xi)

@@ -7,12 +7,40 @@ library's ``natural_problems`` (F => F (x) M) is compared.
 intertwines, and composites of basis elements stay inside the listed spans.
 It runs one exact solve per pair of basis elements, so it is meant for small
 seed families.
+
+Three checks decide associativity by Light's test on a generating set; their
+references walk every triple.  ``reference_monoidal_tables`` is the monoidal
+part of ``fincat.validate_category`` with the object tensor's associativity
+tried on all n^3 triples.  ``reference_check_monoidal`` is
+``fincat.check_monoidal`` with every associativity square built as a map,
+one per triple.  ``transposed_algebra_problems`` is
+``cohom.Bialgebra.algebra_problems`` with associativity read off the
+transposes in full, (C*, m^T) coassociative, n^3 coefficients.
 """
 
 from __future__ import annotations
 
-from coendforge.exactlinalg import LinearMap, NoSolution, Space, solve_through_injection
-from coendforge.fincat import DiagramFunctor, Transformation, natural_problems
+from coendforge.cohom import Bialgebra
+from coendforge.exactlinalg import (
+    LinearMap,
+    NoSolution,
+    Space,
+    compose_kron,
+    dual,
+    identity,
+    kron_compose,
+    solve_through_injection,
+    swap_map,
+    tensor,
+)
+from coendforge.fincat import (
+    DiagramFunctor,
+    FinCategory,
+    Transformation,
+    ValidationReport,
+    _entry_problems,
+    natural_problems,
+)
 from coendforge.reconstruct import ComoduleCategory, diagram_of_comodule_category
 
 
@@ -71,4 +99,122 @@ def comodule_category_problems(cat: ComoduleCategory) -> list[str]:
                         problems.append(
                             f"composite hom({a},{b}) then hom({b},{c}) leaves the span"
                         )
+    return problems
+
+
+def reference_monoidal_tables(cat: FinCategory) -> list[str]:
+    """The monoidal table problems of ``validate_category``, with the object
+    tensor's associativity tried at every triple."""
+    mon = cat.monoidal
+    problems = _entry_problems(cat.objects, mon)
+    if problems:
+        return problems
+    for a in cat.objects:
+        if mon.tensor_obj[(mon.unit, a)] != a or mon.tensor_obj[(a, mon.unit)] != a:
+            problems.append(f"unit law fails at object {a}")
+        for b in cat.objects:
+            for c in cat.objects:
+                left = mon.tensor_obj[(mon.tensor_obj[(a, b)], c)]
+                right = mon.tensor_obj[(a, mon.tensor_obj[(b, c)])]
+                if left != right:
+                    problems.append(f"tensor associativity fails at ({a}, {b}, {c})")
+    for (f, g), h in mon.tensor_mor.items():
+        unknown = [n for n in (f, g, h) if n not in cat.morphisms]
+        if unknown:
+            problems.append(f"morphism tensor ({f}, {g}) names unknown morphism {unknown[0]!r}")
+            continue
+        mf, mg, mh = cat.morphisms[f], cat.morphisms[g], cat.morphisms[h]
+        if mh.dom != mon.tensor_obj[(mf.dom, mg.dom)] or mh.cod != mon.tensor_obj[
+            (mf.cod, mg.cod)
+        ]:
+            problems.append(f"morphism tensor ({f}, {g}) has wrong endpoints")
+    return problems
+
+
+def reference_check_monoidal(F: DiagramFunctor) -> ValidationReport:
+    """Validate the structure isomorphisms of a monoidal functor.
+
+    Checks invertibility of every xi, the associativity square
+    xi_{X(x)Y,Z} o (xi_{X,Y} (x) id) = xi_{X,Y(x)Z} o (id (x) xi_{Y,Z}),
+    the unit squares against xi_unit, and naturality of xi on every pair
+    in the morphism tensor table.  The source category is trusted: callers
+    run ``validate_category`` on it first.
+    """
+    problems = []
+    cat = F.source
+    if cat.monoidal is None:
+        return ValidationReport(False, ["source category carries no monoidal data"])
+    if F.monoidal is None:
+        return ValidationReport(False, ["functor carries no monoidal data"])
+    mon = cat.monoidal
+    fld = F.field
+    for a in cat.objects:
+        for b in cat.objects:
+            ab = mon.tensor_obj[(a, b)]
+            xi = F.monoidal.xi.get((a, b))
+            if xi is None:
+                problems.append(f"missing xi at ({a}, {b})")
+                continue
+            if xi.dom.dim != F.space(a).dim * F.space(b).dim or xi.cod.dim != F.space(ab).dim:
+                problems.append(f"xi at ({a}, {b}) has wrong shape")
+            elif xi.rank() != xi.cod.dim or xi.dom.dim != xi.cod.dim:
+                problems.append(f"xi at ({a}, {b}) is not invertible")
+    xi_u = F.monoidal.xi_unit
+    if xi_u.dom.dim != 1 or xi_u.cod.dim != F.space(mon.unit).dim or xi_u.rank() != 1:
+        problems.append("xi_unit is not an isomorphism K -> F(I)")
+    if problems:
+        return ValidationReport(False, problems)
+    for a in cat.objects:
+        for b in cat.objects:
+            for c in cat.objects:
+                ab = mon.tensor_obj[(a, b)]
+                bc = mon.tensor_obj[(b, c)]
+                left = compose_kron(F.xi(ab, c), F.xi(a, b), identity(F.space(c), fld))
+                right = compose_kron(F.xi(a, bc), identity(F.space(a), fld), F.xi(b, c))
+                if left != right:
+                    problems.append(f"xi associativity fails at ({a}, {b}, {c})")
+    for a in cat.objects:
+        # K (x) F(a) and F(a) (x) K are identified with F(a) by flat indexing
+        left_unit = compose_kron(F.xi(mon.unit, a), xi_u, identity(F.space(a), fld))
+        right_unit = compose_kron(F.xi(a, mon.unit), identity(F.space(a), fld), xi_u)
+        if left_unit != identity(F.space(a), fld):
+            problems.append(f"left unit square fails at {a}")
+        if right_unit != identity(F.space(a), fld):
+            problems.append(f"right unit square fails at {a}")
+    for (fname, gname), hname in mon.tensor_mor.items():
+        mf, mg = cat.morphisms[fname], cat.morphisms[gname]
+        lhs = F.map(hname) @ F.xi(mf.dom, mg.dom)
+        rhs = compose_kron(F.xi(mf.cod, mg.cod), F.map(fname), F.map(gname))
+        if lhs != rhs:
+            problems.append(f"xi naturality fails at ({fname}, {gname})")
+    return ValidationReport(not problems, problems)
+
+
+def transposed_algebra_problems(b: Bialgebra) -> list[str]:
+    """``Bialgebra.algebra_problems`` with associativity checked in full on
+    the transposes: (C, m) is associative iff (C*, m^T) is coassociative."""
+    f, h = b.field, b.carrier
+    n = h.dim
+    m, u, d, e = b.mult, b.unit, b.delta, b.counit
+    if m.dom.dim != n * n or m.cod.dim != n:
+        return ["multiplication has wrong shape"]
+    if u.dom.dim != 1 or u.cod.dim != n:
+        return ["unit has wrong shape"]
+    idc = identity(h, f)
+    mt, ut = dual(m), dual(u)
+    a1_b1_a2 = kron_compose(idc, swap_map(h, h, f), tensor(d, idc))
+    middle = kron_compose(a1_b1_a2, idc, tensor(idc, d))
+    problems = []
+    if kron_compose(mt, idc, mt) != kron_compose(idc, mt, mt):
+        problems.append("multiplication is not associative")
+    if kron_compose(ut, idc, mt) != idc or kron_compose(idc, ut, mt) != idc:
+        problems.append("unit law fails")
+    if d @ m != kron_compose(m, m, middle):
+        problems.append("comultiplication is not an algebra morphism")
+    if e @ m != tensor(e, e):
+        problems.append("counit is not an algebra morphism")
+    if d @ u != tensor(u, u):
+        problems.append("unit is not grouplike")
+    if e @ u != identity(u.dom, f):
+        problems.append("counit of unit is not 1")
     return problems

@@ -1,7 +1,8 @@
 """The CLI boundary: one JSON writer equal to ``json.dumps(indent=2,
-sort_keys=True)``, one argument parser per process, matrices parsed once
-per distinct scalar string and formatted once per nonzero entry, and a
-morphism tensor entry naming an unknown morphism reported by name."""
+sort_keys=True)``, one argument parser per process, spec files parsed once
+per distinct scalar string and matrices formatted once per nonzero entry,
+and a morphism tensor entry naming an unknown morphism reported by name,
+once, under its category."""
 
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from coendforge.exactlinalg import (
     parse_matrix,
 )
 from coendforge.fincat import CategoryMonoidalData, FinCategory, validate_category
+from coendforge.specfile import load_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -219,8 +221,7 @@ def test_unknown_morphism_in_tensor_table_is_named_by_the_cli(tmp_path, command)
     data["categories"]["Z2"]["monoidal"]["tensor_morphisms"] = [["zz", "zz", "zz"]]
     code, out = run_in_process([command, write_spec(tmp_path, "z2", data), "--functor", "F"])
     assert code == 2
-    assert json.loads(out) == {"ok": False, "problems": [
-        f"category Z2: {UNKNOWN_MORPHISM}", f"functor F: {UNKNOWN_MORPHISM}"]}
+    assert json.loads(out) == {"ok": False, "problems": [f"category Z2: {UNKNOWN_MORPHISM}"]}
 
 
 @pytest.mark.parametrize("entry, problem", [
@@ -253,3 +254,17 @@ def test_parse_matrix_parses_each_distinct_string_once():
                      Space.std(3), Space.std(3))
     assert sorted(calls) == ["-1/2", "0", "1"]
     assert m.entries == ((0, 1, 0), (1, 0, 1), (Fraction(-1, 2), 0, 1))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SPECS.glob("*.json")))
+def test_load_spec_parses_each_distinct_string_once_per_file(monkeypatch, name):
+    calls = []
+    real = type(QQ).parse
+
+    def counting(self, s):
+        calls.append(s)
+        return real(self, s)
+
+    monkeypatch.setattr(type(QQ), "parse", counting)
+    load_spec(str(SPECS / name), "q")
+    assert len(calls) == len(set(calls))

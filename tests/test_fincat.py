@@ -12,7 +12,6 @@ from coendforge.exactlinalg import (
     PrimeField,
     Rationals,
     Space,
-    compose_kron,
     identity,
     tensor,
 )
@@ -22,7 +21,6 @@ from coendforge.fincat import (
     FinCategory,
     FunctorMonoidalData,
     Transformation,
-    ValidationReport,
     check_monoidal,
     cowedge_problems,
     diagram_of_functor,
@@ -31,7 +29,7 @@ from coendforge.fincat import (
     validate_category,
     validate_functor,
 )
-from references import check_natural
+from references import check_natural, reference_check_monoidal
 
 K = Space.std(1)
 K2 = Space.std(2)
@@ -335,65 +333,6 @@ def test_dual_identification_that_is_no_isomorphism_is_reported():
 
 
 # -- check_monoidal against the per-triple reference --------------------------
-
-def reference_check_monoidal(F: DiagramFunctor) -> ValidationReport:
-    """Validate the structure isomorphisms of a monoidal functor.
-
-    Checks invertibility of every xi, the associativity square
-    xi_{X(x)Y,Z} o (xi_{X,Y} (x) id) = xi_{X,Y(x)Z} o (id (x) xi_{Y,Z}),
-    the unit squares against xi_unit, and naturality of xi on every pair
-    in the morphism tensor table.  The source category is trusted: callers
-    run ``validate_category`` on it first.
-    """
-    problems = []
-    cat = F.source
-    if cat.monoidal is None:
-        return ValidationReport(False, ["source category carries no monoidal data"])
-    if F.monoidal is None:
-        return ValidationReport(False, ["functor carries no monoidal data"])
-    mon = cat.monoidal
-    fld = F.field
-    for a in cat.objects:
-        for b in cat.objects:
-            ab = mon.tensor_obj[(a, b)]
-            xi = F.monoidal.xi.get((a, b))
-            if xi is None:
-                problems.append(f"missing xi at ({a}, {b})")
-                continue
-            if xi.dom.dim != F.space(a).dim * F.space(b).dim or xi.cod.dim != F.space(ab).dim:
-                problems.append(f"xi at ({a}, {b}) has wrong shape")
-            elif xi.rank() != xi.cod.dim or xi.dom.dim != xi.cod.dim:
-                problems.append(f"xi at ({a}, {b}) is not invertible")
-    xi_u = F.monoidal.xi_unit
-    if xi_u.dom.dim != 1 or xi_u.cod.dim != F.space(mon.unit).dim or xi_u.rank() != 1:
-        problems.append("xi_unit is not an isomorphism K -> F(I)")
-    if problems:
-        return ValidationReport(False, problems)
-    for a in cat.objects:
-        for b in cat.objects:
-            for c in cat.objects:
-                ab = mon.tensor_obj[(a, b)]
-                bc = mon.tensor_obj[(b, c)]
-                left = compose_kron(F.xi(ab, c), F.xi(a, b), identity(F.space(c), fld))
-                right = compose_kron(F.xi(a, bc), identity(F.space(a), fld), F.xi(b, c))
-                if left != right:
-                    problems.append(f"xi associativity fails at ({a}, {b}, {c})")
-    for a in cat.objects:
-        # K (x) F(a) and F(a) (x) K are identified with F(a) by flat indexing
-        left_unit = compose_kron(F.xi(mon.unit, a), xi_u, identity(F.space(a), fld))
-        right_unit = compose_kron(F.xi(a, mon.unit), identity(F.space(a), fld), xi_u)
-        if left_unit != identity(F.space(a), fld):
-            problems.append(f"left unit square fails at {a}")
-        if right_unit != identity(F.space(a), fld):
-            problems.append(f"right unit square fails at {a}")
-    for (fname, gname), hname in mon.tensor_mor.items():
-        mf, mg = cat.morphisms[fname], cat.morphisms[gname]
-        lhs = F.map(hname) @ F.xi(mf.dom, mg.dom)
-        rhs = compose_kron(F.xi(mf.cod, mg.cod), F.map(fname), F.map(gname))
-        if lhs != rhs:
-            problems.append(f"xi naturality fails at ({fname}, {gname})")
-    return ValidationReport(not problems, problems)
-
 
 def scalar(f, a):
     return LinearMap(f, K, K, ((a,),))

@@ -31,3 +31,18 @@ def test_og_ladder_script_reproduces_its_hashes():
                        r"sha256 ([0-9a-f]{64})", proc.stdout)
     digest = "d047ef6f44ab9089909c41389188862b096c2b47b44d28e4502cc0af9db2634e"
     assert rungs == [("q", "Isomorphism", "6", digest), ("fp:7", "Isomorphism", "6", digest)]
+
+
+def test_hopf_ladder_script_reproduces_its_hashes():
+    # the stdout digests of hopf on Z/8 and Z/16 over q and fp:7, kept fixed
+    # so that a change to the induced Hopf algebra or its checks shows here
+    # (the coboundary scalars differ, but K[Z/n] is the same over both)
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "hopf_ladder.py"), "16"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rungs = re.findall(r"Z/(\d+) over (\S+): exit (\d+), carrier_dim (\d+), [0-9.]+ s, "
+                       r"stdout sha256 ([0-9a-f]{64})", proc.stdout)
+    z8 = "bf5ec7823ad14fe068c9f0f2a7a76932d370620e5c15c8ef4273487cb88658f1"
+    z16 = "1f9b8e2559ad445a4ae1b7cb4fcea517e38f89f16bad57571dc65e9410a004f8"
+    assert rungs == [("8", "q", "0", "8", z8), ("8", "fp:7", "0", "8", z8),
+                     ("16", "q", "0", "16", z16), ("16", "fp:7", "0", "16", z16)]
