@@ -61,7 +61,9 @@ def _json_text(v, indent="\n") -> str:
     """v as ``json.dumps(v, indent=2, sort_keys=True)`` writes it, byte for
     byte, for a JSON tree with string keys.  With ``indent`` set,
     ``json.dumps`` runs CPython's pure-Python encoder; this writer quotes
-    each string with the C escaper and joins a row of strings at once."""
+    each string with the C escaper and joins a row of strings at once: the
+    escaper refuses a non-string with TypeError, and the row is then written
+    item by item."""
     if isinstance(v, str):
         return _quote(v)
     inner = indent + "  "
@@ -73,11 +75,12 @@ def _json_text(v, indent="\n") -> str:
     if isinstance(v, (list, tuple)):
         if not v:
             return "[]"
-        if all(type(a) is str for a in v):
-            items = map(_quote, v)
-        else:
-            items = (_json_text(a, inner) for a in v)
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+        sep = "," + inner
+        try:
+            body = sep.join(map(_quote, v))
+        except TypeError:
+            body = sep.join(_json_text(a, inner) for a in v)
+        return "[" + inner + body + indent + "]"
     return json.dumps(v)
 
 

@@ -565,11 +565,14 @@ def _add_into(vec: dict, i, v, f) -> None:
 
 
 def _apply(cols, vec: dict, f) -> dict:
-    add, mul, is_zero = f.add, f.mul, f.is_zero
+    """The sparse columns cols applied to vec.  A product with one is the
+    other factor, which is already canonical, so f.mul is skipped."""
+    add, mul, is_zero, one = f.add, f.mul, f.is_zero, f.one()
     out: dict = {}
     for j, c in vec.items():
+        unit = c == one
         for i, a in cols[j].items():
-            v = mul(c, a)
+            v = a if unit else c if a == one else mul(c, a)
             if i in out:
                 v = add(out[i], v)
                 if is_zero(v):
@@ -582,8 +585,9 @@ def _apply(cols, vec: dict, f) -> dict:
 def _apply_leg(cols, n, m, inner, vecs, f) -> list:
     """Apply id (x) c (x) id_inner to each sparse vector of vecs, c: K^n -> K^m
     with sparse columns cols: entry (o * n + j) * inner + t goes to
-    (o * m + r) * inner + t for each entry r of column j."""
-    add, mul, is_zero = f.add, f.mul, f.is_zero
+    (o * m + r) * inner + t for each entry r of column j.  As in _apply, a
+    product with one is the other factor."""
+    add, mul, is_zero, one = f.add, f.mul, f.is_zero, f.one()
     outs = []
     for vec in vecs:
         out: dict = {}
@@ -591,9 +595,10 @@ def _apply_leg(cols, n, m, inner, vecs, f) -> list:
             q, t = divmod(k, inner)
             o, j = divmod(q, n)
             base = o * m
+            unit = x == one
             for r, a in cols[j].items():
                 idx = (base + r) * inner + t
-                v = mul(x, a)
+                v = a if unit else x if a == one else mul(x, a)
                 if idx in out:
                     v = add(out[idx], v)
                     if is_zero(v):

@@ -2,7 +2,9 @@
 
 Given a finite-dimensional coalgebra C and a finite family of comodule seeds,
 the comodule category over the seeds is built with full intertwiner hom
-spaces (solved exactly as linear systems).  The coend of its forgetful
+spaces, solved exactly as linear systems whose equations are written only
+at the generators of the dual algebra C* (a comodule map is a map that
+commutes with the action of C*).  The coend of its forgetful
 diagram comes with a comparison map h onto C assembled from the seed
 coactions; reconstruction holds when h is an exact coalgebra isomorphism.
 Generation by the seeds is not checked abstractly: it is read off a
@@ -60,29 +62,49 @@ from .fincat import (
 
 def comodule_hom_basis(m: Comodule, n: Comodule) -> list[LinearMap]:
     """A deterministic basis of the space of comodule morphisms M -> N:
-    all g with (g (x) id) o rho_M = rho_N o g, solved exactly."""
+    all g with (g (x) id) o rho_M = rho_N o g, solved exactly.
+
+    M and N must be comodules over one coalgebra C (equal
+    comultiplications; ValueError otherwise) whose coactions satisfy the
+    comodule laws, which callers check first.  Then the equations are
+    written only at the coordinates c in S, the generators of the dual
+    algebra C* (``Coalgebra.dual_generators``).  A right C-comodule is a
+    left C*-module, a . v = (id (x) a) rho(v), and the a in C* that g
+    intertwines are closed under sums and products, so intertwining each
+    generator is intertwining all of C*.  The system keeps its kernel,
+    hence its reduced echelon form, and the basis is that of all dim C
+    coordinates.
+    """
     f = m.over.field
     dm, dn = m.space.dim, n.space.dim
     dc = m.over.carrier.dim
-    if m.over.carrier.dim != n.over.carrier.dim:
+    if m.over is not n.over and (
+            dc != n.over.carrier.dim or m.over.delta != n.over.delta):
         raise ValueError("comodules live over different coalgebras")
-    # unknown g[b, a] is variable b * dm + a; equation ((b, c), a) is row
-    # (b * dc + c) * dm + a; the system is built column by column from the
-    # nonzero entries of the two coactions
+    slot = {c: s for s, c in enumerate(m.over.dual_generators)}
+    ds = len(slot)
+    # unknown g[b, a] is variable b * dm + a; equation ((b, c), a) with c
+    # the s-th generator is row (b * ds + s) * dm + a; the system is built
+    # column by column from the nonzero entries of the two coactions
     cols = [{} for _ in range(dn * dm)]
     for a, col in enumerate(m.rho.cols):
         # (g (x) id) o rho_M at ((b,c), a): sum_a' g[b,a'] rhoM[(a',c),a]
         for k, v in col.items():
             a2, c = divmod(k, dc)
-            for b in range(dn):
-                _add_into(cols[b * dm + a2], (b * dc + c) * dm + a, v, f)
+            if c in slot:
+                s = slot[c]
+                for b in range(dn):
+                    _add_into(cols[b * dm + a2], (b * ds + s) * dm + a, v, f)
     for b2, col in enumerate(n.rho.cols):
         # rho_N o g at ((b,c), a): sum_b' rhoN[(b,c),b'] g[b',a]
         for k, v in col.items():
-            for a in range(dm):
-                _add_into(cols[b2 * dm + a], k * dm + a, f.neg(v), f)
+            b, c = divmod(k, dc)
+            if c in slot:
+                row = (b * ds + slot[c]) * dm
+                for a in range(dm):
+                    _add_into(cols[b2 * dm + a], row + a, f.neg(v), f)
     system = LinearMap.from_sparse(
-        f, Space.std(dn * dm, prefix="v"), Space.std(dn * dc * dm, prefix="eq"), cols
+        f, Space.std(dn * dm, prefix="v"), Space.std(dn * ds * dm, prefix="eq"), cols
     )
     basis = []
     for vec in kernel(system).cols:

@@ -16,18 +16,27 @@ tried on all n^3 triples.  ``reference_check_monoidal`` is
 one per triple.  ``transposed_algebra_problems`` is
 ``cohom.Bialgebra.algebra_problems`` with associativity read off the
 transposes in full, (C*, m^T) coassociative, n^3 coefficients.
+
+Two coalgebra routines work on the generators of the dual algebra C*;
+their references use every basis vector.  ``reference_coalgebra_problems``
+is ``cohom.Coalgebra.check`` with coassociativity compared on all n^3
+coordinates of each side.  ``reference_comodule_hom_basis`` is
+``reconstruct.comodule_hom_basis`` with an equation at every coordinate of
+C.
 """
 
 from __future__ import annotations
 
-from coendforge.cohom import Bialgebra
+from coendforge.cohom import Bialgebra, Coalgebra, Comodule
 from coendforge.exactlinalg import (
     LinearMap,
     NoSolution,
     Space,
+    _add_into,
     compose_kron,
     dual,
     identity,
+    kernel,
     kron_compose,
     solve_through_injection,
     swap_map,
@@ -218,3 +227,52 @@ def transposed_algebra_problems(b: Bialgebra) -> list[str]:
     if e @ u != identity(u.dom, f):
         problems.append("counit of unit is not 1")
     return problems
+
+
+def reference_coalgebra_problems(c: Coalgebra) -> list[str]:
+    """``Coalgebra.check`` with (d (x) id) d = (id (x) d) d compared in full."""
+    n = c.carrier.dim
+    d, e = c.delta, c.counit
+    if d.dom.dim != n or d.cod.dim != n * n:
+        return ["comultiplication has wrong shape"]
+    if e.dom.dim != n or e.cod.dim != 1:
+        return ["counit has wrong shape"]
+    idc = identity(c.carrier, c.field)
+    problems = []
+    if kron_compose(d, idc, d) != kron_compose(idc, d, d):
+        problems.append("comultiplication is not coassociative")
+    if kron_compose(e, idc, d) != idc:
+        problems.append("left counit law fails")
+    if kron_compose(idc, e, d) != idc:
+        problems.append("right counit law fails")
+    return problems
+
+
+def reference_comodule_hom_basis(m: Comodule, n: Comodule) -> list[LinearMap]:
+    """``comodule_hom_basis`` with the equation ((b, c), a) written at every
+    coordinate c of the coalgebra."""
+    f = m.over.field
+    dm, dn = m.space.dim, n.space.dim
+    dc = m.over.carrier.dim
+    # unknown g[b, a] is variable b * dm + a; equation ((b, c), a) is row
+    # (b * dc + c) * dm + a
+    cols = [{} for _ in range(dn * dm)]
+    for a, col in enumerate(m.rho.cols):
+        for k, v in col.items():
+            a2, c = divmod(k, dc)
+            for b in range(dn):
+                _add_into(cols[b * dm + a2], (b * dc + c) * dm + a, v, f)
+    for b2, col in enumerate(n.rho.cols):
+        for k, v in col.items():
+            for a in range(dm):
+                _add_into(cols[b2 * dm + a], k * dm + a, f.neg(v), f)
+    system = LinearMap.from_sparse(
+        f, Space.std(dn * dm, prefix="v"), Space.std(dn * dc * dm, prefix="eq"), cols)
+    basis = []
+    for vec in kernel(system).cols:
+        g_cols = [{} for _ in range(dm)]
+        for k, v in vec.items():
+            b, a = divmod(k, dm)
+            g_cols[a][b] = v
+        basis.append(LinearMap.from_sparse(f, m.space, n.space, g_cols))
+    return basis

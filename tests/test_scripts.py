@@ -21,16 +21,19 @@ def test_bcoend_ladder_script_reproduces_its_hashes():
 
 
 def test_og_ladder_script_reproduces_its_hashes():
-    # O(S3) from its regular comodule over q and fp:7: the digests of h and
-    # of the coend's comultiplication, kept fixed so that a change to the
-    # descent shows here (the entries are all integral, so both fields agree)
-    proc = subprocess.run([sys.executable, str(SCRIPTS / "og_ladder.py"), "1"],
+    # O(S3) and O(S4) from their regular comodules over q and fp:7: the
+    # digests of h and of the coend's comultiplication, kept fixed so that a
+    # change to the descent or to the hom solve shows here (the entries are
+    # all integral, so both fields agree)
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "og_ladder.py"), "2"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     rungs = re.findall(r"over (\S+): (\w+), carrier_dim (\d+), [0-9.]+ s, maxrss \d+ kB, "
                        r"sha256 ([0-9a-f]{64})", proc.stdout)
-    digest = "d047ef6f44ab9089909c41389188862b096c2b47b44d28e4502cc0af9db2634e"
-    assert rungs == [("q", "Isomorphism", "6", digest), ("fp:7", "Isomorphism", "6", digest)]
+    s3 = "d047ef6f44ab9089909c41389188862b096c2b47b44d28e4502cc0af9db2634e"
+    s4 = "2e5c36b2d01b57477100d7bcf142fc9e0918f41a5c47205aa7fee5729ef32003"
+    assert rungs == [("q", "Isomorphism", "6", s3), ("fp:7", "Isomorphism", "6", s3),
+                     ("q", "Isomorphism", "24", s4), ("fp:7", "Isomorphism", "24", s4)]
 
 
 def test_hopf_ladder_script_reproduces_its_hashes():
