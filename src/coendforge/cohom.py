@@ -116,6 +116,15 @@ def cohom_collapse_iso(x: Space, y: Space, z: Space, field) -> LinearMap:
 # map identity, with Kronecker products applied lazily
 # ---------------------------------------------------------------------------
 
+def _shape_problems(maps) -> list[str]:
+    """["<name> has wrong shape"] for the first (name, map, dom dim, cod dim)
+    of maps whose map has other dimensions, else []."""
+    for name, m, dom, cod in maps:
+        if m.dom.dim != dom or m.cod.dim != cod:
+            return [f"{name} has wrong shape"]
+    return []
+
+
 @dataclass(frozen=True)
 class Coalgebra:
     """(C, delta, counit) with exact axiom checking."""
@@ -134,15 +143,16 @@ class Coalgebra:
         only once delta has the shape C -> C (x) C."""
         return dual_generators(self.delta)
 
-    def check(self) -> list[str]:
+    def _coalgebra_maps(self) -> list:
         n = self.carrier.dim
+        return [("comultiplication", self.delta, n, n * n), ("counit", self.counit, n, 1)]
+
+    def check(self) -> list[str]:
+        problems = _shape_problems(self._coalgebra_maps())
+        if problems:
+            return problems
         d, e = self.delta, self.counit
-        if d.dom.dim != n or d.cod.dim != n * n:
-            return ["comultiplication has wrong shape"]
-        if e.dom.dim != n or e.cod.dim != 1:
-            return ["counit has wrong shape"]
         idc = identity(self.carrier, self.field)
-        problems = []
         if not coassociative(d, self.dual_generators):
             problems.append("comultiplication is not coassociative")
         if kron_compose(e, idc, d) != idc:
@@ -217,13 +227,28 @@ def dual_generators(delta: LinearMap) -> list[int]:
     ``product_generators`` keeps, for delta: C -> C (x) C.  In C*,
     e*_y e*_g = sum_z delta[(y, g), z] e*_z, so e*_y e*_g reaches e*_z when
     row y * n + g of delta is the single entry z.  comatrix(d)* = M_d(K)
-    has 2d - 1 generators, O(G)* = K[G] at most log2|G| + 1."""
+    has 2d - 1 generators, O(G)* = K[G] at most log2|G| + 1.
+
+    This is ``product_generators`` run on the table itself: a pending
+    product y g is its row y * n + g, so no call is made per product."""
     n = delta.dom.dim
     single = {}  # row -> its column if it is the row's only entry, else None
     for z, col in enumerate(delta.cols):
         for r in col:
             single[r] = None if r in single else z
-    return product_generators(range(n), lambda y, g: single.get(y * n + g))
+    gens, reached = [], set()
+    for item in range(n):
+        if item in reached:
+            continue
+        gens.append(item)
+        reached.add(item)
+        work = [y * n + item for y in reached] + [item * n + g for g in gens]
+        while work:
+            z = single.get(work.pop())
+            if z is not None and z not in reached:
+                reached.add(z)
+                work.extend(z * n + g for g in gens)
+    return gens
 
 
 def coassociative(d: LinearMap, gens) -> bool:
@@ -274,8 +299,16 @@ class Bialgebra(Coalgebra):
     mult: LinearMap
     unit: LinearMap
 
+    def _bialgebra_maps(self) -> list:
+        n = self.carrier.dim
+        return self._coalgebra_maps() + [("multiplication", self.mult, n * n, n),
+                                         ("unit", self.unit, 1, n)]
+
     def check(self) -> list[str]:
-        return super().check() + self.algebra_problems()
+        problems = super().check()
+        if _shape_problems(self._coalgebra_maps()):  # already named, once
+            return problems
+        return problems + self.algebra_problems()
 
     def algebra_problems(self) -> list[str]:
         """The axioms the multiplication and unit add to the coalgebra.
@@ -286,30 +319,58 @@ class Bialgebra(Coalgebra):
         m is the single entry z, and m (m (x) id) = m (id (x) m) is checked
         on the columns e_x (x) e_s (x) e_z for every x, z and every
         generator s, n^2 |S| in place of n^3, which is exact.
+
+        Once m is associative, the same generators decide that delta and eps
+        are algebra maps (Sweedler, Hopf Algebras, 1969): delta o m =
+        (m (x) m)(id (x) tau (x) id)(delta (x) delta) and eps o m = eps (x) eps
+        are compared on the columns e_x (x) e_s for every x and every
+        generator s, n |S| in place of n^2, which is exact.  The set
+        T = {b : delta(ab) = delta(a) delta(b) for all a} is a subspace.  With
+        m associative, so is the product (a (x) b)(c (x) d) = ac (x) bd of
+        C (x) C, and then T is closed under products: for b, b' in T,
+        delta(a (b b')) = delta((a b) b') = delta(a b) delta(b') =
+        delta(a) delta(b) delta(b') = delta(a) delta(b b').  Every basis
+        vector is a nonzero multiple of a left-bracketed product of
+        generators, so T = C; the same argument works for eps.  When m is
+        not associative, or every basis vector is a generator, every column
+        is compared.
         """
+        problems = _shape_problems(self._bialgebra_maps())
+        if problems:
+            return problems
         f, h = self.field, self.carrier
         n = h.dim
         m, u, d, e = self.mult, self.unit, self.delta, self.counit
-        if m.dom.dim != n * n or m.cod.dim != n:
-            return ["multiplication has wrong shape"]
-        if u.dom.dim != 1 or u.cod.dim != n:
-            return ["unit has wrong shape"]
         idc = identity(h, f)
         # associativity and the unit law are read off the transposes, n
         # columns each
         mt, ut = dual(m), dual(u)
-        # a (x) b |-> a1 (x) b1 (x) a2 (x) b2 in two lazy steps, so no n^4
-        # permutation is built: b |-> b1 (x) b2, then a (x) b1 |-> a1 (x) b1 (x) a2
-        a1_b1_a2 = kron_compose(idc, swap_map(h, h, f), tensor(d, idc))
-        middle = kron_compose(a1_b1_a2, idc, tensor(idc, d))
-        problems = []
-        if not coassociative(mt, dual_generators(mt)):
+        gens = dual_generators(mt)
+        associative = coassociative(mt, gens)
+        if not associative:
             problems.append("multiplication is not associative")
         if kron_compose(ut, idc, mt) != idc or kron_compose(idc, ut, mt) != idc:
             problems.append("unit law fails")
-        if d @ m != kron_compose(m, m, middle):
+        if associative and len(gens) < n:
+            # the columns e_x (x) e_s of m, and eps at the generators
+            ks = Space.std(len(gens))
+            m_s = LinearMap.from_sparse(f, tensor_space(h, ks), h,
+                                        [m.cols[x * n + s] for x in range(n) for s in gens])
+            e_s = LinearMap.from_sparse(f, ks, e.cod, [e.cols[s] for s in gens])
+        else:
+            gens, m_s, e_s = range(n), m, e
+        # (id (x) tau (x) id)(delta (x) delta): a (x) b |-> a1 (x) b1 (x) a2 (x) b2
+        # on the columns of m_s, read off the entries of delta
+        legs = [[(divmod(r, n), v) for r, v in col.items()] for col in d.cols]
+        mul = f.mul
+        middle = LinearMap.from_sparse(
+            f, m_s.dom, tensor_space(d.cod, d.cod),
+            [{((a1 * n + b1) * n + a2) * n + b2: mul(v, w)
+              for (a1, a2), v in legs[x] for (b1, b2), w in legs[s]}
+             for x in range(n) for s in gens])
+        if d @ m_s != kron_compose(m, m, middle):
             problems.append("comultiplication is not an algebra morphism")
-        if e @ m != tensor(e, e):
+        if e @ m_s != tensor(e, e_s):
             problems.append("counit is not an algebra morphism")
         if d @ u != tensor(u, u):
             problems.append("unit is not grouplike")
@@ -323,17 +384,20 @@ class HopfAlgebra(Bialgebra):
     antipode: LinearMap
 
     def check(self) -> list[str]:
-        return super().check() + self.antipode_problems()
+        problems = super().check()
+        if _shape_problems(self._bialgebra_maps()):  # already named, once
+            return problems
+        return problems + self.antipode_problems()
 
     def antipode_problems(self) -> list[str]:
         """The axioms the antipode adds to the bialgebra."""
         n = self.carrier.dim
         s, m, d = self.antipode, self.mult, self.delta
-        if s.dom.dim != n or s.cod.dim != n:
-            return ["antipode has wrong shape"]
+        problems = _shape_problems(self._bialgebra_maps() + [("antipode", s, n, n)])
+        if problems:
+            return problems
         idc = identity(self.carrier, self.field)
         ue = self.unit @ self.counit
-        problems = []
         if m @ kron_compose(s, idc, d) != ue:
             problems.append("left antipode axiom fails")
         if m @ kron_compose(idc, s, d) != ue:

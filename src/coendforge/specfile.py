@@ -106,15 +106,51 @@ def _names(entry, count: int) -> bool:
         isinstance(a, str) for a in entry)
 
 
-def _parse_rows(spec: SpecData, rows, dom: Space, cod: Space, what: str) -> LinearMap:
+class _MatrixFault(Exception):
+    """What is wrong with a matrix, in words that do not name the matrix."""
+
+
+def _matrix(spec: SpecData, rows, dom: Space, cod: Space) -> LinearMap:
+    """rows as a map dom -> cod.  Each distinct scalar string is parsed once
+    into spec.scalars.  A valid matrix is checked, parsed and stored as
+    sparse columns in one pass over its entries.  A faulty one raises
+    _MatrixFault for the first of these that holds: rows is not a list of
+    lists, its shape is wrong, a scalar does not parse (the first one in
+    row-major order)."""
+    f, memo, n = spec.field, spec.scalars, dom.dim
+    if isinstance(rows, list) and len(rows) == cod.dim:
+        is_zero, parse = f.is_zero, f.parse
+        cols = [{} for _ in range(n)]
+        try:
+            for i, row in enumerate(rows):
+                if not isinstance(row, list) or len(row) != n:
+                    break
+                for j, a in enumerate(row):
+                    s = str(a)
+                    v = memo.get(s)
+                    if v is None:
+                        v = memo[s] = parse(s)
+                    if not is_zero(v):
+                        cols[j][i] = v
+            else:
+                return LinearMap.from_sparse(f, dom, cod, cols)
+        except ScalarError:
+            pass  # a fault of shape further on is named first
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
-        raise SpecError(f"{what}: matrix must be a list of rows")
-    if len(rows) != cod.dim or any(len(r) != dom.dim for r in rows):
+        raise _MatrixFault("matrix must be a list of rows")
+    if len(rows) != cod.dim or any(len(r) != n for r in rows):
         got = f"{len(rows)}x{len(rows[0]) if rows else 0}"
-        raise SpecError(f"{what}: matrix is {got}, expected {cod.dim}x{dom.dim}")
+        raise _MatrixFault(f"matrix is {got}, expected {cod.dim}x{n}")
     try:
-        return parse_matrix(spec.field, rows, dom, cod, spec.scalars)
+        return parse_matrix(f, rows, dom, cod, memo)
     except ScalarError as exc:
+        raise _MatrixFault(str(exc)) from None
+
+
+def _parse_rows(spec: SpecData, rows, dom: Space, cod: Space, what: str) -> LinearMap:
+    try:
+        return _matrix(spec, rows, dom, cod)
+    except _MatrixFault as exc:
         raise SpecError(f"{what}: {exc}") from None
 
 
@@ -220,16 +256,28 @@ def _functor_from_json(spec: SpecData, name, data) -> DiagramFunctor:
         if cat.monoidal is None:
             raise SpecError(f"functor {name!r}: xi given but {src_name!r} is not monoidal")
         xi = {}
+        tensor_obj = cat.monoidal.tensor_obj
+        pair_spaces = {}  # (space name, space name) -> their tensor space
+        # a valid entry builds no message; a bad one is named as it is found
         for entry in _expect(data.get("xi", []), list, f"functor {name!r}: 'xi'"):
-            if not (isinstance(entry, list) and len(entry) == 3 and _names(entry[:2], 2)):
+            if not (isinstance(entry, list) and len(entry) == 3
+                    and isinstance(entry[0], str) and isinstance(entry[1], str)):
                 raise SpecError(f"functor {name!r}: xi entries are [a, b, matrix]")
             a, b, rows = entry
-            ab = cat.monoidal.tensor_obj.get((a, b))
+            ab = tensor_obj.get((a, b))
             if ab is None:
                 raise SpecError(f"functor {name!r}: no tensor entry for ({a}, {b})")
-            what = f"functor {name!r} xi at ({a}, {b})"
-            fa, fb, fab = (_named(ob, x, f"{what}: unknown object") for x in (a, b, ab))
-            xi[(a, b)] = _parse_rows(spec, rows, tensor_space(fa, fb), fab, what)
+            if a not in ob or b not in ob or ab not in ob:
+                for x in (a, b, ab):
+                    _named(ob, x, f"functor {name!r} xi at ({a}, {b}): unknown object")
+            key = (objects[a], objects[b])
+            dom = pair_spaces.get(key)
+            if dom is None:
+                dom = pair_spaces[key] = tensor_space(ob[a], ob[b])
+            try:
+                xi[(a, b)] = _matrix(spec, rows, dom, ob[ab])
+            except _MatrixFault as exc:
+                raise SpecError(f"functor {name!r} xi at ({a}, {b}): {exc}") from None
         xi_unit_rows = data.get("xi_unit")
         if xi_unit_rows is None:
             raise SpecError(f"functor {name!r}: monoidal data needs 'xi_unit'")

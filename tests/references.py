@@ -15,7 +15,15 @@ tried on all n^3 triples.  ``reference_check_monoidal`` is
 ``fincat.check_monoidal`` with every associativity square built as a map,
 one per triple.  ``transposed_algebra_problems`` is
 ``cohom.Bialgebra.algebra_problems`` with associativity read off the
-transposes in full, (C*, m^T) coassociative, n^3 coefficients.
+transposes in full, (C*, m^T) coassociative, n^3 coefficients, and with
+delta o m = (m (x) m)(id (x) tau (x) id)(delta (x) delta) and
+eps o m = eps (x) eps compared on all n^2 columns e_a (x) e_b.  The library
+compares those two laws only on the n |S| columns e_a (x) e_s with s a
+generator, once m is associative.  That is exact: the b with
+delta(ab) = delta(a) delta(b) for every a form a subspace that is closed
+under products when m is associative (the product of C (x) C is then
+associative too), and every basis vector is a nonzero multiple of a
+left-bracketed product of generators; the same holds for eps.
 
 Two coalgebra routines work on the generators of the dual algebra C*;
 their references use every basis vector.  ``reference_coalgebra_problems``
@@ -201,10 +209,15 @@ def reference_check_monoidal(F: DiagramFunctor) -> ValidationReport:
 
 def transposed_algebra_problems(b: Bialgebra) -> list[str]:
     """``Bialgebra.algebra_problems`` with associativity checked in full on
-    the transposes: (C, m) is associative iff (C*, m^T) is coassociative."""
+    the transposes, (C, m) is associative iff (C*, m^T) is coassociative,
+    and delta and eps compared as algebra maps on all n^2 columns."""
     f, h = b.field, b.carrier
     n = h.dim
     m, u, d, e = b.mult, b.unit, b.delta, b.counit
+    if d.dom.dim != n or d.cod.dim != n * n:
+        return ["comultiplication has wrong shape"]
+    if e.dom.dim != n or e.cod.dim != 1:
+        return ["counit has wrong shape"]
     if m.dom.dim != n * n or m.cod.dim != n:
         return ["multiplication has wrong shape"]
     if u.dom.dim != 1 or u.cod.dim != n:

@@ -32,6 +32,7 @@ from coendforge.exactlinalg import (
     _apply,
     tensor_space,
 )
+from references import transposed_algebra_problems
 
 FIELDS = [QQ, PrimeField(7)]
 
@@ -126,14 +127,28 @@ def reference_comodule_check(com: Comodule) -> list[str]:
     return problems
 
 
+def first_wrong_shape(s, count: int) -> list[str]:
+    """The message for the first of delta, counit, mult, unit and antipode,
+    in that order and among the first count of them, whose dimensions are
+    not those of C -> C (x) C, C -> K, C (x) C -> C, K -> C and C -> C."""
+    n = s.carrier.dim
+    shapes = [("comultiplication", "delta", n, n * n), ("counit", "counit", n, 1),
+              ("multiplication", "mult", n * n, n), ("unit", "unit", 1, n),
+              ("antipode", "antipode", n, n)]
+    for name, attr, dom, cod in shapes[:count]:
+        m = getattr(s, attr)
+        if (m.dom.dim, m.cod.dim) != (dom, cod):
+            return [f"{name} has wrong shape"]
+    return []
+
+
 def reference_algebra_problems(b: Bialgebra) -> list[str]:
     f = b.field
     n = b.carrier.dim
     m, u = b.mult, b.unit
-    if m.dom.dim != n * n or m.cod.dim != n:
-        return ["multiplication has wrong shape"]
-    if u.dom.dim != 1 or u.cod.dim != n:
-        return ["unit has wrong shape"]
+    wrong = first_wrong_shape(b, 4)
+    if wrong:
+        return wrong
     mcols = m.cols
     ucols = u.cols
     dcols = b.delta.cols
@@ -201,8 +216,9 @@ def reference_antipode_problems(h: HopfAlgebra) -> list[str]:
     f = h.field
     n = h.carrier.dim
     s = h.antipode
-    if s.dom.dim != n or s.cod.dim != n:
-        return ["antipode has wrong shape"]
+    wrong = first_wrong_shape(h, 5)
+    if wrong:
+        return wrong
     scols = s.cols
     mcols = h.mult.cols
     dcols = h.delta.cols
@@ -384,9 +400,10 @@ def reference_check(s) -> list[str]:
     if isinstance(s, Comodule):
         return reference_comodule_check(s)
     problems = reference_coalgebra_check(s)
-    if isinstance(s, Bialgebra):
+    # a wrong shape is named once, and nothing after it is checked
+    if isinstance(s, Bialgebra) and not first_wrong_shape(s, 2):
         problems += reference_algebra_problems(s)
-    if isinstance(s, HopfAlgebra):
+    if isinstance(s, HopfAlgebra) and not first_wrong_shape(s, 4):
         problems += reference_antipode_problems(s)
     return problems
 
@@ -401,14 +418,14 @@ def test_comodule_check_matches_reference(com):
     assert com.check() == reference_check(com)
 
 
-@given(hopf_algebras(["mult", "unit"]))
+@given(hopf_algebras(["delta", "counit", "mult", "unit"]))
 def test_bialgebra_check_matches_reference(h):
     b = Bialgebra(h.carrier, h.delta, h.counit, h.mult, h.unit)
     assert b.algebra_problems() == reference_algebra_problems(b)
     assert b.check() == reference_check(b)
 
 
-@given(hopf_algebras(["antipode"]))
+@given(hopf_algebras(["delta", "counit", "mult", "unit", "antipode"]))
 def test_hopf_check_matches_reference(h):
     assert h.antipode_problems() == reference_antipode_problems(h)
     assert h.check() == reference_check(h)
@@ -472,5 +489,19 @@ def test_every_wrong_shape_message_matches_reference():
          "antipode has wrong shape"),
         (Comodule(h.carrier, h, wrong), "coaction has wrong shape"),
     ]
+    # a misshapen delta or counit is named once by the bialgebra and Hopf
+    # checks too, and each of their parts names it alone
+    z3 = cyclic_hopf(QQ, 3)
+    c3, k1 = z3.carrier, unit_space()
+    delta_3_to_8 = LinearMap.from_sparse(QQ, c3, Space.std(8), [{i: 1} for i in range(3)])
+    counit_1_by_4 = LinearMap.from_sparse(QQ, Space.std(4), k1, [{0: 1} for _ in range(4)])
+    for delta, counit, message in [(delta_3_to_8, z3.counit, "comultiplication has wrong shape"),
+                                   (z3.delta, counit_1_by_4, "counit has wrong shape")]:
+        b = Bialgebra(c3, delta, counit, z3.mult, z3.unit)
+        hopf = HopfAlgebra(c3, delta, counit, z3.mult, z3.unit, z3.antipode)
+        cases += [(b, message), (hopf, message)]
+        assert b.algebra_problems() == transposed_algebra_problems(b) == [message]
+        assert reference_algebra_problems(b) == [message]
+        assert hopf.antipode_problems() == reference_antipode_problems(hopf) == [message]
     for structure, message in cases:
         assert structure.check() == reference_check(structure) == [message]

@@ -5,7 +5,11 @@ name the failures.  This pins the generators against a closure computed
 here, and every problem list, message for message and in order, against
 the references in ``references`` that try every triple.  The cases are
 Z/n, Z/2 x Z/2, S3 and the non-group monoid {0..k} under max, valid or with
-one tensor entry, one xi scalar or one multiplication column changed."""
+one tensor entry, one xi scalar or one multiplication column changed.  The
+same generators decide that delta and eps are algebra maps, on the n |S|
+columns e_x (x) e_s; those problem lists are pinned against the references
+that compare all n^2 columns, with one delta or eps column changed at a
+generator or elsewhere."""
 
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_axiom_parity import function_hopf
 from test_fincat import graded_functor, scalar
 
 import references
@@ -43,6 +48,7 @@ from coendforge.fincat import (
 )
 from references import (
     reference_check_monoidal,
+    reference_coalgebra_problems,
     reference_monoidal_tables,
     transposed_algebra_problems,
 )
@@ -186,25 +192,60 @@ def monoid_bialgebra(f, table, unit) -> Bialgebra:
     return Bialgebra(h, base.delta, base.counit, mult, unit_map)
 
 
+def edit_column(f, m: LinearMap, j: int, mode: str, other: int, s) -> LinearMap:
+    """m with its column j, which has one entry, moved to row other, scaled
+    by s, joined by a one at row other (added to the entry when that is its
+    row), or cleared."""
+    cols = [dict(c) for c in m.cols]
+    (row, v), = cols[j].items()
+    cols[j] = {"move": {other: v},
+               "scale": {row: f.mul(v, s)},
+               "add": {row: v, other: f.one()} if other != row else {row: f.add(v, f.one())},
+               "clear": {}}[mode]
+    return LinearMap.from_sparse(f, m.dom, m.cod, cols)
+
+
+def draw_edit(data, f, m: LinearMap, columns) -> LinearMap:
+    mode = data.draw(st.sampled_from(["move", "scale", "add", "clear"]))
+    return edit_column(f, m, data.draw(st.sampled_from(columns)), mode,
+                       data.draw(st.integers(0, m.cod.dim - 1)), data.draw(nonzero(f)))
+
+
 @settings(max_examples=200)
 @given(monoid_tables, st.sampled_from([QQ, PrimeField(7)]), st.data())
 def test_multiplication_problems_match_every_triple(monoid, f, data):
     table, unit = monoid
     b = monoid_bialgebra(f, table, unit)
     n = b.carrier.dim
-    mode = data.draw(st.sampled_from(["valid", "move", "scale", "add", "clear"]))
-    if mode != "valid":
-        cols = [dict(c) for c in b.mult.cols]
-        j = data.draw(st.integers(0, n * n - 1))
-        (row, v), = cols[j].items()
-        other = data.draw(st.integers(0, n - 1))
-        cols[j] = {"move": {other: v},
-                   "scale": {row: f.mul(v, data.draw(nonzero(f)))},
-                   "add": {row: v, other: f.one()} if other != row else {row: f.add(v, f.one())},
-                   "clear": {}}[mode]
+    if data.draw(st.booleans()):
         b = Bialgebra(b.carrier, b.delta, b.counit,
-                      LinearMap.from_sparse(f, b.mult.dom, b.mult.cod, cols), b.unit)
+                      draw_edit(data, f, b.mult, range(n * n)), b.unit)
     assert b.algebra_problems() == transposed_algebra_problems(b)
+
+
+@settings(max_examples=300)
+@given(monoid_tables, st.sampled_from([QQ, PrimeField(7), PadicRationals(3)]), st.data())
+def test_algebra_map_problems_match_every_column(monoid, f, data):
+    # delta and eps are compared as algebra maps on the columns e_x (x) e_s,
+    # s a generator, once m is associative: an edit at a generator column
+    # and one at any other column are both found; a non-associative m, or
+    # a monoid whose every element is a generator (Z/1, Z/2, {0..k} under
+    # max), takes the full comparison
+    table, unit = monoid
+    b = monoid_bialgebra(f, table, unit)
+    n = b.carrier.dim
+    gens = product_generators(range(n), lambda y, g: table[y][g])
+    others = [x for x in range(n) if x not in gens]
+    maps = {"delta": b.delta, "counit": b.counit, "mult": b.mult}
+    key = data.draw(st.sampled_from(["delta", "counit", None]))
+    if key is not None:
+        at = data.draw(st.sampled_from(["generator", "other"] if others else ["generator"]))
+        maps[key] = draw_edit(data, f, maps[key], gens if at == "generator" else others)
+    if data.draw(st.booleans()):
+        maps["mult"] = draw_edit(data, f, b.mult, range(n * n))
+    b = Bialgebra(b.carrier, maps["delta"], maps["counit"], maps["mult"], b.unit)
+    assert b.algebra_problems() == transposed_algebra_problems(b)
+    assert b.check() == reference_coalgebra_problems(b) + transposed_algebra_problems(b)
 
 
 # ---------------------------------------------------------------------------
@@ -251,3 +292,27 @@ def test_algebra_problems_moves_two_of_sixteen_middles(monkeypatch):
     sizes.clear()
     assert b.algebra_problems() == []
     assert max(sizes) <= 2 * 16 ** 2
+
+
+def test_algebra_map_laws_read_two_of_sixteen_columns(monkeypatch):
+    # delta o m and eps o m are compared on the 2 * 16 columns e_x (x) e_s,
+    # s in {g0, g1}; when every basis vector is a generator, m itself is
+    # composed and no restricted copy is built
+    composed = []
+    real = LinearMap.__matmul__
+
+    def recording(self, other):
+        composed.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(LinearMap, "__matmul__", recording)
+    z16 = group_hopf_algebra(QQ, [f"g{i}" for i in range(16)],
+                             lambda i, j: (i + j) % 16, lambda i: (-i) % 16)
+    assert z16.algebra_problems() == []
+    # delta o m_s, eps o m_s, delta o u, eps o u
+    assert [m.dom.dim for m in composed] == [2 * 16, 2 * 16, 1, 1]
+    z2 = group_hopf_algebra(QQ, ["g0", "g1"], lambda i, j: (i + j) % 2, lambda i: i)
+    for b in (z2, function_hopf(QQ, 3)):
+        composed.clear()
+        assert b.algebra_problems() == []
+        assert composed[0] is composed[1] is b.mult

@@ -85,6 +85,38 @@ def test_matrix_shape_mismatch_reported(tmp_path):
     assert "expected 4x2" in str(exc.value)
 
 
+SCALAR_X = "cannot parse scalar 'x': Invalid literal for Fraction: 'x'"
+
+
+@pytest.mark.parametrize("delta, fault", [
+    ([["x", "0"], ["1", "0"], "row", ["0", "1"]], "matrix must be a list of rows"),
+    ([["x", "0"], ["1", "0"], ["0"], ["0", "1"]], "matrix is 4x2, expected 4x2"),
+    ([["x", "0"], ["1", "0"], ["0", "0"]], "matrix is 3x2, expected 4x2"),
+    ([["1", "0"], ["0", "x"], ["0", "0"], ["y", "1"]], SCALAR_X),
+], ids=["row-not-list", "short-row", "row-count", "scalar"])
+def test_a_matrix_names_its_first_fault_wherever_it_is(delta, fault):
+    # a row that is not a list comes before a wrong shape, and a wrong shape
+    # before a bad scalar, even when the bad scalar is read first
+    spec = {"field": "q", "spaces": {"V": {"dim": 2}},
+            "coalgebras": {"C": {"space": "V", "delta": delta, "epsilon": [["1", "0"]]}}}
+    with pytest.raises(SpecError) as exc:
+        load_spec(spec)
+    assert exc.value.problems == [f"coalgebra 'C' delta: {fault}"]
+
+
+@pytest.mark.parametrize("rows, fault", [
+    ([["x"], ["1"]], "matrix is 2x1, expected 1x1"),
+    ([["x"]], SCALAR_X),
+    ("1", "matrix must be a list of rows"),
+])
+def test_an_xi_matrix_names_its_fault_and_pair(tmp_path, rows, fault):
+    def edit(mon, F):
+        next(e for e in F["xi"] if e[:2] == ["g1", "g2"])[2] = rows
+    with pytest.raises(SpecError) as exc:
+        load_spec(z3_grading_with(edit))
+    assert exc.value.problems == [f"functor 'F' xi at (g1, g2): {fault}"]
+
+
 # -- exit codes ------------------------------------------------------------------
 
 def test_validate_defective_category_exits_2(tmp_path):
