@@ -227,28 +227,13 @@ def dual_generators(delta: LinearMap) -> list[int]:
     ``product_generators`` keeps, for delta: C -> C (x) C.  In C*,
     e*_y e*_g = sum_z delta[(y, g), z] e*_z, so e*_y e*_g reaches e*_z when
     row y * n + g of delta is the single entry z.  comatrix(d)* = M_d(K)
-    has 2d - 1 generators, O(G)* = K[G] at most log2|G| + 1.
-
-    This is ``product_generators`` run on the table itself: a pending
-    product y g is its row y * n + g, so no call is made per product."""
+    has 2d - 1 generators, O(G)* = K[G] at most log2|G| + 1."""
     n = delta.dom.dim
     single = {}  # row -> its column if it is the row's only entry, else None
     for z, col in enumerate(delta.cols):
         for r in col:
             single[r] = None if r in single else z
-    gens, reached = [], set()
-    for item in range(n):
-        if item in reached:
-            continue
-        gens.append(item)
-        reached.add(item)
-        work = [y * n + item for y in reached] + [item * n + g for g in gens]
-        while work:
-            z = single.get(work.pop())
-            if z is not None and z not in reached:
-                reached.add(z)
-                work.extend(z * n + g for g in gens)
-    return gens
+    return product_generators(range(n), lambda y, g: single.get(y * n + g))
 
 
 def coassociative(d: LinearMap, gens) -> bool:

@@ -21,7 +21,6 @@ from .exactlinalg import (
     Space,
     dual_space,
     field_from_descriptor,
-    parse_matrix,
     tensor_space,
 )
 from .fincat import (
@@ -111,40 +110,31 @@ class _MatrixFault(Exception):
 
 
 def _matrix(spec: SpecData, rows, dom: Space, cod: Space) -> LinearMap:
-    """rows as a map dom -> cod.  Each distinct scalar string is parsed once
-    into spec.scalars.  A valid matrix is checked, parsed and stored as
-    sparse columns in one pass over its entries.  A faulty one raises
-    _MatrixFault for the first of these that holds: rows is not a list of
-    lists, its shape is wrong, a scalar does not parse (the first one in
-    row-major order)."""
-    f, memo, n = spec.field, spec.scalars, dom.dim
-    if isinstance(rows, list) and len(rows) == cod.dim:
-        is_zero, parse = f.is_zero, f.parse
-        cols = [{} for _ in range(n)]
-        try:
-            for i, row in enumerate(rows):
-                if not isinstance(row, list) or len(row) != n:
-                    break
-                for j, a in enumerate(row):
-                    s = str(a)
-                    v = memo.get(s)
-                    if v is None:
-                        v = memo[s] = parse(s)
-                    if not is_zero(v):
-                        cols[j][i] = v
-            else:
-                return LinearMap.from_sparse(f, dom, cod, cols)
-        except ScalarError:
-            pass  # a fault of shape further on is named first
+    """rows as a map dom -> cod, parsed and stored as sparse columns in one
+    pass over the entries.  Each distinct scalar string is parsed once into
+    spec.scalars.  A faulty matrix raises _MatrixFault for the first of these
+    that holds: rows is not a list of lists, its shape is wrong, a scalar
+    does not parse (the first one in row-major order)."""
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise _MatrixFault("matrix must be a list of rows")
+    f, memo, n = spec.field, spec.scalars, dom.dim
     if len(rows) != cod.dim or any(len(r) != n for r in rows):
         got = f"{len(rows)}x{len(rows[0]) if rows else 0}"
         raise _MatrixFault(f"matrix is {got}, expected {cod.dim}x{n}")
+    is_zero, parse = f.is_zero, f.parse
+    cols = [{} for _ in range(n)]
     try:
-        return parse_matrix(f, rows, dom, cod, memo)
+        for i, row in enumerate(rows):
+            for j, a in enumerate(row):
+                s = str(a)
+                v = memo.get(s)
+                if v is None:
+                    v = memo[s] = parse(s)
+                if not is_zero(v):
+                    cols[j][i] = v
     except ScalarError as exc:
         raise _MatrixFault(str(exc)) from None
+    return LinearMap.from_sparse(f, dom, cod, cols)
 
 
 def _parse_rows(spec: SpecData, rows, dom: Space, cod: Space, what: str) -> LinearMap:
@@ -256,28 +246,27 @@ def _functor_from_json(spec: SpecData, name, data) -> DiagramFunctor:
         if cat.monoidal is None:
             raise SpecError(f"functor {name!r}: xi given but {src_name!r} is not monoidal")
         xi = {}
-        tensor_obj = cat.monoidal.tensor_obj
         pair_spaces = {}  # (space name, space name) -> their tensor space
-        # a valid entry builds no message; a bad one is named as it is found
         for entry in _expect(data.get("xi", []), list, f"functor {name!r}: 'xi'"):
-            if not (isinstance(entry, list) and len(entry) == 3
-                    and isinstance(entry[0], str) and isinstance(entry[1], str)):
+            if not (isinstance(entry, list) and len(entry) == 3 and _names(entry[:2], 2)):
                 raise SpecError(f"functor {name!r}: xi entries are [a, b, matrix]")
             a, b, rows = entry
-            ab = tensor_obj.get((a, b))
+            ab = cat.monoidal.tensor_obj.get((a, b))
             if ab is None:
                 raise SpecError(f"functor {name!r}: no tensor entry for ({a}, {b})")
-            if a not in ob or b not in ob or ab not in ob:
-                for x in (a, b, ab):
-                    _named(ob, x, f"functor {name!r} xi at ({a}, {b}): unknown object")
-            key = (objects[a], objects[b])
-            dom = pair_spaces.get(key)
-            if dom is None:
-                dom = pair_spaces[key] = tensor_space(ob[a], ob[b])
             try:
+                key = (objects[a], objects[b])
+                dom = pair_spaces.get(key)
+                if dom is None:
+                    dom = pair_spaces[key] = tensor_space(ob[a], ob[b])
                 xi[(a, b)] = _matrix(spec, rows, dom, ob[ab])
-            except _MatrixFault as exc:
-                raise SpecError(f"functor {name!r} xi at ({a}, {b}): {exc}") from None
+            except (KeyError, _MatrixFault) as exc:
+                # the message is built only here: an unknown object is named
+                # first, as _named finds it, else the matrix fault
+                what = f"functor {name!r} xi at ({a}, {b})"
+                for x in (a, b, ab):
+                    _named(ob, x, f"{what}: unknown object")
+                raise SpecError(f"{what}: {exc}") from None
         xi_unit_rows = data.get("xi_unit")
         if xi_unit_rows is None:
             raise SpecError(f"functor {name!r}: monoidal data needs 'xi_unit'")
