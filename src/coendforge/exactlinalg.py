@@ -391,7 +391,7 @@ class LinearMap:
     read rows.
     """
 
-    __slots__ = ("field", "dom", "cod", "_cols", "_entries", "_hash")
+    __slots__ = ("field", "dom", "cod", "_cols", "_entries", "_hash", "_ident")
 
     def __init__(self, field, dom: Space, cod: Space, entries):
         if len(entries) != cod.dim:
@@ -402,7 +402,7 @@ class LinearMap:
                     f"matrix row has {len(row)} entries, domain dim {dom.dim}"
                 )
         self.field, self.dom, self.cod = field, dom, cod
-        self._entries, self._cols, self._hash = entries, None, None
+        self._entries, self._cols, self._hash, self._ident = entries, None, None, None
 
     @classmethod
     def from_sparse(cls, field, dom: Space, cod: Space, cols) -> "LinearMap":
@@ -412,7 +412,7 @@ class LinearMap:
             raise ValueError(f"map has {len(cols)} columns, domain dim {dom.dim}")
         m = cls.__new__(cls)
         m.field, m.dom, m.cod = field, dom, cod
-        m._entries, m._cols, m._hash = None, cols, None
+        m._entries, m._cols, m._hash, m._ident = None, cols, None, None
         return m
 
     @property
@@ -521,7 +521,9 @@ class LinearMap:
 
 def identity(space: Space, f) -> LinearMap:
     one = f.one()
-    return LinearMap.from_sparse(f, space, space, [{i: one} for i in range(space.dim)])
+    m = LinearMap.from_sparse(f, space, space, [{i: one} for i in range(space.dim)])
+    m._ident = True
+    return m
 
 
 def zero_map(dom: Space, cod: Space, f) -> LinearMap:
@@ -748,10 +750,12 @@ def _check_kron(a: LinearMap, b: LinearMap, m: LinearMap, dom_dim: int, cod_dim:
 
 
 def _is_identity(m: LinearMap) -> bool:
-    """Square, with each column exactly {j: one}."""
-    one = m.field.one()
-    return m.dom.dim == m.cod.dim and all(
-        len(col) == 1 and col.get(j) == one for j, col in enumerate(m.cols))
+    """Square, with each column exactly {j: one}; scanned once per map."""
+    if m._ident is None:  # identity() sets it at construction
+        one = m.field.one()
+        m._ident = m.dom.dim == m.cod.dim and all(
+            len(col) == 1 and col.get(j) == one for j, col in enumerate(m.cols))
+    return m._ident
 
 
 def _kron_legs(a: LinearMap, b: LinearMap, vecs, transpose: bool):

@@ -19,7 +19,7 @@ SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 FUNCTIONS = [("fincat", "check_monoidal"), ("fincat", "validate_functor"),
              ("fincat", "validate_category"), ("fincat", "natural_problems"),
-             ("cohom", "intertwines")]
+             ("cohom", "intertwines"), ("cohom", "coalgebra_morphism_problems")]
 METHODS = [(Coalgebra, "check"), (Bialgebra, "algebra_problems"),
            (HopfAlgebra, "antipode_problems"), (HopfAlgebra, "check")]
 
@@ -93,6 +93,18 @@ def test_reconstruct_command_checks_the_input_hopf_algebra_once(monkeypatch):
             "--seeds", "k0,k1"]
     assert run(argv) == 0
     assert counts["HopfAlgebra.check"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--coalgebra", "M2", "--seeds", "V"],
+    ["equiv", "--coalgebra", "M2", "--seeds", "V", "--probes", "regular"],
+])
+def test_reconstruction_checks_the_seeds_not_the_comparison_map(monkeypatch, argv):
+    # h is a coalgebra map because the seeds are lawful comodules and the two
+    # descents hold, so no coalgebra-morphism check runs on it
+    counts = count_checks(monkeypatch)
+    assert run([argv[0], str(SPECS / "one_object_k2.json"), *argv[1:]]) == 0
+    assert counts["coalgebra_morphism_problems"] == 0
 
 
 @pytest.mark.parametrize("command", ["bialgebra", "hopf"])

@@ -12,6 +12,8 @@ from coendforge.coend import (
     MissingDual,
     NaturalityFailure,
     WellDefinednessFailure,
+    _blockwise_counit,
+    _blockwise_delta,
     _descend,
     antipode_on_coend,
     bialgebra_on_coend,
@@ -36,9 +38,11 @@ from coendforge.exactlinalg import (
     Space,
     cokernel,
     identity,
+    kron_compose,
     solve_factor,
     tensor,
     tensor_space,
+    zero_map,
 )
 from coendforge.fincat import (
     CategoryMonoidalData,
@@ -604,6 +608,28 @@ def test_randomized_universal_bijection(rng):
              for x in r.diagram.objects}
         )
         assert factor_through_coend(r, t, m) == psi0
+
+
+def test_blockwise_structure_is_the_sum_of_the_comatrix_blocks(rng):
+    # the fact the reconstruction lemma rests on: Delta_N and eps_N are the
+    # comatrix coalgebras of the blocks, placed through the block inclusions,
+    # so coact(rho_x) meets Delta_N on its block in the comatrix convention
+    for _ in range(6):
+        F = random_diagram_functor(rng, n_objects=rng.randint(1, 3), max_dim=3)
+        r = coend_of_functor(F)
+        n = r.nspace
+        delta = zero_map(n, tensor_space(n, n), QQ)
+        counit = zero_map(n, K, QQ)
+        for x in r.diagram.objects:
+            block = coend_object(r.diagram.spaces[x], QQ).coalgebra
+            off, dim = r.offsets[x], block.carrier.dim
+            incl = LinearMap.from_sparse(QQ, block.carrier, n, [{off + i: 1} for i in range(dim)])
+            proj = LinearMap.from_sparse(QQ, n, block.carrier, [
+                {j - off: 1} if off <= j < off + dim else {} for j in range(n.dim)])
+            delta = delta + kron_compose(incl, incl, block.delta) @ proj
+            counit = counit + block.counit @ proj
+        assert _blockwise_delta(r) == delta
+        assert _blockwise_counit(r) == counit
 
 
 # -- descend-by-section -------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from coendforge import exactlinalg
 from coendforge.cohom import (
+    AxiomError,
     Coalgebra,
     Comodule,
     coend_object,
@@ -189,6 +190,58 @@ def test_reconstruct_from_redundant_graded_seeds():
     res = reconstruct_coalgebra(c, {"w": com3})
     assert res.verdict == "Isomorphism"
     assert res.coend.carrier.dim == 2
+
+
+# -- the seeds must be lawful over the coalgebra itself ------------------------
+
+def test_an_unlawful_seed_is_refused():
+    # the seed checks are what make h a coalgebra map (the reconstruction
+    # lemma), so a seed with one entry of its coaction doubled is refused
+    c, com = comatrix_setup()
+    cols = [dict(col) for col in com.rho.cols]
+    cols[0][0] = Fraction(2)
+    bad = Comodule(K2, c, LinearMap.from_sparse(QQ, K2, com.rho.cod, cols))
+    assert bad.check() == ["coaction is not coassociative", "coaction counit law fails"]
+    with pytest.raises(AxiomError, match="not coassociative"):
+        reconstruct_coalgebra(c, {"bad": bad})
+    with pytest.raises(AxiomError, match="not coassociative"):
+        equivalence_check(c, {"bad": bad}, {})
+
+
+def test_a_seed_over_another_comultiplication_is_refused():
+    # comatrix(2) with delta doubled and the counit halved is a coalgebra,
+    # and twice the standard coaction is lawful over it; taken as a seed of
+    # the plain comatrix(2) it would give h = 2 id, no coalgebra map
+    c, com = comatrix_setup()
+    other = Coalgebra(c.carrier, c.delta.scale(2), c.counit.scale(Fraction(1, 2)))
+    seed = Comodule(K2, other, com.rho.scale(2))
+    assert other.check() == [] and seed.check() == []
+    with pytest.raises(ValueError, match="seed 'twice'"):
+        reconstruct_coalgebra(c, {"twice": seed})
+    with pytest.raises(ValueError, match="seed 'twice'"):
+        equivalence_check(c, {"twice": seed}, {"regular": Comodule(c.carrier, c, c.delta)})
+
+
+def test_a_seed_over_another_counit_is_refused():
+    # the same comultiplication as K[Z/2] with eps(g1) = 0: the degree-0 line
+    # is lawful over it, but it is not K[Z/2]
+    c = kz2()
+    other = Coalgebra(c.carrier, c.delta, qmap([[1, 0]], c.carrier, K))
+    seeds = {"k0": graded_line(other, 0), "k1": graded_line(c, 1)}
+    assert seeds["k0"].check() == []
+    with pytest.raises(ValueError, match="seed 'k0'"):
+        reconstruct_coalgebra(c, seeds)
+    with pytest.raises(ValueError, match="seed 'k0'"):
+        equivalence_check(c, seeds, {})
+
+
+def test_a_seed_over_an_equal_copy_of_the_coalgebra_reconstructs():
+    # reconstruct_bialgebra's path: its coalgebra is a copy of b's maps
+    c, com = comatrix_setup()
+    copy = Coalgebra(c.carrier, c.delta, c.counit)
+    seeds = {"std": Comodule(K2, copy, com.rho)}
+    assert reconstruct_coalgebra(c, seeds).verdict == "Isomorphism"
+    assert equivalence_check(c, seeds, {"regular": Comodule(c.carrier, c, c.delta)}).ok
 
 
 def kz2_monoidal_seeds():

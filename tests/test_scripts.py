@@ -49,3 +49,25 @@ def test_hopf_ladder_script_reproduces_its_hashes():
     z16 = "1f9b8e2559ad445a4ae1b7cb4fcea517e38f89f16bad57571dc65e9410a004f8"
     assert rungs == [("8", "q", "0", "8", z8), ("8", "fp:7", "0", "8", z8),
                      ("16", "q", "0", "16", z16), ("16", "fp:7", "0", "16", z16)]
+
+
+def test_reconstruction_sweep_script_prints_its_verdicts():
+    # K[Z/2] and K[Z/3] over Q and F_5 with and without the top seed, and
+    # comatrix(1) and comatrix(2) with the regular probe; timings stripped
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "reconstruction_sweep.py"), "3", "2"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = [re.sub(r", [0-9.]+ ms\)", ")", line) for line in proc.stdout.splitlines()]
+    group = []
+    for field in ["Q   ", "F_5 "]:
+        for n in [2, 3]:
+            group += [f"K[Z/{n}] over {field} -> Isomorphism   (coend dim {n})",
+                      "   without the top seed -> NotGenerated"]
+    assert lines == [
+        "== cyclic group coalgebras ==", *group,
+        "== comatrix coalgebras ==",
+        "comatrix(1x1)     -> Isomorphism   (coend dim 1)",
+        "   equivalence with regular probe -> ok=True",
+        "comatrix(2x2)     -> Isomorphism   (coend dim 4)",
+        "   equivalence with regular probe -> ok=True",
+    ]
