@@ -242,11 +242,11 @@ def recognition_factorization(F) -> RecognitionResult:
     """Factor F through the category of comodules over its coend: objects go
     to (F(X), delta_X), morphisms keep their matrices (now verified to be
     comodule morphisms), and the forgetful functor returns F on the nose.
-    Raises WellDefinednessFailure when a comodule or morphism check fails, so
-    a returned result is always ok."""
+    Raises WellDefinednessFailure when the naturality check fails, so a
+    returned result is always ok."""
     r = coend_of_functor(F)
-    # comodule_on checks each coaction and, once, that the universal family
-    # is natural, so every morphism is a comodule morphism
+    # the descents make each coaction lawful; comodule_on checks, once, that
+    # the universal family is natural, so every morphism is a comodule morphism
     comodules = {x: comodule_on(r, x) for x in r.diagram.objects}
     morphisms = {m.name: m.map for m in r.diagram.morphisms}
     return RecognitionResult(r, comodules, morphisms, True)

@@ -100,9 +100,14 @@ def _named(table: dict, name, what: str):
 
 
 def _names(entry, count: int) -> bool:
-    """True when entry is a JSON array of count strings."""
-    return isinstance(entry, list) and len(entry) == count and all(
-        isinstance(a, str) for a in entry)
+    """True when entry is a JSON array of count strings.  A plain loop: this
+    runs on each of the n^2 monoidal table entries."""
+    if not isinstance(entry, list) or len(entry) != count:
+        return False
+    for a in entry:
+        if not isinstance(a, str):
+            return False
+    return True
 
 
 class _MatrixFault(Exception):

@@ -1,7 +1,9 @@
 """Each structure is checked once per command: the CLI trusts what
-`_validate_spec` checked, and each coend constructor checks only the axioms
-it adds.  Calls are counted by wrapping every binding of a check inside the
-package, so a check reached through any import path is seen."""
+`_validate_spec` checked, the descents of Delta and eps decide the coend's
+coalgebra, its universal comodules and the control epimorphism, and the
+bialgebra and Hopf constructors check only the axioms they add.  Calls are
+counted by wrapping every binding of a check inside the package, so a check
+reached through any import path is seen."""
 
 import contextlib
 import functools
@@ -13,14 +15,16 @@ from pathlib import Path
 import pytest
 
 from coendforge.cli import main
-from coendforge.cohom import Bialgebra, Coalgebra, HopfAlgebra
+from coendforge.cohom import Bialgebra, Coalgebra, Comodule, HopfAlgebra
+from coendforge.reconstruct import reconstruct_coalgebra
+from coendforge.specfile import load_spec
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 FUNCTIONS = [("fincat", "check_monoidal"), ("fincat", "validate_functor"),
              ("fincat", "validate_category"), ("fincat", "natural_problems"),
              ("cohom", "intertwines"), ("cohom", "coalgebra_morphism_problems")]
-METHODS = [(Coalgebra, "check"), (Bialgebra, "algebra_problems"),
+METHODS = [(Coalgebra, "check"), (Comodule, "check"), (Bialgebra, "algebra_problems"),
            (HopfAlgebra, "antipode_problems"), (HopfAlgebra, "check")]
 
 
@@ -61,7 +65,9 @@ def test_hopf_command_checks_each_structure_once(monkeypatch):
     assert counts["check_monoidal"] == 1
     assert counts["validate_functor"] == 1
     assert counts["validate_category"] == 1  # check_monoidal trusts it
-    assert counts["Coalgebra.check"] == 1
+    # the descents decide the coalgebra and the universal comodules
+    assert counts["Coalgebra.check"] == 0
+    assert counts["Comodule.check"] == 0
     assert counts["Bialgebra.algebra_problems"] == 1
     assert counts["HopfAlgebra.antipode_problems"] == 1
 
@@ -70,6 +76,35 @@ def test_coend_command_checks_naturality_once(monkeypatch):
     counts = count_checks(monkeypatch)
     assert run(["coend", str(SPECS / "glued_pair.json"), "--functor", "F"]) == 0
     assert counts["intertwines"] == 1  # one morphism, checked once
+    assert counts["Coalgebra.check"] == 0
+    assert counts["Comodule.check"] == 0
+
+
+def test_ccoend_command_trusts_the_descents(monkeypatch):
+    # the control epimorphism is a coalgebra map once h o pi = pi_c descends
+    counts = count_checks(monkeypatch)
+    argv = ["ccoend", str(SPECS / "discrete_points.json"), "--functor", "F",
+            "--controls", "merge01"]
+    assert run(argv) == 0
+    assert counts["Coalgebra.check"] == 0
+    assert counts["Comodule.check"] == 0
+    assert counts["coalgebra_morphism_problems"] == 0
+
+
+def test_validate_checks_each_spec_coalgebra_and_comodule_once(monkeypatch):
+    counts = count_checks(monkeypatch)
+    assert run(["validate", str(SPECS / "one_object_k2.json")]) == 0
+    assert counts["Coalgebra.check"] == 1  # M2
+    assert counts["Comodule.check"] == 2  # V and regular
+
+
+def test_reconstruction_checks_each_seed_once(monkeypatch):
+    spec = load_spec(str(SPECS / "z2_grading.json"))
+    seeds = {name: spec.comodules[name] for name in ("k0", "k1")}
+    counts = count_checks(monkeypatch)
+    assert reconstruct_coalgebra(spec.coalgebras["KZ2"], seeds).iso
+    assert counts["Comodule.check"] == len(seeds)
+    assert counts["Coalgebra.check"] == 0
 
 
 @pytest.mark.parametrize("argv", [

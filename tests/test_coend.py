@@ -547,8 +547,8 @@ def test_antipode_block_map_is_anti_coalgebra_morphism():
 
 # -- randomized invariants -----------------------------------------------------------
 
-def random_diagram_functor(rng, n_objects=3, max_dim=2):
-    """A random functor on a linear chain of n objects."""
+def random_diagram_functor(rng, n_objects=3, max_dim=2, f=QQ, min_dim=1):
+    """A random functor on a linear chain of n objects, over the field f."""
     objs = [f"x{i}" for i in range(n_objects)]
     mors = [(f"f{i}", f"x{i}", f"x{i+1}") for i in range(n_objects - 1)]
     comp = {}
@@ -560,13 +560,13 @@ def random_diagram_functor(rng, n_objects=3, max_dim=2):
             name = f"f{i}to{j+1}"
             all_mors.append((name, f"x{i}", f"x{j+1}"))
     cat_mors = all_mors
-    spaces = {o: Space.std(rng.randint(1, max_dim), prefix=o) for o in objs}
+    spaces = {o: Space.std(rng.randint(min_dim, max_dim), prefix=o) for o in objs}
     maps = {}
     for name, a, b in mors:
         maps[name] = qmap(
             [[rng.randint(-2, 2) for _ in range(spaces[a].dim)]
              for _ in range(spaces[b].dim)],
-            spaces[a], spaces[b],
+            spaces[a], spaces[b], f,
         )
     # composites
     for i in range(n_objects - 1):
@@ -578,7 +578,7 @@ def random_diagram_functor(rng, n_objects=3, max_dim=2):
                 maps[f"f{i}to{j+1}"] = acc
                 comp[(f"f{j}", f"f{i}to{j}" if j > i + 1 else f"f{i}")] = f"f{i}to{j+1}"
     cat = FinCategory(objs, cat_mors, composition=comp)
-    return DiagramFunctor(cat, QQ, spaces, maps)
+    return DiagramFunctor(cat, f, spaces, maps)
 
 
 def test_randomized_delta_natural_and_comodules(rng):

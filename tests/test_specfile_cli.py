@@ -395,6 +395,35 @@ def _one_dim_spec(**sections):
     return {"spaces": {"V": {"dim": 1}}, **sections}
 
 
+def _one_object_monoidal_spec(tensor, tensor_morphisms=(), xi=None):
+    spec = _one_dim_spec(categories={"C": {"objects": ["a"], "monoidal": {
+        "unit": "a", "tensor": tensor, "tensor_morphisms": list(tensor_morphisms)}}})
+    if xi is not None:
+        spec["functors"] = {"F": {"source": "C", "objects": {"a": "V"}, "xi": xi,
+                                  "xi_unit": [["1"]]}}
+    return spec
+
+
+@pytest.mark.parametrize("spec, problem", [
+    (_one_object_monoidal_spec([["a", 5, "a"]]), "category 'C': tensor entries are [a, b, ab]"),
+    (_one_object_monoidal_spec([["a", "a", ["a"]]]),
+     "category 'C': tensor entries are [a, b, ab]"),
+    (_one_object_monoidal_spec([["a", "a", "a"]], [["id_a", 1, "id_a"]]),
+     "category 'C': tensor_morphisms entries are [f, g, fg]"),
+    # the tensor table is read before tensor_morphisms
+    (_one_object_monoidal_spec([[None, "a", "a"]], [["id_a", 1, "id_a"]]),
+     "category 'C': tensor entries are [a, b, ab]"),
+    (_one_object_monoidal_spec([["a", "a", "a"]], xi=[["a", 5, [["1"]]]]),
+     "functor 'F': xi entries are [a, b, matrix]"),
+], ids=["tensor-middle", "tensor-last", "tensor-morphisms", "tensor-first", "xi"])
+def test_a_non_string_name_in_a_table_entry_is_named(tmp_path, spec, problem):
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(["validate", str(path)])
+    assert code == 2
+    assert json.loads(out) == {"ok": False, "problems": [problem]}
+
+
 COALGEBRA_K = {"space": "V", "delta": [["1"]], "epsilon": [["1"]]}
 
 
