@@ -16,17 +16,22 @@ The descents of Delta and eps decide the coalgebra laws: Delta_N and eps_N
 are the lawful blockwise comatrix coalgebra and pi is onto, so the quotient
 coalgebra, every universal comodule and the control epimorphism obey their
 laws once their descents hold, and none of them is checked again.  The
-bialgebra and Hopf constructors check, once, only the axioms they add (the
-algebra axioms over the coalgebra; the antipode) and keep the problem list
-in ``CoendResult.checks``, so callers report it without re-running it.  The
-naturality of the universal family is checked once per coend, by the first
-``comodule_on``, and kept there too.  The ``*_from_monoidal`` constructors
-read the multiplication, unit and antipode off the category's and the
-functor's monoidal tables, on blocks that are 1-dim or 0-dim once every xi is
-invertible; they refuse malformed tables with
-``fincat.monoidal_table_problems`` and trust the rest (the cocycle, unit and
-naturality squares).  ``bialgebra_on_coend`` and ``antipode_on_coend``
-run ``validate_category`` and ``check_monoidal`` first.
+``*_from_monoidal`` constructors read the multiplication, unit and antipode
+off the category's and the functor's monoidal tables, on blocks that are
+1-dim or 0-dim once every xi is invertible; they refuse malformed tables
+with ``fincat.monoidal_table_problems`` and trust the rest (the cocycle,
+unit and naturality squares).  The tables and the descents decide the laws
+these add: on the 1-dim objects O_1, N is the monoid bialgebra K[O_1] when
+the object tensor is unital and associative there, and e_x |-> e_(x*) is
+its antipode when x* (x) x = I = x (x) x*; the descents of the
+multiplication and antipode carry each law to Q, as pi is onto.  Only when
+a table law fails is the algebra or antipode check run on Q, which may
+still be lawful once the relations identify blocks.  Either way the
+problem list is kept in ``CoendResult.checks``, so callers report it
+without re-running it.  The naturality of the universal family is checked
+once per coend, by the first ``comodule_on``, and kept there too.
+``bialgebra_on_coend`` and ``antipode_on_coend`` run ``validate_category``
+and ``check_monoidal`` first.
 
 ``Diagram`` and the naturality and cowedge laws live in ``fincat``
 (``natural_problems``, ``cowedge_problems``); this module applies them.
@@ -71,6 +76,7 @@ from .fincat import (
     diagram_of_functor,
     monoidal_table_problems,
     natural_problems,
+    tensor_associativity_failures,
     validate_category,
 )
 
@@ -134,6 +140,8 @@ class CoendResult:
     controls: list[ControlData] = field(default_factory=list)
     bialgebra: Bialgebra | None = None
     hopf: HopfAlgebra | None = None
+    # the monoidal tables r.bialgebra's multiplication and unit were read from
+    tables: CategoryMonoidalData | None = None
     # problem lists of the checks ("coalgebra", "naturality", "bialgebra",
     # "hopf"), recorded once by the constructor that ran them
     checks: dict[str, list[str]] = field(default_factory=dict)
@@ -462,6 +470,12 @@ def _require_tables(r: CoendResult, cat_mon: CategoryMonoidalData | None,
         raise WellDefinednessFailure("functor is not monoidal: " + "; ".join(problems))
 
 
+def _ones(r: CoendResult) -> list[str]:
+    """O_1, the objects x with dim F(x) = 1, whose blocks span N once the
+    tables pass; every other F(x) is 0-dim."""
+    return [x for x in r.diagram.objects if r.diagram.spaces[x].dim == 1]
+
+
 def bialgebra_from_monoidal(r: CoendResult, cat_mon: CategoryMonoidalData | None,
                             fun_mon: FunctorMonoidalData | None) -> Bialgebra:
     """Multiplication and unit on the coend, read off the monoidal tables.
@@ -473,16 +487,28 @@ def bialgebra_from_monoidal(r: CoendResult, cat_mon: CategoryMonoidalData | None
     xi^-1 xi = 1, and the law reads e_x (x) e_y |-> e_(x (x) y) on the 1-dim
     blocks; the unit is the unit block's injection.  Every table entry is
     checked first, by ``fincat.monoidal_table_problems``, which is what makes
-    the lemma apply."""
+    the lemma apply.
+
+    The tables then decide the laws.  The 1-dim objects O_1 contain the unit
+    (xi_unit is an isomorphism) and are closed under the tensor, N has the
+    basis e_x, x in O_1, and Delta_N(e_x) = e_x (x) e_x, eps_N(e_x) = 1.  So
+    N is the monoid bialgebra K[O_1] when the tensor is unital,
+    t(I, x) = x = t(x, I), and associative on O_1 (Light's test on names,
+    ``fincat.tensor_associativity_failures``).  The descents carry every law
+    to Q, as pi is onto: m_Q o (pi (x) pi) = pi o mu_N, u_Q = pi o in_I,
+    Delta_Q o pi = (pi (x) pi) o Delta_N and eps_Q o pi = eps_N, so, for
+    instance, Delta_Q m_Q (pi (x) pi) = (pi (x) pi) Delta_N mu_N =
+    (m_Q (x) m_Q)(id (x) tau (x) id)(Delta_Q (x) Delta_Q)(pi (x) pi).  When a
+    table law fails, Q may still be lawful once the relations identify
+    blocks, so ``Bialgebra.algebra_problems`` decides it on Q."""
     _require_tables(r, cat_mon, fun_mon)
     f = r.field
-    d = r.diagram
     n, one = r.nspace.dim, f.one()
+    t, ones = cat_mon.tensor_obj, _ones(r)
     mu = [{} for _ in range(n * n)]  # sparse columns
-    for x in d.objects:
-        for y in d.objects:
-            if d.spaces[x].dim == d.spaces[y].dim == 1:
-                mu[r.offsets[x] * n + r.offsets[y]] = {r.offsets[cat_mon.tensor_obj[(x, y)]]: one}
+    for x in ones:
+        for y in ones:
+            mu[r.offsets[x] * n + r.offsets[y]] = {r.offsets[t[(x, y)]]: one}
     mu_n = LinearMap.from_sparse(f, tensor_space(r.nspace, r.nspace), r.nspace, mu)
     try:
         m_q = _descend(r, r.pi @ mu_n, pair=True)
@@ -492,8 +518,10 @@ def bialgebra_from_monoidal(r: CoendResult, cat_mon: CategoryMonoidalData | None
         ) from None
     bialg = Bialgebra(r.carrier, r.coalgebra.delta, r.coalgebra.counit, m_q,
                       r.injections[cat_mon.unit])
-    _record_check(r, "bialgebra", bialg.algebra_problems())
-    r.bialgebra = bialg
+    monoid = (all(t[(cat_mon.unit, x)] == x == t[(x, cat_mon.unit)] for x in ones)
+              and not tensor_associativity_failures(ones, t))
+    _record_check(r, "bialgebra", [] if monoid else bialg.algebra_problems())
+    r.bialgebra, r.tables = bialg, cat_mon
     return bialg
 
 
@@ -510,7 +538,18 @@ def antipode_from_monoidal(r: CoendResult, cat_mon: CategoryMonoidalData | None,
     identification F(x*) ~ F(x)^*, conjugated by it; on a 1-dim block that
     is a nonzero scalar times its inverse.  The tables are checked once: by
     ``bialgebra_from_monoidal`` if it builds r.bialgebra, else here.  An
-    absent dual or identification is a ``MissingDual``."""
+    absent dual or identification is a ``MissingDual``.
+
+    The tables then decide the antipode law.  Each identification
+    F(x*) ~ F(x)^* makes x* 1-dim with x, and S_N(e_x) = e_(x*) gives
+    mu_N (S_N (x) id) Delta_N (e_x) = e_(t(x*, x)) and
+    mu_N (id (x) S_N) Delta_N (e_x) = e_(t(x, x*)), against
+    u_N eps_N (e_x) = e_I.  So S_N is an antipode on N when
+    t(x*, x) = I = t(x, x*) for every x in O_1, with t and I the tables the
+    multiplication was read from (r.tables is cat_mon).  The descents carry
+    the law to Q: s_Q o pi = pi o S_N gives m_Q (s_Q (x) id) Delta_Q pi =
+    pi mu_N (S_N (x) id) Delta_N = pi u_N eps_N = u_Q eps_Q pi, and pi is
+    onto.  Otherwise ``HopfAlgebra.antipode_problems`` decides it on Q."""
     d = r.diagram
     if r.bialgebra is not None:
         _require_tables(r, cat_mon, fun_mon)
@@ -535,7 +574,10 @@ def antipode_from_monoidal(r: CoendResult, cat_mon: CategoryMonoidalData | None,
     hopf = HopfAlgebra(
         r.carrier, bialg.delta, bialg.counit, bialg.mult, bialg.unit, s_q
     )
-    _record_check(r, "hopf", hopf.antipode_problems())
+    t, unit, duals = cat_mon.tensor_obj, cat_mon.unit, cat_mon.duals
+    lawful = r.tables is cat_mon and all(t[(duals[x], x)] == unit == t[(x, duals[x])]
+                                         for x in _ones(r))
+    _record_check(r, "hopf", [] if lawful else hopf.antipode_problems())
     r.hopf = hopf
     return hopf
 

@@ -175,17 +175,24 @@ class Comodule:
     over: Coalgebra
     rho: LinearMap
 
-    def check(self) -> list[str]:
+    @cached_property
+    def law_problems(self) -> tuple[str, ...]:
+        """Why (V, rho) breaks the comodule laws, or (); computed once per
+        comodule, so a comodule checked by the CLI and again as a seed of a
+        reconstruction pays once."""
         c, rho = self.over, self.rho
         if rho.dom.dim != self.space.dim or rho.cod.dim != self.space.dim * c.carrier.dim:
-            return ["coaction has wrong shape"]
+            return ("coaction has wrong shape",)
         idv, idc = identity(self.space, c.field), identity(c.carrier, c.field)
         problems = []
         if kron_compose(rho, idc, rho) != kron_compose(idv, c.delta, rho):
             problems.append("coaction is not coassociative")
         if kron_compose(idv, c.counit, rho) != idv:
             problems.append("coaction counit law fails")
-        return problems
+        return tuple(problems)
+
+    def check(self) -> list[str]:
+        return list(self.law_problems)
 
     def require_valid(self):
         problems = self.check()

@@ -189,6 +189,14 @@ def _associativity_failures(items, product, fails) -> list[tuple]:
     return [(a, b, c) for a in items for b in items for c in items if fails(a, b, c)]
 
 
+def tensor_associativity_failures(items, t: dict[tuple[str, str], str]) -> list[tuple]:
+    """The triples (a, b, c) of items at which the object tensor t is not
+    associative, t(t(a, b), c) != t(a, t(b, c)), in order, found by
+    ``_associativity_failures``; items must be closed under t."""
+    return _associativity_failures(items, lambda y, g: t[(y, g)],
+                                   lambda a, b, c: t[(t[(a, b)], c)] != t[(a, t[(b, c)])])
+
+
 def _validate_monoidal_tables(cat: FinCategory) -> list[str]:
     mon = cat.monoidal
     problems = _entry_problems(cat.objects, mon)
@@ -196,9 +204,7 @@ def _validate_monoidal_tables(cat: FinCategory) -> list[str]:
         return problems
     t = mon.tensor_obj
     failures = {}
-    for a, b, c in _associativity_failures(
-            cat.objects, lambda y, g: t[(y, g)],
-            lambda a, b, c: t[(t[(a, b)], c)] != t[(a, t[(b, c)])]):
+    for a, b, c in tensor_associativity_failures(cat.objects, t):
         failures.setdefault(a, []).append(f"tensor associativity fails at ({a}, {b}, {c})")
     for a in cat.objects:
         if t[(mon.unit, a)] != a or t[(a, mon.unit)] != a:

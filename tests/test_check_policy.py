@@ -1,13 +1,17 @@
 """Each structure is checked once per command: the CLI trusts what
-`_validate_spec` checked, the descents of Delta and eps decide the coend's
-coalgebra, its universal comodules and the control epimorphism, and the
-bialgebra and Hopf constructors check only the axioms they add.  Calls are
-counted by wrapping every binding of a check inside the package, so a check
-reached through any import path is seen."""
+`_validate_spec` checked, a comodule computes its laws once however often
+it is checked, the descents of Delta and eps decide the coend's coalgebra,
+its universal comodules and the control epimorphism, and the bialgebra and
+Hopf constructors decide their laws from the monoidal tables and the
+descents, running the full algebra or antipode check on the quotient only
+when a table law fails.  Calls are counted by wrapping every binding of a
+check inside the package, so a check reached through any import path is
+seen; a cached property counts the computations of its value."""
 
 import contextlib
 import functools
 import io
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -24,8 +28,9 @@ SPECS = Path(__file__).resolve().parent.parent / "specs"
 FUNCTIONS = [("fincat", "check_monoidal"), ("fincat", "validate_functor"),
              ("fincat", "validate_category"), ("fincat", "natural_problems"),
              ("cohom", "intertwines"), ("cohom", "coalgebra_morphism_problems")]
-METHODS = [(Coalgebra, "check"), (Comodule, "check"), (Bialgebra, "algebra_problems"),
-           (HopfAlgebra, "antipode_problems"), (HopfAlgebra, "check")]
+METHODS = [(Coalgebra, "check"), (Comodule, "check"), (Comodule, "law_problems"),
+           (Bialgebra, "algebra_problems"), (HopfAlgebra, "antipode_problems"),
+           (HopfAlgebra, "check")]
 
 
 def count_checks(monkeypatch) -> Counter:
@@ -49,7 +54,12 @@ def count_checks(monkeypatch) -> Counter:
                     monkeypatch.setattr(mod, attr, counted)
     for cls, name in METHODS:
         if name in cls.__dict__:  # a missing method counts 0 calls
-            counted = wrap(f"{cls.__name__}.{name}", cls.__dict__[name])
+            method = cls.__dict__[name]
+            if isinstance(method, functools.cached_property):
+                counted = functools.cached_property(wrap(f"{cls.__name__}.{name}", method.func))
+                counted.__set_name__(cls, name)
+            else:
+                counted = wrap(f"{cls.__name__}.{name}", method)
             monkeypatch.setattr(cls, name, counted)
     return counts
 
@@ -68,8 +78,30 @@ def test_hopf_command_checks_each_structure_once(monkeypatch):
     # the descents decide the coalgebra and the universal comodules
     assert counts["Coalgebra.check"] == 0
     assert counts["Comodule.check"] == 0
-    assert counts["Bialgebra.algebra_problems"] == 1
+    # Z/3 is a group and g* (x) g = g0, so the tables and the descents
+    # decide the bialgebra and antipode laws
+    assert counts["Bialgebra.algebra_problems"] == 0
+    assert counts["HopfAlgebra.antipode_problems"] == 0
+
+
+def test_hopf_command_checks_the_antipode_when_the_duals_fail(monkeypatch, tmp_path):
+    # g1* = g1, so g1* (x) g1 = g2 is not the unit: the antipode law is
+    # decided on the quotient, in the full check's words
+    spec = json.loads((SPECS / "z3_grading.json").read_text())
+    spec["categories"]["Z3"]["monoidal"]["duals"] = {"g0": "g0", "g1": "g1", "g2": "g2"}
+    path = tmp_path / "z3_self_duals.json"
+    path.write_text(json.dumps(spec))
+    counts = count_checks(monkeypatch)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["hopf", str(path), "--functor", "F"]) == 2
+    assert counts["Bialgebra.algebra_problems"] == 0
     assert counts["HopfAlgebra.antipode_problems"] == 1
+    assert buf.getvalue() == (
+        '{\n  "ok": false,\n  "problems": [\n'
+        '    "left antipode axiom fails; right antipode axiom fails"\n'
+        '  ]\n}\n'
+    )
 
 
 def test_coend_command_checks_naturality_once(monkeypatch):
@@ -128,6 +160,20 @@ def test_reconstruct_command_checks_the_input_hopf_algebra_once(monkeypatch):
             "--seeds", "k0,k1"]
     assert run(argv) == 0
     assert counts["HopfAlgebra.check"] == 1
+
+
+@pytest.mark.parametrize("argv, laws", [
+    # the 4 file comodules; the seeds k0 and k1 are not computed again
+    (["reconstruct", "z2_grading.json", "--coalgebra", "KZ2", "--seeds", "k0,k1"], 4),
+    # V and regular, not again as seed and probe, and the equalizer
+    # comodule the probe is lifted to
+    (["equiv", "one_object_k2.json", "--coalgebra", "M2", "--seeds", "V",
+      "--probes", "regular"], 3),
+])
+def test_each_comodule_computes_its_laws_once(monkeypatch, argv, laws):
+    counts = count_checks(monkeypatch)
+    assert run([argv[0], str(SPECS / argv[1]), *argv[2:]]) == 0
+    assert counts["Comodule.law_problems"] == laws
 
 
 @pytest.mark.parametrize("argv", [
