@@ -26,10 +26,10 @@ the object tensor is unital and associative there, and e_x |-> e_(x*) is
 its antipode when x* (x) x = I = x (x) x*; the descents of the
 multiplication and antipode carry each law to Q, as pi is onto.  Only when
 a table law fails is the algebra or antipode check run on Q, which may
-still be lawful once the relations identify blocks.  Either way the
-problem list is kept in ``CoendResult.checks``, so callers report it
-without re-running it.  The naturality of the universal family is checked
-once per coend, by the first ``comodule_on``, and kept there too.
+still be lawful once the relations identify blocks.  Every constructor
+returns its structure or raises ``WellDefinednessFailure``, and none of
+them writes to the ``CoendResult``.  The naturality of the universal family
+is checked once per coend, in ``CoendResult.naturality_problems``.
 ``bialgebra_on_coend`` and ``antipode_on_coend`` run ``validate_category``
 and ``check_monoidal`` first.
 
@@ -39,7 +39,8 @@ and ``check_monoidal`` first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .cohom import (
     Bialgebra,
@@ -50,6 +51,7 @@ from .cohom import (
     coact,
     cohom,
     cohom_on_maps,
+    comatrix,
     unit_space,
 )
 from .exactlinalg import (
@@ -137,18 +139,16 @@ class CoendResult:
     injections: dict[str, LinearMap]
     coalgebra: Coalgebra
     delta: dict[str, LinearMap]
-    controls: list[ControlData] = field(default_factory=list)
-    bialgebra: Bialgebra | None = None
-    hopf: HopfAlgebra | None = None
-    # the monoidal tables r.bialgebra's multiplication and unit were read from
-    tables: CategoryMonoidalData | None = None
-    # problem lists of the checks ("coalgebra", "naturality", "bialgebra",
-    # "hopf"), recorded once by the constructor that ran them
-    checks: dict[str, list[str]] = field(default_factory=dict)
 
     @property
     def field(self):
         return self.diagram.field
+
+    @cached_property
+    def naturality_problems(self) -> list[str]:
+        """Why the universal family delta is not natural, checked once per coend."""
+        universal = natural_problems(self.diagram, Transformation(self.delta), self.carrier)
+        return [f"universal family: {p}" for p in universal]
 
 
 def _difference_columns(f, p_block: LinearMap, p_off: int, q_block: LinearMap, q_off: int):
@@ -256,7 +256,6 @@ def coend_of_diagram(d: Diagram, controls: list[ControlData] | None = None) -> C
         injections=injections,
         coalgebra=None,
         delta={},
-        controls=list(controls or []),
     )
     result.coalgebra = coalgebra_on_coend(result)
     result.delta = {
@@ -285,39 +284,10 @@ def verify_cowedge(r: CoendResult) -> list[str]:
 # induced coalgebra and comodules
 # ---------------------------------------------------------------------------
 
-def _record_check(r: CoendResult, name: str, problems: list[str]) -> None:
-    """Raise if an induced structure fails its check; otherwise keep the
-    (empty) problem list as r.checks[name]."""
+def _require(problems: list[str]) -> None:
+    """Raise if an induced structure fails its check."""
     if problems:
         raise WellDefinednessFailure("; ".join(problems))
-    r.checks[name] = problems
-
-
-def _blockwise_delta(r: CoendResult) -> LinearMap:
-    """Delta_N: N -> N (x) N, the comatrix comultiplication on each block
-    followed by the squared block inclusion."""
-    f = r.field
-    n, one = r.nspace.dim, f.one()
-    cols = []
-    for x in r.diagram.objects:
-        dx = r.diagram.spaces[x].dim
-        off = r.offsets[x]
-        for j in range(dx):
-            for i in range(dx):
-                # delta(e_(j,i)) = sum_k e_(j,k) (x) e_(k,i) for the comatrix block
-                cols.append({(off + j * dx + k) * n + off + k * dx + i: one
-                             for k in range(dx)})
-    return LinearMap.from_sparse(f, r.nspace, tensor_space(r.nspace, r.nspace), cols)
-
-
-def _blockwise_counit(r: CoendResult) -> LinearMap:
-    f = r.field
-    one = f.one()
-    cols = []
-    for x in r.diagram.objects:
-        dx = r.diagram.spaces[x].dim
-        cols.extend({0: one} if i == j else {} for j in range(dx) for i in range(dx))
-    return LinearMap.from_sparse(f, r.nspace, unit_space(), cols)
 
 
 def _descend(r: CoendResult, target: LinearMap, pair: bool = False) -> LinearMap:
@@ -342,7 +312,7 @@ def _descend(r: CoendResult, target: LinearMap, pair: bool = False) -> LinearMap
 def coalgebra_on_coend(r: CoendResult) -> Coalgebra:
     """The coalgebra induced on the quotient by the blockwise comatrix
     structure; well-definedness is tested exactly by the two descents, and
-    they decide the axioms, so r.checks["coalgebra"] is [].
+    they decide the axioms.
 
     Delta_N and eps_N, the comatrix coalgebras of the blocks, are lawful and
     pi is onto.  By Delta_Q o pi = (pi (x) pi) o Delta_N and eps_Q o pi = eps_N,
@@ -350,32 +320,26 @@ def coalgebra_on_coend(r: CoendResult) -> Coalgebra:
     which is (id (x) Delta_Q) Delta_Q pi likewise, and
     (eps_Q (x) id) Delta_Q pi = pi (eps_N (x) id) Delta_N = pi, as on the
     right; cancelling pi gives the laws of Q."""
-    delta_n = _blockwise_delta(r)
-    eps_n = _blockwise_counit(r)
+    blocks = comatrix(r.nspace, [r.diagram.spaces[x].dim for x in r.diagram.objects], r.field)
     try:
-        delta_q = _descend(r, kron_compose(r.pi, r.pi, delta_n))
-        eps_q = _descend(r, eps_n)
+        delta_q = _descend(r, kron_compose(r.pi, r.pi, blocks.delta))
+        eps_q = _descend(r, blocks.counit)
     except NoSolution as exc:
         raise WellDefinednessFailure(
             f"induced coalgebra is not well defined: {exc}"
         ) from None
-    r.checks["coalgebra"] = []
     return Coalgebra(r.carrier, delta_q, eps_q)
 
 
 def comodule_on(r: CoendResult, x: str) -> Comodule:
     """The comodule (F(X), (id (x) i_X) o coev) over the coend coalgebra;
     verifies the naturality of the whole family, once per coend (kept as
-    r.checks["naturality"]).  The descents decide the comodule laws:
+    r.naturality_problems).  The descents decide the comodule laws:
     i_X = pi o in_X and Delta_N o in_X = (in_X (x) in_X) o Delta_X for the
     block's comatrix Delta_X, so Delta_Q o i_X = (i_X (x) i_X) o Delta_X and
     eps_Q o i_X = eps_X.  A coalgebra map i_X carries the lawful comatrix
     coaction coev to a lawful (id (x) i_X) o coev."""
-    if "naturality" not in r.checks:
-        universal = natural_problems(r.diagram, Transformation(r.delta), r.carrier)
-        r.checks["naturality"] = [f"universal family: {p}" for p in universal]
-    if r.checks["naturality"]:
-        raise WellDefinednessFailure("; ".join(r.checks["naturality"]))
+    _require(r.naturality_problems)
     return Comodule(r.diagram.spaces[x], r.coalgebra, r.delta[x])
 
 
@@ -462,14 +426,6 @@ def _require_monoidal(F: DiagramFunctor) -> None:
         )
 
 
-def _require_tables(r: CoendResult, cat_mon: CategoryMonoidalData | None,
-                    fun_mon: FunctorMonoidalData | None) -> None:
-    """Refuse malformed monoidal tables over r's diagram, in check_monoidal's words."""
-    problems = monoidal_table_problems(r.diagram.objects, r.diagram.spaces, cat_mon, fun_mon)
-    if problems:
-        raise WellDefinednessFailure("functor is not monoidal: " + "; ".join(problems))
-
-
 def _ones(r: CoendResult) -> list[str]:
     """O_1, the objects x with dim F(x) = 1, whose blocks span N once the
     tables pass; every other F(x) is 0-dim."""
@@ -501,7 +457,9 @@ def bialgebra_from_monoidal(r: CoendResult, cat_mon: CategoryMonoidalData | None
     (m_Q (x) m_Q)(id (x) tau (x) id)(Delta_Q (x) Delta_Q)(pi (x) pi).  When a
     table law fails, Q may still be lawful once the relations identify
     blocks, so ``Bialgebra.algebra_problems`` decides it on Q."""
-    _require_tables(r, cat_mon, fun_mon)
+    problems = monoidal_table_problems(r.diagram.objects, r.diagram.spaces, cat_mon, fun_mon)
+    if problems:
+        raise WellDefinednessFailure("functor is not monoidal: " + "; ".join(problems))
     f = r.field
     n, one = r.nspace.dim, f.one()
     t, ones = cat_mon.tensor_obj, _ones(r)
@@ -520,8 +478,8 @@ def bialgebra_from_monoidal(r: CoendResult, cat_mon: CategoryMonoidalData | None
                       r.injections[cat_mon.unit])
     monoid = (all(t[(cat_mon.unit, x)] == x == t[(x, cat_mon.unit)] for x in ones)
               and not tensor_associativity_failures(ones, t))
-    _record_check(r, "bialgebra", [] if monoid else bialg.algebra_problems())
-    r.bialgebra, r.tables = bialg, cat_mon
+    if not monoid:
+        _require(bialg.algebra_problems())
     return bialg
 
 
@@ -536,9 +494,9 @@ def antipode_from_monoidal(r: CoendResult, cat_mon: CategoryMonoidalData | None,
 
     In general the block at x flips onto the block at x* through the
     identification F(x*) ~ F(x)^*, conjugated by it; on a 1-dim block that
-    is a nonzero scalar times its inverse.  The tables are checked once: by
-    ``bialgebra_from_monoidal`` if it builds r.bialgebra, else here.  An
-    absent dual or identification is a ``MissingDual``.
+    is a nonzero scalar times its inverse.  The multiplication and unit are
+    always ``bialgebra_from_monoidal``'s on the same tables, which checks
+    them once.  An absent dual or identification is a ``MissingDual``.
 
     The tables then decide the antipode law.  Each identification
     F(x*) ~ F(x)^* makes x* 1-dim with x, and S_N(e_x) = e_(x*) gives
@@ -546,14 +504,12 @@ def antipode_from_monoidal(r: CoendResult, cat_mon: CategoryMonoidalData | None,
     mu_N (id (x) S_N) Delta_N (e_x) = e_(t(x, x*)), against
     u_N eps_N (e_x) = e_I.  So S_N is an antipode on N when
     t(x*, x) = I = t(x, x*) for every x in O_1, with t and I the tables the
-    multiplication was read from (r.tables is cat_mon).  The descents carry
+    multiplication was read from.  The descents carry
     the law to Q: s_Q o pi = pi o S_N gives m_Q (s_Q (x) id) Delta_Q pi =
     pi mu_N (S_N (x) id) Delta_N = pi u_N eps_N = u_Q eps_Q pi, and pi is
     onto.  Otherwise ``HopfAlgebra.antipode_problems`` decides it on Q."""
     d = r.diagram
-    if r.bialgebra is not None:
-        _require_tables(r, cat_mon, fun_mon)
-    bialg = r.bialgebra or bialgebra_from_monoidal(r, cat_mon, fun_mon)
+    bialg = bialgebra_from_monoidal(r, cat_mon, fun_mon)
     if cat_mon.duals is None or fun_mon.dual_maps is None:
         raise MissingDual("no dual objects or dual identifications declared")
     sigma = [{} for _ in range(r.nspace.dim)]  # sparse columns
@@ -575,10 +531,8 @@ def antipode_from_monoidal(r: CoendResult, cat_mon: CategoryMonoidalData | None,
         r.carrier, bialg.delta, bialg.counit, bialg.mult, bialg.unit, s_q
     )
     t, unit, duals = cat_mon.tensor_obj, cat_mon.unit, cat_mon.duals
-    lawful = r.tables is cat_mon and all(t[(duals[x], x)] == unit == t[(x, duals[x])]
-                                         for x in _ones(r))
-    _record_check(r, "hopf", [] if lawful else hopf.antipode_problems())
-    r.hopf = hopf
+    if not all(t[(duals[x], x)] == unit == t[(x, duals[x])] for x in _ones(r)):
+        _require(hopf.antipode_problems())
     return hopf
 
 

@@ -461,18 +461,29 @@ class CoendObject:
     comodule: Comodule
 
 
+def comatrix(carrier: Space, dims, field) -> Coalgebra:
+    """The comatrix coalgebra on a direct sum of cohom(K^d, K^d) blocks, one
+    per d in dims, laid out in order on carrier: on each block
+    delta(e_(j,i)) = sum_k e_(j,k) (x) e_(k,i) and eps(e_(j,i)) = [j == i].
+    With dims = [dim X] this is cocompose(X, X, X) and the coaction of id_X."""
+    n, one = carrier.dim, field.one()
+    delta, counit = [], []  # sparse columns
+    off = 0
+    for d in dims:
+        for j in range(d):
+            for i in range(d):
+                delta.append({(off + j * d + k) * n + off + k * d + i: one for k in range(d)})
+                counit.append({0: one} if i == j else {})
+        off += d * d
+    return Coalgebra(carrier,
+                     LinearMap.from_sparse(field, carrier, tensor_space(carrier, carrier), delta),
+                     LinearMap.from_sparse(field, carrier, unit_space(), counit))
+
+
 def coend_object(x: Space, field) -> CoendObject:
     ch = cohom(x, x, field)
-    e = ch.carrier
-    delta = coact(
-        kron_compose(ch.coev, identity(e, field), ch.coev),
-        x,
-        tensor_space(e, e),
-    )
-    counit = coact(identity(x, field), x, unit_space())
-    coalg = Coalgebra(e, delta, counit)
-    com = Comodule(x, coalg, ch.coev)
-    return CoendObject(ch, coalg, com)
+    coalg = comatrix(ch.carrier, [x.dim], field)
+    return CoendObject(ch, coalg, Comodule(x, coalg, ch.coev))
 
 
 def induce_coaction(phi: LinearMap, c: Coalgebra):

@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coendforge.cohom import coend_object, grouplike_coalgebra
+from coendforge.cohom import coact, cocompose, coend_object, comatrix, grouplike_coalgebra
 from coendforge.coend import (
     ControlData,
     MissingControlData,
     MissingDual,
     NaturalityFailure,
     WellDefinednessFailure,
-    _blockwise_counit,
-    _blockwise_delta,
     _descend,
     antipode_on_coend,
     bialgebra_on_coend,
@@ -613,23 +611,26 @@ def test_randomized_universal_bijection(rng):
 def test_blockwise_structure_is_the_sum_of_the_comatrix_blocks(rng):
     # the fact the reconstruction lemma rests on: Delta_N and eps_N are the
     # comatrix coalgebras of the blocks, placed through the block inclusions,
-    # so coact(rho_x) meets Delta_N on its block in the comatrix convention
+    # so coact(rho_x) meets Delta_N on its block in the comatrix convention.
+    # Each block's oracle is cocompose(X, X, X) and the coaction of id_X.
     for _ in range(6):
-        F = random_diagram_functor(rng, n_objects=rng.randint(1, 3), max_dim=3)
+        F = random_diagram_functor(rng, n_objects=rng.randint(1, 3), max_dim=3, min_dim=0)
         r = coend_of_functor(F)
         n = r.nspace
         delta = zero_map(n, tensor_space(n, n), QQ)
         counit = zero_map(n, K, QQ)
         for x in r.diagram.objects:
-            block = coend_object(r.diagram.spaces[x], QQ).coalgebra
-            off, dim = r.offsets[x], block.carrier.dim
-            incl = LinearMap.from_sparse(QQ, block.carrier, n, [{off + i: 1} for i in range(dim)])
-            proj = LinearMap.from_sparse(QQ, n, block.carrier, [
+            fx = r.diagram.spaces[x]
+            block = r.blocks[x].carrier
+            off, dim = r.offsets[x], block.dim
+            incl = LinearMap.from_sparse(QQ, block, n, [{off + i: 1} for i in range(dim)])
+            proj = LinearMap.from_sparse(QQ, n, block, [
                 {j - off: 1} if off <= j < off + dim else {} for j in range(n.dim)])
-            delta = delta + kron_compose(incl, incl, block.delta) @ proj
-            counit = counit + block.counit @ proj
-        assert _blockwise_delta(r) == delta
-        assert _blockwise_counit(r) == counit
+            delta = delta + kron_compose(incl, incl, cocompose(fx, fx, fx, QQ)) @ proj
+            counit = counit + coact(identity(fx, QQ), fx, K) @ proj
+        blockwise = comatrix(n, [r.diagram.spaces[x].dim for x in r.diagram.objects], QQ)
+        assert blockwise.delta == delta
+        assert blockwise.counit == counit
 
 
 # -- descend-by-section -------------------------------------------------------------
@@ -729,10 +730,14 @@ def test_multiplication_descent_failure_message():
 
 
 def test_antipode_descent_failure_message():
-    F = grading_functor(3)
-    r = coend_of_functor(F)
+    # over F_7, w = 2 is a cube root of 1.  The kernel of the character
+    # g_i |-> w^i is an ideal, so the multiplication descends, but S sends
+    # g1 - 2 g0 to g2 - 2 g0, which that character does not kill
+    f = PrimeField(7)
+    F = grading_functor(3, f)
+    r = requotient(coend_of_functor(F), [[f.from_int(-2), f.one(), f.zero()],
+                                         [f.from_int(-4), f.zero(), f.one()]])
     bialgebra_on_coend(F, r)
-    requotient(r, [unit_col(3, 1)])  # S(g1) = g2 survives
     with pytest.raises(WellDefinednessFailure) as info:
         antipode_on_coend(F, r)
     assert str(info.value) == "antipode does not descend to the quotient"

@@ -9,6 +9,7 @@ from coendforge.cohom import (
     FactorShapeError,
     coact,
     coend_object,
+    comatrix,
     cohom,
     cohom_coactions,
     cohom_collapse_iso,
@@ -25,6 +26,7 @@ from coendforge.cohom import (
 from coendforge.exactlinalg import (
     QQ,
     LinearMap,
+    PadicRationals,
     PrimeField,
     Space,
     identity,
@@ -196,6 +198,17 @@ def test_coend_object_over_prime_field():
     assert ce.coalgebra.check() == []
     assert ce.comodule.check() == []
     assert ce.coalgebra.delta.col(1)[0 * 4 + 1] == 1
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(7), PadicRationals(3)], ids=["q", "fp7", "padic3"])
+@pytest.mark.parametrize("d", range(6))
+def test_comatrix_is_cocomposition_and_the_coaction_of_the_identity(f, d):
+    # the oracle builds the comatrix coalgebra through coev and coact, not comatrix
+    x = Space.std(d)
+    coalg = coend_object(x, f).coalgebra
+    assert coalg.delta == cocompose(x, x, x, f)
+    assert coalg.counit == coact(identity(x, f), x, unit_space())
+    assert coalg == comatrix(cohom(x, x, f).carrier, [d], f)
 
 
 def test_coend_object_axioms_up_to_dim_six():

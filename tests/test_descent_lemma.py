@@ -44,16 +44,14 @@ from hypothesis import strategies as st
 import pytest
 from coendforge.cohom import (
     Bialgebra,
-    Coalgebra,
     Comodule,
     HopfAlgebra,
     coalgebra_morphism_problems,
+    comatrix,
 )
 from coendforge.coend import (
     ControlData,
     WellDefinednessFailure,
-    _blockwise_counit,
-    _blockwise_delta,
     _descend,
     antipode_from_monoidal,
     bialgebra_from_monoidal,
@@ -115,6 +113,11 @@ def random_control(F, rng) -> ControlData:
     return ControlData("c", K, action, xi)
 
 
+def blockwise(r):
+    """Delta_N and eps_N: the comatrix coalgebra of the blocks of N."""
+    return comatrix(r.nspace, [r.diagram.spaces[x].dim for x in r.diagram.objects], r.field)
+
+
 def assert_premises(r):
     f, one = r.field, r.field.one()
     assert r.pi @ r.section == identity(r.carrier, f)
@@ -122,7 +125,7 @@ def assert_premises(r):
     for k, col in enumerate(r.section.cols):
         (j, a), = col.items()
         assert a == one and r.pi.cols[j] == {k: one}
-    assert Coalgebra(r.nspace, _blockwise_delta(r), _blockwise_counit(r)).check() == []
+    assert blockwise(r).check() == []
 
 
 def assert_lawful(r):
@@ -194,8 +197,8 @@ def test_an_accepted_descent_decides_the_laws(f, n_objects, kind, seed):
     # the oracle: the relations span a coideal, killed by (pi (x) pi) Delta_N and eps_N
     rel = LinearMap.from_sparse(f, Space.std(len(cols), prefix="r"), r.nspace, cols)
     zero = [{} for _ in cols]
-    coideal = ((tensor(r.pi, r.pi) @ _blockwise_delta(r) @ rel).cols == zero
-               and (_blockwise_counit(r) @ rel).cols == zero)
+    coideal = ((tensor(r.pi, r.pi) @ blockwise(r).delta @ rel).cols == zero
+               and (blockwise(r).counit @ rel).cols == zero)
     try:
         coalg = coalgebra_on_coend(r)
     except WellDefinednessFailure:
@@ -390,17 +393,52 @@ def test_a_table_law_that_fails_on_n_is_checked_on_the_quotient(rows, unit, dual
     assert_tables_decide(F)
 
 
-def test_an_antipode_read_off_other_tables_is_checked_on_the_quotient():
-    # the multiplication comes from Z/3; the antipode's tables make every
-    # object self-dual with x (x) x = 0, which says nothing about that
-    # multiplication, so the antipode law is decided on Q, where it fails
-    F = functor_of_tables({"0": "012", "1": "120", "2": "201"}, "0",
-                          {"0": "0", "1": "2", "2": "1"}, [])
-    mon = F.source.monoidal
+Z3 = {"0": "012", "1": "120", "2": "201"}
+Z3_INVERSES = {"0": "0", "1": "2", "2": "1"}
+SELF_DUAL = {x: x for x in Z3}
+# Z/3 with x (x) x = 0: unital, but (1 1) 2 = 2 and 1 (1 2) = 1
+SQUARES = {"0": "012", "1": "100", "2": "200"}
+# Z/3 again, with its unit at 1
+Z3_UNIT_1 = {"0": "201", "1": "012", "2": "120"}
+
+
+@pytest.mark.parametrize("rows, unit, duals, reference", [
+    (SQUARES, "0", SELF_DUAL, "multiplication is not associative"),
+    (Z3, "0", SELF_DUAL, "left antipode axiom fails; right antipode axiom fails"),
+    (Z3_UNIT_1, "1", {"0": "2", "1": "1", "2": "0"}, "ok"),
+], ids=["squares", "z3-self-dual", "z3-unit-1"])
+def test_the_antipode_reads_its_multiplication_off_the_tables_it_is_given(rows, unit, duals,
+                                                                          reference):
+    # a coend that already has Z/3's multiplication built on it is handed other
+    # tables; the antipode's multiplication and unit are read off those, so its
+    # outcome is theirs
+    F = functor_of_tables(Z3, "0", Z3_INVERSES, [])
+    other = functor_of_tables(rows, unit, duals, [])
     r = coend_of_functor(F)
-    bialgebra_from_monoidal(r, mon, F.monoidal)
-    squares = {(x, y): "0" if x == y else xy for (x, y), xy in mon.tensor_obj.items()}
-    other = CategoryMonoidalData("0", squares, {}, {x: x for x in F.source.objects})
-    with pytest.raises(WellDefinednessFailure) as exc:
-        antipode_from_monoidal(r, other, F.monoidal)
-    assert str(exc.value) == "left antipode axiom fails; right antipode axiom fails"
+    bialgebra_from_monoidal(r, F.source.monoidal, F.monoidal)
+    got = outcome(lambda: antipode_from_monoidal(r, other.source.monoidal, other.monoidal))
+    assert got == reference_outcomes(other)[1] == reference
+    if got == "ok":
+        hopf = antipode_from_monoidal(r, other.source.monoidal, other.monoidal)
+        fresh = bialgebra_from_monoidal(coend_of_functor(other), other.source.monoidal,
+                                        other.monoidal)
+        assert (hopf.mult, hopf.unit) == (fresh.mult, fresh.unit)
+        assert hopf.mult != bialgebra_from_monoidal(r, F.source.monoidal, F.monoidal).mult
+
+
+@pytest.mark.parametrize("rows, duals", [(Z3, Z3_INVERSES), (Z3, SELF_DUAL),
+                                         (SQUARES, SELF_DUAL)],
+                         ids=["z3", "z3-self-dual", "squares"])
+def test_the_constructors_leave_the_coend_as_built(rows, duals):
+    # only the naturality of the universal family is kept on the coend, once
+    F = functor_of_tables(rows, "0", duals, [])
+    r = coend_of_functor(F)
+    built = dict(vars(r))
+    entries = {k: dict(v) for k, v in built.items() if isinstance(v, dict)}
+    for construct in (bialgebra_from_monoidal, antipode_from_monoidal):
+        outcome(lambda: construct(r, F.source.monoidal, F.monoidal))
+    assert vars(r) == built
+    comodule_on(r, "0")
+    assert set(vars(r)) - set(built) == {"naturality_problems"}
+    assert all(vars(r)[k] is v for k, v in built.items())
+    assert {k: v for k, v in vars(r).items() if k in entries} == entries

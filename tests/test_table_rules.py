@@ -105,8 +105,9 @@ def test_every_monoidal_constructor_refuses_in_check_monoidal_words(f, edit):
     problems = check_monoidal(F).problems
     assert len(problems) == 1
     refusal = "functor is not monoidal: " + problems[0]
-    # antipode_from_monoidal checks the tables itself only when r.bialgebra
-    # exists; otherwise bialgebra_from_monoidal checks them on its behalf
+    # antipode_from_monoidal reads its multiplication from
+    # bialgebra_from_monoidal, which checks the tables on its behalf, also on
+    # a coend that had a bialgebra built on it before
     for construct, r in [(bialgebra_from_monoidal, coend_of_functor(F)),
                          (antipode_from_monoidal, coend_of_functor(F)),
                          (antipode_from_monoidal, built)]:
