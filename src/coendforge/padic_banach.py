@@ -49,7 +49,6 @@ from .exactlinalg import (
     direct_sum_space,
     identity,
     invert_map,
-    kron_compose,
     padic_valuation,
 )
 from .fincat import DiagramFunctor, Transformation
@@ -468,10 +467,9 @@ class OrthogonalizedQuotient:
     """A quotient carrier with its quotient norm made diagonal.  class_basis
     sends the coordinates of an orthogonal class basis to quotient
     coordinates, and its domain carries weights that realize the quotient
-    norm exactly; transport is its inverse.  class_norms[j] is the quotient
-    norm of the class of section column j."""
+    norm exactly.  class_norms[j] is the quotient norm of the class of
+    section column j."""
 
-    transport: LinearMap
     class_basis: LinearMap
     class_norms: list[NormValue]
 
@@ -497,7 +495,7 @@ def _orthogonalize_quotient(total: NormedSpace, pi: LinearMap,
     basis_map = LinearMap.from_sparse(
         f, Space.std(len(cols), prefix="o", weights=weights), pi.cod, cols
     )
-    return OrthogonalizedQuotient(invert_map(basis_map), basis_map, class_norms)
+    return OrthogonalizedQuotient(basis_map, class_norms)
 
 
 @dataclass
@@ -530,15 +528,17 @@ def banach_colimit(F: DiagramFunctor) -> BanachColimit:
     rel = LinearMap.from_sparse(f, Space.std(len(rel_cols), prefix="r"), total.space, rel_cols)
     pi, section = cokernel(rel)
     orth = _orthogonalize_quotient(total, pi, section)
-    # carrier expressed in the orthogonal class basis (via orth.transport)
+    # carrier expressed in the orthogonal class basis; t takes quotient
+    # coordinates to class-basis coordinates, where the cocone norms are read
     carrier = NormedSpace(orth.class_basis.dom, p)
+    t = invert_map(orth.class_basis)
     cocone = {}
     cocone_norms = {}
     for x in F.source.objects:
         lo = offsets[x]
         kappa = LinearMap.from_sparse(f, F.space(x), pi.cod, pi.cols[lo:lo + F.space(x).dim])
         cocone[x] = kappa
-        cocone_norms[x] = operator_norm(orth.transport @ kappa)
+        cocone_norms[x] = operator_norm(t @ kappa)
     return BanachColimit(total, carrier, pi, section, cocone, cocone_norms,
                          orth.class_norms, orth)
 
@@ -578,28 +578,40 @@ def bounded_coend(F: DiagramFunctor) -> BoundedCoendResult:
 
     The carrier and every matrix are bit-identical to the algebraic coend
     (over a finite source the boundedness restriction is vacuous); on top of
-    that the quotient norm is realized by an orthogonal class basis and the
-    norms of pi, the injections, the coalgebra maps and the universal family
-    are reported exactly.
+    that the quotient norm is realized by an orthogonal class basis, whose
+    class norms and weights are computed and certified.  The norms of pi,
+    the injections, the coalgebra maps and the universal family are then
+    decided by the following lemma, with no map composed.
+
+    Let N be the sum of the blocks cohom(F x, F x), whose basis vector
+    e_(j,i) has weight w_i - w_j, and Q the carrier with its orthogonal
+    class basis.  Weights add, so the blockwise comatrix Delta_N is isometric
+    on basis vectors, and eps_N and every coev have norm 1.  pi has norm at
+    most 1 by the definition of the quotient norm, and the greedy residual
+    lifts each class v to some u with ||u|| = ||v||; so Delta_Q v =
+    (pi (x) pi) Delta_N u and eps_Q v = eps_N u give ||Delta_Q|| <= 1 and
+    ||eps_Q|| <= 1, the counit law gives 1 <= ||eps_Q|| ||Delta_Q||, and the
+    lift gives ||pi|| = 1.  i_x = pi o in_x with in_x isometric, so
+    ||i_x|| <= 1, and eps_Q o i_x = eps_x, the trace of block x, has norm 1
+    when F(x) != 0; so ||i_x|| = 1 exactly when F(x) != 0, and 0 otherwise.
+    delta_x = (id (x) i_x) o coev has norm at most 1, and at least 1 when
+    F(x) != 0 since (id (x) eps_Q) o delta_x = id.  Q = 0 exactly when every
+    F(x) = 0, and then all five norms are 0.
     """
     r = coend_of_functor(F)
-    f = r.field
-    p = _prime_of(f)
+    p = _prime_of(r.field)
     orth = _orthogonalize_quotient(NormedSpace(r.nspace, p), r.pi, r.section)
-    # every norm is read off its map's spaces: the weights of the class basis
-    # sit on t's codomain and t^-1's domain, and tensor_space adds them
-    t, t_inv = orth.transport, orth.class_basis
+    one, zero = NormValue.of_exp(0), NormValue.zero()
+    nonzero = one if r.carrier.dim else zero
     return BoundedCoendResult(
         result=r,
-        normed_carrier=NormedSpace(t_inv.dom, p),
+        normed_carrier=NormedSpace(orth.class_basis.dom, p),
         orth=orth,
-        pi_norm=operator_norm(t @ r.pi),
-        injection_norms={x: operator_norm(t @ r.injections[x])
+        pi_norm=nonzero,
+        injection_norms={x: one if r.diagram.spaces[x].dim else zero
                          for x in r.diagram.objects},
-        comultiplication_norm=operator_norm(
-            kron_compose(t, t, r.coalgebra.delta @ t_inv)),
-        counit_norm=operator_norm(r.coalgebra.counit @ t_inv),
-        delta_bound=max((operator_norm(kron_compose(identity(fx, f), t, r.delta[x]))
-                         for x, fx in r.diagram.spaces.items()), default=NormValue.zero()),
+        comultiplication_norm=nonzero,
+        counit_norm=nonzero,
+        delta_bound=nonzero,
         class_norms=orth.class_norms,
     )

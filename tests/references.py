@@ -31,6 +31,12 @@ is ``cohom.Coalgebra.check`` with coassociativity compared on all n^3
 coordinates of each side.  ``reference_comodule_hom_basis`` is
 ``reconstruct.comodule_hom_basis`` with an equation at every coordinate of
 C.
+
+``reference_bounded_norms`` computes the five coalgebra-map norms of a
+bounded coend as operator norms of composites through t, the inverse of the
+orthogonal class basis: t o pi, t o i_x, (t (x) t) o Delta_Q o t^-1,
+eps_Q o t^-1 and (id (x) t) o delta_x.  ``padic_banach.bounded_coend``
+composes none of them; it decides them from the quotient norm.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from coendforge.exactlinalg import (
     compose_kron,
     dual,
     identity,
+    invert_map,
     kernel,
     kron_compose,
     solve_through_injection,
@@ -58,6 +65,7 @@ from coendforge.fincat import (
     _entry_problems,
     natural_problems,
 )
+from coendforge.padic_banach import BoundedCoendResult, NormValue, operator_norm
 from coendforge.reconstruct import ComoduleCategory, diagram_of_comodule_category
 
 
@@ -289,3 +297,20 @@ def reference_comodule_hom_basis(m: Comodule, n: Comodule) -> list[LinearMap]:
             g_cols[a][b] = v
         basis.append(LinearMap.from_sparse(f, m.space, n.space, g_cols))
     return basis
+
+
+def reference_bounded_norms(b: BoundedCoendResult) -> dict:
+    """The norms of pi, the injections, Delta_Q, eps_Q and the universal
+    family of a bounded coend, each an operator norm of its map written in
+    the orthogonal class basis; keyed by the fields of the result."""
+    r, f = b.result, b.result.field
+    t_inv = b.orth.class_basis
+    t = invert_map(t_inv)
+    return {
+        "pi_norm": operator_norm(t @ r.pi),
+        "injection_norms": {x: operator_norm(t @ r.injections[x]) for x in r.diagram.objects},
+        "comultiplication_norm": operator_norm(kron_compose(t, t, r.coalgebra.delta @ t_inv)),
+        "counit_norm": operator_norm(r.coalgebra.counit @ t_inv),
+        "delta_bound": max((operator_norm(kron_compose(identity(fx, f), t, r.delta[x]))
+                            for x, fx in r.diagram.spaces.items()), default=NormValue.zero()),
+    }

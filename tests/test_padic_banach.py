@@ -529,8 +529,8 @@ def test_bounded_coend_norms_match_explicit_weights(F):
     # built with tensor and invert_map instead of the lazy products
     b = bounded_coend(F)
     r, p = b.result, 3
-    t = b.orth.transport
-    t_inv = invert_map(t)
+    t_inv = b.orth.class_basis
+    t = invert_map(t_inv)
     ambient, q = NormedSpace(r.nspace, p).weights, b.orth.class_basis.dom.weights
     qq = tuple(a + c for a in q for c in q)
     assert b.pi_norm == entrywise_norm(t @ r.pi, ambient, q, p)
@@ -595,9 +595,9 @@ def test_bounded_coend_reduces_its_quotient_once(monkeypatch):
     # once on the kernel, once on the reduced lifts
     assert calls["orthogonalize"] == 2
     assert sum(rows == generators for rows in calls["rref_rows"]) == 1
-    # the cokernel, the certificate and the one inversion of the class basis;
-    # the relation basis and t^-1 are read off maps already built
-    assert len(calls["rref_rows"]) == 3
+    # the cokernel and the certificate; the relation basis is read off maps
+    # already built, and no norm needs the class basis inverted
+    assert len(calls["rref_rows"]) == 2
 
 
 def test_banach_colimit_reduces_its_quotient_once(monkeypatch):

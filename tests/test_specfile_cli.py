@@ -263,6 +263,39 @@ def test_bcoend_command_norms():
     assert data["closure_is_identity"] is True
 
 
+def zero_dim_spec(with_k2):
+    """An arrow z -> a over padic:3 from a 0-dim object, into K^2 with
+    weights (1, -1) when with_k2 is set and into a second 0-dim object
+    otherwise."""
+    a = {"labels": ["a0", "a1"], "weights": [1, -1]} if with_k2 else {"labels": []}
+    return {
+        "field": "padic:3",
+        "spaces": {"Z": {"labels": []}, "A": a},
+        "categories": {"Arrow": {"objects": ["z", "a"],
+                                 "morphisms": [{"name": "f", "dom": "z", "cod": "a"}]}},
+        "functors": {"F": {"source": "Arrow", "objects": {"z": "Z", "a": "A"},
+                           "morphisms": {"f": [[], []] if with_k2 else []}}},
+    }
+
+
+@pytest.mark.parametrize("with_k2, one, injections, class_norms, weights", [
+    (True, {"exp": 0}, {"z": {"zero": True}, "a": {"exp": 0}},
+     [{"exp": 0}, {"exp": 2}, {"exp": -2}, {"exp": 0}], [-2, 0, 0, 2]),
+    (False, {"zero": True}, {"z": {"zero": True}, "a": {"zero": True}}, [], []),
+], ids=["zero-and-K2", "only-zero"])
+def test_bcoend_command_norms_on_zero_dim_objects(tmp_path, with_k2, one, injections,
+                                                  class_norms, weights):
+    # a 0-dim object's injection has norm 0; on a zero carrier every norm is 0
+    path = tmp_path / "zero_dim.json"
+    path.write_text(json.dumps(zero_dim_spec(with_k2)))
+    code, out = run_cli(["bcoend", str(path), "--functor", "F"])
+    assert code == 0, out
+    norms = json.loads(out)["norms"]
+    assert norms == {"pi": one, "injections": injections, "comultiplication": one,
+                     "counit": one, "delta_bound": one, "class_norms": class_norms,
+                     "carrier_weights": weights}
+
+
 def test_factor_command():
     code, out = run_cli([
         "factor", spec_path("one_object_k2"), "--functor", "F",
