@@ -9,7 +9,10 @@ diagram comes with a comparison map h onto C assembled from the seed
 coactions; reconstruction holds when h is an exact coalgebra isomorphism.
 Generation by the seeds is not checked abstractly: it is read off a
 posteriori from the surjectivity of h, and insufficient seeds yield a
-NotGenerated verdict rather than an error.
+NotGenerated verdict rather than an error.  Once h is an isomorphism,
+pulling back along h^-1 is an isomorphism Comod(C) = Comod(Q) that keeps
+every underlying map, so the equivalence check reads its lifts and its
+coend-side hom dimensions off the reconstruction (``equivalence_check``).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cohom import (
+    AxiomError,
     Bialgebra,
     Coalgebra,
     Comodule,
@@ -34,16 +38,11 @@ from .coend import (
 )
 from .exactlinalg import (
     LinearMap,
-    NoSolution,
     Space,
     _add_into,
     compose_kron,
     identity,
-    invert_map,
     kernel,
-    kron_compose,
-    solve_through_injection,
-    tensor,
 )
 from .fincat import (
     CategoryMonoidalData,
@@ -65,7 +64,8 @@ def comodule_hom_basis(m: Comodule, n: Comodule) -> list[LinearMap]:
 
     M and N must be comodules over one coalgebra C (equal
     comultiplications; ValueError otherwise) whose coactions satisfy the
-    comodule laws, which callers check first.  Then the equations are
+    comodule laws (AxiomError otherwise, read off the cached
+    ``Comodule.law_problems``).  Then the equations are
     written only at the coordinates c in S, the generators of the dual
     algebra C* (``Coalgebra.dual_generators``).  A right C-comodule is a
     left C*-module, a . v = (id (x) a) rho(v), and the a in C* that g
@@ -80,6 +80,9 @@ def comodule_hom_basis(m: Comodule, n: Comodule) -> list[LinearMap]:
     if m.over is not n.over and (
             dc != n.over.carrier.dim or m.over.delta != n.over.delta):
         raise ValueError("comodules live over different coalgebras")
+    for com in (m, n):
+        if com.law_problems:
+            raise AxiomError("; ".join(com.law_problems))
     slot = {c: s for s, c in enumerate(m.over.dual_generators)}
     ds = len(slot)
     # unknown g[b, a] is variable b * dm + a; equation ((b, c), a) with c
@@ -119,6 +122,11 @@ def comodule_hom_basis(m: Comodule, n: Comodule) -> list[LinearMap]:
 # the comodule category of a seed family
 # ---------------------------------------------------------------------------
 
+def _require_over(c: Coalgebra, role: str, name: str, com: Comodule):
+    if com.over is not c and (com.over.delta, com.over.counit) != (c.delta, c.counit):
+        raise ValueError(f"{role} {name!r} is not over the coalgebra being reconstructed")
+
+
 @dataclass
 class ComoduleCategory:
     base: Coalgebra
@@ -130,8 +138,7 @@ def comodule_category_of(c: Coalgebra, seeds: dict[str, Comodule]) -> ComoduleCa
     """The category on the seed objects with full intertwiner hom spaces.
     Each seed must be lawful over c or over a copy of c's Delta and eps."""
     for name, com in seeds.items():
-        if com.over is not c and (com.over.delta, com.over.counit) != (c.delta, c.counit):
-            raise ValueError(f"seed {name!r} is not over the coalgebra being reconstructed")
+        _require_over(c, "seed", name, com)
         com.require_valid()
     homs = {(a, b): comodule_hom_basis(ma, mb)
             for a, ma in seeds.items() for b, mb in seeds.items()}
@@ -269,95 +276,50 @@ class EquivalenceVerdict:
 
 def equivalence_check(c: Coalgebra, seeds: dict[str, Comodule],
                       probes: dict[str, Comodule]) -> EquivalenceVerdict:
-    """Essential surjectivity and fullness at desk scale.
+    """Essential surjectivity and fullness at desk scale, decided by the
+    reconstruction.
 
-    Every valid probe comodule, pulled back along h to the coend, must be
-    recovered by the equalizer of (rho (x) id, id (x) delta): the coaction
-    maps the probe isomorphically onto that equalizer, as a comodule.
-    Fullness is checked dimension-wise: intertwiner spaces over the base
-    coalgebra and over the coend must have equal dimensions for all pairs.
+    Once h: Q -> C is a coalgebra isomorphism, pulling back along h^-1 is an
+    isomorphism Comod(C) = Comod(Q) that keeps every underlying map:
+    (i) the descent gives (id (x) h) o delta_x = rho_x, so the universal
+    coaction of each seed is delta_x = (id (x) h^-1) o rho_x;
+    (ii) id (x) h^-1 is injective, so g intertwines rho_M and rho_N exactly
+    when it intertwines their pullbacks, and the hom dimensions over Q are
+    those over C;
+    (iii) h^-1 is a coalgebra map, so a lawful probe pulls back to a lawful
+    comodule over the lawful Q, whose coaction lands in the equalizer of
+    (rho (x) id, id (x) Delta) by coassociativity and is injective by the
+    counit law; each x in the equalizer is rho((id (x) eps) x) by Q's counit
+    law.  So every lawful probe is "lifted".
+    What is computed is the reconstruction, the probe laws (an unlawful
+    probe is "rejected: ..." and left out of the tables) and the hom
+    dimensions over C, those between seeds read off the seed category.
+    Each probe must be over C or over a copy of C's Delta and eps
+    (ValueError otherwise).
     """
-    f = c.field
     rec = reconstruct_coalgebra(c, seeds)
-    problems = []
     if not rec.iso:
         return EquivalenceVerdict(
             False, rec, {}, {}, {}, False,
             [f"reconstruction verdict: {rec.verdict}"],
         )
-    r = rec.coend
-    q = r.coalgebra
-    h_inv = invert_map(rec.h)
     probe_status = {}
-    pulled: dict[str, Comodule] = {}
+    objects: dict[str, Comodule] = dict(seeds)
     for name, probe in probes.items():
+        _require_over(c, "probe", name, probe)
         bad = probe.check()
         if bad:
             probe_status[name] = "rejected: " + "; ".join(bad)
-            continue
-        idm = identity(probe.space, f)
-        rho_q = kron_compose(idm, h_inv, probe.rho)
-        pulled[name] = Comodule(probe.space, q, rho_q)
-        status = _lift_through_equalizer(pulled[name], q)
-        probe_status[name] = status
-        if status != "lifted":
-            problems.append(f"probe {name}: {status}")
-    # hom dimension tables on both sides
-    base_objs: dict[str, Comodule] = dict(seeds)
-    for name, probe in probes.items():
-        if probe_status.get(name, "").startswith("rejected"):
-            continue
-        base_objs[f"probe:{name}"] = probe
-    coend_objs: dict[str, Comodule] = {
-        name: comodule_on(r, name) for name in seeds
-    }
-    for name, com in pulled.items():
-        coend_objs[f"probe:{name}"] = com
-    hom_base = {}
-    hom_coend = {}
-    for a in base_objs:
-        for b in base_objs:
-            key = f"{a}|{b}"
-            hom_base[key] = len(comodule_hom_basis(base_objs[a], base_objs[b]))
-            hom_coend[key] = len(comodule_hom_basis(coend_objs[a], coend_objs[b]))
-    tables_match = hom_base == hom_coend
-    if not tables_match:
-        problems.append("hom dimension tables differ")
-    ok = tables_match and all(s == "lifted" for s in probe_status.values()
-                              if not s.startswith("rejected"))
-    return EquivalenceVerdict(
-        ok and not problems, rec, probe_status, hom_base, hom_coend,
-        tables_match, problems,
-    )
-
-
-def _lift_through_equalizer(com: Comodule, q: Coalgebra) -> str:
-    """Check that rho maps the comodule isomorphically onto the equalizer of
-    (rho (x) id, id (x) delta) inside M (x) Q, compatibly with coactions."""
-    f = q.field
-    m_space = com.space
-    idm = identity(m_space, f)
-    idq = identity(q.carrier, f)
-    pair_diff = tensor(com.rho, idq) - tensor(idm, q.delta)
-    incl = kernel(pair_diff)
-    if incl.dom.dim != m_space.dim:
-        return f"failed: equalizer has dimension {incl.dom.dim}, expected {m_space.dim}"
-    try:
-        psi = solve_through_injection(com.rho, incl)
-    except NoSolution:
-        return "failed: coaction does not land in the equalizer"
-    if not psi.is_invertible():
-        return "failed: coaction is not an isomorphism onto the equalizer"
-    # comodule structure on the equalizer: restrict id (x) delta
-    try:
-        rho_e = solve_through_injection(
-            kron_compose(idm, q.delta, incl), tensor(incl, idq)
-        )
-    except NoSolution:
-        return "failed: equalizer carries no induced coaction"
-    e_com = Comodule(incl.dom, q, rho_e)
-    if e_com.check():
-        return "failed: induced coaction violates comodule axioms"
-    if not intertwines(psi, com.rho, rho_e, q.carrier):
-        return "failed: lift is not a comodule morphism"
-    return "lifted"
+        else:
+            probe_status[name] = "lifted"
+            objects[f"probe:{name}"] = probe
+    seed_homs = rec.category.homs
+    hom_dims = {}
+    for a, ma in objects.items():
+        for b, mb in objects.items():
+            # a probe may take a seed's name, and then the seed's bases do not apply
+            if seeds.get(a) is ma and seeds.get(b) is mb:
+                hom_dims[f"{a}|{b}"] = len(seed_homs[(a, b)])
+            else:
+                hom_dims[f"{a}|{b}"] = len(comodule_hom_basis(ma, mb))
+    return EquivalenceVerdict(True, rec, probe_status, hom_dims, dict(hom_dims), True)

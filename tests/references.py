@@ -37,11 +37,19 @@ bounded coend as operator norms of composites through t, the inverse of the
 orthogonal class basis: t o pi, t o i_x, (t (x) t) o Delta_Q o t^-1,
 eps_Q o t^-1 and (id (x) t) o delta_x.  ``padic_banach.bounded_coend``
 composes none of them; it decides them from the quotient norm.
+
+``reference_equivalence_check`` is ``reconstruct.equivalence_check``
+computed in full once h is an isomorphism: it inverts h, pulls every lawful
+probe back to the coend, lifts it through the equalizer of
+(rho (x) id, id (x) Delta), and solves every hom space again on both sides,
+over C and over the coend.  The library decides the lifts and the coend
+side from the reconstruction and reuses the seed category's hom bases.
 """
 
 from __future__ import annotations
 
-from coendforge.cohom import Bialgebra, Coalgebra, Comodule
+from coendforge.coend import comodule_on
+from coendforge.cohom import Bialgebra, Coalgebra, Comodule, intertwines
 from coendforge.exactlinalg import (
     LinearMap,
     NoSolution,
@@ -66,7 +74,13 @@ from coendforge.fincat import (
     natural_problems,
 )
 from coendforge.padic_banach import BoundedCoendResult, NormValue, operator_norm
-from coendforge.reconstruct import ComoduleCategory, diagram_of_comodule_category
+from coendforge.reconstruct import (
+    ComoduleCategory,
+    EquivalenceVerdict,
+    comodule_hom_basis,
+    diagram_of_comodule_category,
+    reconstruct_coalgebra,
+)
 
 
 def check_natural(t: Transformation, F: DiagramFunctor, G: DiagramFunctor) -> bool:
@@ -314,3 +328,90 @@ def reference_bounded_norms(b: BoundedCoendResult) -> dict:
         "delta_bound": max((operator_norm(kron_compose(identity(fx, f), t, r.delta[x]))
                             for x, fx in r.diagram.spaces.items()), default=NormValue.zero()),
     }
+
+
+def reference_equivalence_check(c: Coalgebra, seeds: dict[str, Comodule],
+                                probes: dict[str, Comodule]) -> EquivalenceVerdict:
+    """``equivalence_check`` with every lawful probe pulled back along h^-1
+    and lifted through the equalizer, and every hom space solved over C and
+    over the coend."""
+    f = c.field
+    rec = reconstruct_coalgebra(c, seeds)
+    problems = []
+    if not rec.iso:
+        return EquivalenceVerdict(
+            False, rec, {}, {}, {}, False,
+            [f"reconstruction verdict: {rec.verdict}"],
+        )
+    r = rec.coend
+    q = r.coalgebra
+    h_inv = invert_map(rec.h)
+    probe_status = {}
+    pulled: dict[str, Comodule] = {}
+    for name, probe in probes.items():
+        bad = probe.check()
+        if bad:
+            probe_status[name] = "rejected: " + "; ".join(bad)
+            continue
+        idm = identity(probe.space, f)
+        rho_q = kron_compose(idm, h_inv, probe.rho)
+        pulled[name] = Comodule(probe.space, q, rho_q)
+        status = _lift_through_equalizer(pulled[name], q)
+        probe_status[name] = status
+        if status != "lifted":
+            problems.append(f"probe {name}: {status}")
+    base_objs: dict[str, Comodule] = dict(seeds)
+    for name, probe in probes.items():
+        if probe_status.get(name, "").startswith("rejected"):
+            continue
+        base_objs[f"probe:{name}"] = probe
+    coend_objs: dict[str, Comodule] = {name: comodule_on(r, name) for name in seeds}
+    for name, com in pulled.items():
+        coend_objs[f"probe:{name}"] = com
+    hom_base = {}
+    hom_coend = {}
+    for a in base_objs:
+        for b in base_objs:
+            key = f"{a}|{b}"
+            hom_base[key] = len(comodule_hom_basis(base_objs[a], base_objs[b]))
+            hom_coend[key] = len(comodule_hom_basis(coend_objs[a], coend_objs[b]))
+    tables_match = hom_base == hom_coend
+    if not tables_match:
+        problems.append("hom dimension tables differ")
+    ok = tables_match and all(s == "lifted" for s in probe_status.values()
+                              if not s.startswith("rejected"))
+    return EquivalenceVerdict(
+        ok and not problems, rec, probe_status, hom_base, hom_coend,
+        tables_match, problems,
+    )
+
+
+def _lift_through_equalizer(com: Comodule, q: Coalgebra) -> str:
+    """Check that rho maps the comodule isomorphically onto the equalizer of
+    (rho (x) id, id (x) delta) inside M (x) Q, compatibly with coactions."""
+    f = q.field
+    m_space = com.space
+    idm = identity(m_space, f)
+    idq = identity(q.carrier, f)
+    pair_diff = tensor(com.rho, idq) - tensor(idm, q.delta)
+    incl = kernel(pair_diff)
+    if incl.dom.dim != m_space.dim:
+        return f"failed: equalizer has dimension {incl.dom.dim}, expected {m_space.dim}"
+    try:
+        psi = solve_through_injection(com.rho, incl)
+    except NoSolution:
+        return "failed: coaction does not land in the equalizer"
+    if not psi.is_invertible():
+        return "failed: coaction is not an isomorphism onto the equalizer"
+    try:
+        rho_e = solve_through_injection(
+            kron_compose(idm, q.delta, incl), tensor(incl, idq)
+        )
+    except NoSolution:
+        return "failed: equalizer carries no induced coaction"
+    e_com = Comodule(incl.dom, q, rho_e)
+    if e_com.check():
+        return "failed: induced coaction violates comodule axioms"
+    if not intertwines(psi, com.rho, rho_e, q.carrier):
+        return "failed: lift is not a comodule morphism"
+    return "lifted"

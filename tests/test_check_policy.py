@@ -4,7 +4,8 @@ it is checked, the descents of Delta and eps decide the coend's coalgebra,
 its universal comodules and the control epimorphism, and the bialgebra and
 Hopf constructors decide their laws from the monoidal tables and the
 descents, running the full algebra or antipode check on the quotient only
-when a table law fails.  Calls are counted by wrapping every binding of a
+when a table law fails, and `equiv` solves each hom space once, over the
+base coalgebra.  Calls are counted by wrapping every binding of a
 check inside the package, so a check reached through any import path is
 seen; a cached property counts the computations of its value."""
 
@@ -27,7 +28,9 @@ SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 FUNCTIONS = [("fincat", "check_monoidal"), ("fincat", "validate_functor"),
              ("fincat", "validate_category"), ("fincat", "natural_problems"),
-             ("cohom", "intertwines"), ("cohom", "coalgebra_morphism_problems")]
+             ("cohom", "intertwines"), ("cohom", "coalgebra_morphism_problems"),
+             ("reconstruct", "comodule_hom_basis"), ("exactlinalg", "solve_through_injection"),
+             ("exactlinalg", "invert_map")]
 METHODS = [(Coalgebra, "check"), (Comodule, "check"), (Comodule, "law_problems"),
            (Bialgebra, "algebra_problems"), (HopfAlgebra, "antipode_problems"),
            (HopfAlgebra, "check")]
@@ -165,15 +168,34 @@ def test_reconstruct_command_checks_the_input_hopf_algebra_once(monkeypatch):
 @pytest.mark.parametrize("argv, laws", [
     # the 4 file comodules; the seeds k0 and k1 are not computed again
     (["reconstruct", "z2_grading.json", "--coalgebra", "KZ2", "--seeds", "k0,k1"], 4),
-    # V and regular, not again as seed and probe, and the equalizer
-    # comodule the probe is lifted to
+    # V and regular, not again as seed and probe; the lift of the probe is
+    # decided by the reconstruction, so no equalizer comodule is built
     (["equiv", "one_object_k2.json", "--coalgebra", "M2", "--seeds", "V",
-      "--probes", "regular"], 3),
+      "--probes", "regular"], 2),
 ])
 def test_each_comodule_computes_its_laws_once(monkeypatch, argv, laws):
     counts = count_checks(monkeypatch)
     assert run([argv[0], str(SPECS / argv[1]), *argv[2:]]) == 0
     assert counts["Comodule.law_problems"] == laws
+
+
+@pytest.mark.parametrize("argv, solves", [
+    # V|V, solved once by the reconstruction, and the three pairs with the probe
+    (["equiv", "one_object_k2.json", "--coalgebra", "M2", "--seeds", "V",
+      "--probes", "regular"], 4),
+    # the four seed pairs, solved once by the reconstruction, and the twelve
+    # pairs with a probe
+    (["equiv", "z2_grading.json", "--coalgebra", "KZ2", "--seeds", "k0,k1",
+      "--probes", "regular,ksum"], 16),
+])
+def test_equiv_solves_each_hom_space_over_c_once(monkeypatch, argv, solves):
+    # the reconstruction decides the lifts and the hom dimensions over the
+    # coend, so h is not inverted and no probe is lifted through an equalizer
+    counts = count_checks(monkeypatch)
+    assert run([argv[0], str(SPECS / argv[1]), *argv[2:]]) == 0
+    assert counts["comodule_hom_basis"] == solves
+    assert counts["solve_through_injection"] == 0
+    assert counts["invert_map"] == 0
 
 
 @pytest.mark.parametrize("argv", [

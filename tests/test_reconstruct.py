@@ -88,6 +88,23 @@ def test_comatrix_standard_comodule_is_simple():
     assert g.col(0)[1] == 0 and g.col(1)[0] == 0 and g.col(0)[0] == g.col(1)[1]
 
 
+def test_hom_basis_refuses_an_unlawful_coaction():
+    # the equations are written only at the generators of C*, which is exact
+    # for lawful coactions alone; the refusal reads the cached laws
+    c, com = comatrix_setup()
+    cols = [dict(col) for col in com.rho.cols]
+    cols[0][0] = Fraction(2)
+    bad = Comodule(K2, c, LinearMap.from_sparse(QQ, K2, com.rho.cod, cols))
+    words = r"^coaction is not coassociative; coaction counit law fails$"
+    with pytest.raises(AxiomError, match=words):
+        comodule_hom_basis(com, bad)
+    with pytest.raises(AxiomError, match=words):
+        comodule_hom_basis(bad, com)
+    # a comodule over other coalgebras is refused first, for that reason
+    with pytest.raises(ValueError, match="different coalgebras"):
+        comodule_hom_basis(bad, graded_line(kz2(), 0))
+
+
 def test_comodule_category_closure():
     c = kz2()
     cat = comodule_category_of(c, {"k0": graded_line(c, 0), "k1": graded_line(c, 1, "w")})
@@ -233,6 +250,24 @@ def test_a_seed_over_another_counit_is_refused():
         reconstruct_coalgebra(c, seeds)
     with pytest.raises(ValueError, match="seed 'k0'"):
         equivalence_check(c, seeds, {})
+
+
+def test_a_probe_over_another_coalgebra_is_refused():
+    # K[Z/2] with eps(g1) = 0, and with Delta doubled and eps halved: a probe
+    # over either is refused by name, through the seeds' refusal
+    c = kz2()
+    seeds = {"k0": graded_line(c, 0), "k1": graded_line(c, 1, "w")}
+    for other in (Coalgebra(c.carrier, c.delta, qmap([[1, 0]], c.carrier, K)),
+                  Coalgebra(c.carrier, c.delta.scale(2), c.counit.scale(Fraction(1, 2)))):
+        with pytest.raises(ValueError,
+                           match="^probe 'odd' is not over the coalgebra being reconstructed$"):
+            equivalence_check(c, seeds, {"regular": Comodule(c.carrier, c, c.delta),
+                                         "odd": graded_line(other, 0)})
+    # a probe over an equal copy of the coalgebra is a probe over it
+    copy = Coalgebra(c.carrier, c.delta, c.counit)
+    verdict = equivalence_check(c, seeds, {"twin": graded_line(copy, 1)})
+    assert verdict.ok and verdict.probe_status == {"twin": "lifted"}
+    assert verdict.hom_dims_base["k1|probe:twin"] == 1
 
 
 def test_a_seed_over_an_equal_copy_of_the_coalgebra_reconstructs():
