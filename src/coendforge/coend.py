@@ -19,16 +19,21 @@ laws once their descents hold, and none of them is checked again.  The
 ``*_from_monoidal`` constructors read the multiplication, unit and antipode
 off the category's and the functor's monoidal tables, on blocks that are
 1-dim or 0-dim once every xi is invertible; they refuse malformed tables
-with ``fincat.monoidal_table_problems`` and trust the rest (the cocycle,
-unit and naturality squares).  The tables and the descents decide the laws
-these add: on the 1-dim objects O_1, N is the monoid bialgebra K[O_1] when
-the object tensor is unital and associative there, and e_x |-> e_(x*) is
-its antipode when x* (x) x = I = x (x) x*; the descents of the
-multiplication and antipode carry each law to Q, as pi is onto.  Only when
-a table law fails is the algebra or antipode check run on Q, which may
-still be lawful once the relations identify blocks.  Every constructor
-returns its structure or raises ``WellDefinednessFailure``, and none of
-them writes to the ``CoendResult``.  The naturality of the universal family
+in the words of ``fincat.monoidal_table_problems`` and trust the rest (the
+cocycle, unit and naturality squares).  The tables are checked once per
+command: the constructors read the verdicts that ``validate_category`` and
+``check_monoidal`` kept on the frozen monoidal records
+(``fincat.monoidal_table_verdict``, ``CategoryMonoidalData.lawful_on``),
+and decide a table law themselves only where no check has.  The tables
+and the descents decide the laws these add: on the 1-dim objects O_1, N is
+the monoid bialgebra K[O_1] when the object tensor is unital and
+associative there, and e_x |-> e_(x*) is its antipode when
+x* (x) x = I = x (x) x*; the descents of the multiplication and antipode
+carry each law to Q, as pi is onto.  Only when a table law fails is the
+algebra or antipode check run on Q, which may still be lawful once the
+relations identify blocks.  Every constructor returns its structure or
+raises ``WellDefinednessFailure``, and none of them writes to the
+``CoendResult``.  The naturality of the universal family
 is checked once per coend, in ``CoendResult.naturality_problems``.
 ``bialgebra_on_coend`` and ``antipode_on_coend`` run ``validate_category``
 and ``check_monoidal`` first.
@@ -76,7 +81,7 @@ from .fincat import (
     check_monoidal,
     cowedge_problems,
     diagram_of_functor,
-    monoidal_table_problems,
+    monoidal_table_verdict,
     natural_problems,
     tensor_associativity_failures,
     validate_category,
@@ -442,14 +447,19 @@ def bialgebra_from_monoidal(r: CoendResult, cat_mon: CategoryMonoidalData | None
     nonzero spaces is a nonzero scalar, the conjugation multiplies
     xi^-1 xi = 1, and the law reads e_x (x) e_y |-> e_(x (x) y) on the 1-dim
     blocks; the unit is the unit block's injection.  Every table entry is
-    checked first, by ``fincat.monoidal_table_problems``, which is what makes
-    the lemma apply.
+    checked first, which is what makes the lemma apply: the verdict
+    ``check_monoidal`` kept on the same records, objects and dimensions is
+    read back, else ``fincat.monoidal_table_problems`` runs
+    (``fincat.monoidal_table_verdict``).
 
     The tables then decide the laws.  The 1-dim objects O_1 contain the unit
     (xi_unit is an isomorphism) and are closed under the tensor, N has the
     basis e_x, x in O_1, and Delta_N(e_x) = e_x (x) e_x, eps_N(e_x) = 1.  So
     N is the monoid bialgebra K[O_1] when the tensor is unital,
-    t(I, x) = x = t(x, I), and associative on O_1 (Light's test on names,
+    t(I, x) = x = t(x, I), and associative on O_1.  A tensor that
+    ``validate_category`` found unital and associative on all the objects
+    is so on O_1, which contains I and is closed under it; otherwise both
+    laws are decided on O_1 (Light's test on names,
     ``fincat.tensor_associativity_failures``).  The descents carry every law
     to Q, as pi is onto: m_Q o (pi (x) pi) = pi o mu_N, u_Q = pi o in_I,
     Delta_Q o pi = (pi (x) pi) o Delta_N and eps_Q o pi = eps_N, so, for
@@ -457,7 +467,7 @@ def bialgebra_from_monoidal(r: CoendResult, cat_mon: CategoryMonoidalData | None
     (m_Q (x) m_Q)(id (x) tau (x) id)(Delta_Q (x) Delta_Q)(pi (x) pi).  When a
     table law fails, Q may still be lawful once the relations identify
     blocks, so ``Bialgebra.algebra_problems`` decides it on Q."""
-    problems = monoidal_table_problems(r.diagram.objects, r.diagram.spaces, cat_mon, fun_mon)
+    problems = monoidal_table_verdict(r.diagram.objects, r.diagram.spaces, cat_mon, fun_mon)
     if problems:
         raise WellDefinednessFailure("functor is not monoidal: " + "; ".join(problems))
     f = r.field
@@ -476,8 +486,9 @@ def bialgebra_from_monoidal(r: CoendResult, cat_mon: CategoryMonoidalData | None
         ) from None
     bialg = Bialgebra(r.carrier, r.coalgebra.delta, r.coalgebra.counit, m_q,
                       r.injections[cat_mon.unit])
-    monoid = (all(t[(cat_mon.unit, x)] == x == t[(x, cat_mon.unit)] for x in ones)
-              and not tensor_associativity_failures(ones, t))
+    monoid = cat_mon.lawful_on.get(tuple(r.diagram.objects)) or (
+        all(t[(cat_mon.unit, x)] == x == t[(x, cat_mon.unit)] for x in ones)
+        and not tensor_associativity_failures(ones, t))
     if not monoid:
         _require(bialg.algebra_problems())
     return bialg

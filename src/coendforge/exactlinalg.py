@@ -407,7 +407,11 @@ class LinearMap:
     @classmethod
     def from_sparse(cls, field, dom: Space, cod: Space, cols) -> "LinearMap":
         """The map whose j-th column is the dict cols[j] (row -> nonzero
-        value); the dicts are taken over, not copied."""
+        value); the dicts are taken over, not copied, and not filtered.  A
+        stored zero breaks the map: ``rank`` and ``is_invertible`` may pick
+        it as a pivot and raise ZeroDivisionError, and ``==`` (and the hash)
+        tells it apart from the same map without it.  So every caller drops
+        its zeros, as a tier-1 test pins over the package's callers."""
         if len(cols) != dom.dim:
             raise ValueError(f"map has {len(cols)} columns, domain dim {dom.dim}")
         m = cls.__new__(cls)

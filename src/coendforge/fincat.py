@@ -11,13 +11,20 @@ composition table.  The laws a family over a diagram can satisfy are checked
 here and nowhere else: ``natural_problems`` (a family F => F (x) M, each
 morphism tested by ``cohom.intertwines``) and ``cowedge_problems`` (a family
 cohom(F(X), F(X)) -> M).  So is every monoidal table entry, once:
-``monoidal_table_problems``, which ``check_monoidal`` and every monoidal
-constructor call.
+``monoidal_table_problems``.  The tables are checked once per command: the
+monoidal records are frozen, with read-only tables, and keep the verdicts
+reached on them.  ``validate_category`` keeps whether the object tensor is
+unital and associative on the object list, and ``monoidal_table_verdict``,
+which ``check_monoidal`` and every monoidal constructor call, keeps the
+entry problems per object list and dimensions.  A constructor reads both
+back, and decides a law itself only on tables no check has seen.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .cohom import cohom_on_maps, intertwines, product_generators
 from .exactlinalg import LinearMap, Space, compose_kron, identity, tensor, tensor_space
@@ -39,15 +46,34 @@ class ValidationReport:
         return self.ok
 
 
-@dataclass
+def _read_only(record, *names) -> None:
+    """Replace each named table of a frozen record by a read-only copy."""
+    for name in names:
+        table = getattr(record, name)
+        if table is not None:
+            object.__setattr__(record, name, MappingProxyType(dict(table)))
+
+
+@dataclass(frozen=True)
 class CategoryMonoidalData:
     """Strict monoidal structure on a finite category: tensor tables and a
-    unit object, with an optional dual-object assignment."""
+    unit object, with an optional dual-object assignment.
+
+    The record is frozen and its tables are read-only copies, so a verdict
+    kept on it holds for as long as it lives: ``lawful_on`` maps each object
+    list that ``validate_category`` walked to whether the object tensor is
+    unital and associative there.  An edited table is a new record
+    (``dataclasses.replace``), with no verdicts."""
 
     unit: str
-    tensor_obj: dict[tuple[str, str], str]
-    tensor_mor: dict[tuple[str, str], str] = field(default_factory=dict)
-    duals: dict[str, str] | None = None
+    tensor_obj: Mapping[tuple[str, str], str]
+    tensor_mor: Mapping[tuple[str, str], str] = field(default_factory=dict)
+    duals: Mapping[str, str] | None = None
+    lawful_on: dict[tuple[str, ...], bool] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _read_only(self, "tensor_obj", "tensor_mor", "duals")
 
 
 def _id_name(obj: str) -> str:
@@ -210,6 +236,7 @@ def _validate_monoidal_tables(cat: FinCategory) -> list[str]:
         if t[(mon.unit, a)] != a or t[(a, mon.unit)] != a:
             problems.append(f"unit law fails at object {a}")
         problems.extend(failures.get(a, ()))
+    mon.lawful_on[tuple(cat.objects)] = not problems
     for (f, g), h in mon.tensor_mor.items():
         unknown = [n for n in (f, g, h) if n not in cat.morphisms]
         if unknown:
@@ -223,15 +250,23 @@ def _validate_monoidal_tables(cat: FinCategory) -> list[str]:
     return problems
 
 
-@dataclass
+@dataclass(frozen=True)
 class FunctorMonoidalData:
     """Structure isomorphisms of a monoidal functor: xi[(a, b)] is
     F(a) (x) F(b) -> F(a (x) b) and xi_unit is K -> F(I).  ``dual_maps``
-    optionally identifies F(a*) with F(a)^* for the antipode construction."""
+    optionally identifies F(a*) with F(a)^* for the antipode construction.
 
-    xi: dict[tuple[str, str], LinearMap]
+    Frozen with read-only tables, like ``CategoryMonoidalData``;
+    ``verdicts`` holds what ``monoidal_table_verdict`` decided on it."""
+
+    xi: Mapping[tuple[str, str], LinearMap]
     xi_unit: LinearMap
-    dual_maps: dict[str, LinearMap] | None = None
+    dual_maps: Mapping[str, LinearMap] | None = None
+    verdicts: dict[tuple, tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _read_only(self, "xi", "dual_maps")
 
 
 def monoidal_table_problems(objects, spaces: dict[str, Space],
@@ -269,6 +304,24 @@ def monoidal_table_problems(objects, spaces: dict[str, Space],
                            or not dmap.is_invertible()):
             problems.append(f"dual identification at {x!r} is not an isomorphism")
     return problems
+
+
+def monoidal_table_verdict(objects, spaces: dict[str, Space],
+                           cat_mon: CategoryMonoidalData | None,
+                           fun_mon: FunctorMonoidalData | None) -> list[str]:
+    """``monoidal_table_problems``, decided once per pair of records, object
+    list and dimensions.  fun_mon keeps each verdict with the category
+    record, the objects and their dimensions it was reached on, and a later
+    call on the same ones reads it back; both records are frozen with
+    read-only tables, so it cannot go stale.  Any other call computes it."""
+    if cat_mon is None or fun_mon is None:
+        return monoidal_table_problems(objects, spaces, cat_mon, fun_mon)
+    key = (tuple(objects), tuple(spaces[x].dim for x in objects))
+    kept = fun_mon.verdicts.get(key)
+    if kept is None or kept[0] is not cat_mon:
+        kept = fun_mon.verdicts[key] = (
+            cat_mon, monoidal_table_problems(objects, spaces, cat_mon, fun_mon))
+    return list(kept[1])
 
 
 class DiagramFunctor:
@@ -421,7 +474,9 @@ def cowedge_problems(d: Diagram, w: dict[str, LinearMap], m_space: Space) -> lis
 def check_monoidal(F: DiagramFunctor) -> ValidationReport:
     """Validate the structure isomorphisms of a monoidal functor.
 
-    First every table entry, by ``monoidal_table_problems``; then the
+    First every table entry, by ``monoidal_table_verdict``, which keeps its
+    verdict on the functor's record for the constructors that read the
+    tables next, so the tables are checked once per command; then the
     associativity square
     xi_{X(x)Y,Z} o (xi_{X,Y} (x) id) = xi_{X,Y(x)Z} o (id (x) xi_{Y,Z}),
     the unit squares against xi_unit, and naturality of xi on every pair
@@ -449,12 +504,22 @@ def check_monoidal(F: DiagramFunctor) -> ValidationReport:
     identity is tried at the n^2 |S| triples with a generator in the middle,
     which is exact.  When one of them fails, every triple is walked, so the
     report names every failing triple, in order.
+
+    The unit squares are scalar identities too.  xi_unit is an isomorphism
+    K -> F(I), so F(I) is 1-dim and xi_unit is a nonzero scalar n_u/d_u.  A
+    0-dim F(a) passes both squares, as every map on a 0-dim space is the
+    identity.  For a 1-dim F(a) the left square
+    xi(I, a) o (xi_unit (x) id) = id is xi(I, a) n_u/d_u = 1, which, with
+    xi(I, a) = n/d, holds iff the integer n n_u - d d_u is zero once read
+    into the field by ``from_int``; the right square is the same with
+    xi(a, I).  So no map is built for them, and each object's left square
+    is reported before its right one.
     """
     cat = F.source
-    problems = monoidal_table_problems(cat.objects, F.ob, cat.monoidal, F.monoidal)
+    problems = monoidal_table_verdict(cat.objects, F.ob, cat.monoidal, F.monoidal)
     if problems:
         return ValidationReport(False, problems)
-    mon, fld, xi_u = cat.monoidal, F.field, F.monoidal.xi_unit
+    mon, fld = cat.monoidal, F.field
     t = mon.tensor_obj
     # each xi as n/d from its one entry; no pair where F(a) (x) F(b) is 0-dim
     ratio = {pair: (v.numerator, v.denominator)
@@ -469,14 +534,12 @@ def check_monoidal(F: DiagramFunctor) -> ValidationReport:
     ones = [a for a in cat.objects if F.space(a).dim == 1]
     problems.extend(f"xi associativity fails at ({a}, {b}, {c})" for a, b, c
                     in _associativity_failures(ones, lambda y, g: t[(y, g)], cocycle_fails))
-    for a in cat.objects:
-        # K (x) F(a) and F(a) (x) K are identified with F(a) by flat indexing
-        left_unit = compose_kron(F.xi(mon.unit, a), xi_u, identity(F.space(a), fld))
-        right_unit = compose_kron(F.xi(a, mon.unit), identity(F.space(a), fld), xi_u)
-        if left_unit != identity(F.space(a), fld):
-            problems.append(f"left unit square fails at {a}")
-        if right_unit != identity(F.space(a), fld):
-            problems.append(f"right unit square fails at {a}")
+    (u,) = F.monoidal.xi_unit.cols[0].values()
+    for a in ones:
+        for side, pair in (("left", (mon.unit, a)), ("right", (a, mon.unit))):
+            n, d = ratio[pair]
+            if not fld.is_zero(fld.from_int(n * u.numerator - d * u.denominator)):
+                problems.append(f"{side} unit square fails at {a}")
     for (fname, gname), hname in mon.tensor_mor.items():
         mf, mg = cat.morphisms[fname], cat.morphisms[gname]
         lhs = F.map(hname) @ F.xi(mf.dom, mg.dom)

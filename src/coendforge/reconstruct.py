@@ -50,7 +50,7 @@ from .fincat import (
     DiagramMorphism,
     FunctorMonoidalData,
     Transformation,
-    monoidal_table_problems,
+    monoidal_table_verdict,
 )
 
 
@@ -208,8 +208,10 @@ def reconstruct_bialgebra(b: Bialgebra, seeds: dict[str, Comodule], cat_mon: Cat
     seeds, and the functor's xi[(a, b)]: F(a) (x) F(b) -> F(a (x) b) must be
     comodule isomorphisms, else WellDefinednessFailure.  Additionally induces
     the multiplication on the coend and verifies that h transports it to the
-    multiplication of b."""
-    problems = monoidal_table_problems(
+    multiplication of b.  The table entries are checked once: the coend's
+    objects and spaces are the seeds', so ``bialgebra_from_monoidal`` reads
+    back the verdict kept here."""
+    problems = monoidal_table_verdict(
         list(seeds), {name: com.space for name, com in seeds.items()}, cat_mon, fun_mon)
     if problems:
         raise WellDefinednessFailure("; ".join(problems))

@@ -5,7 +5,9 @@ its universal comodules and the control epimorphism, and the bialgebra and
 Hopf constructors decide their laws from the monoidal tables and the
 descents, running the full algebra or antipode check on the quotient only
 when a table law fails, and `equiv` solves each hom space once, over the
-base coalgebra.  Calls are counted by wrapping every binding of a
+base coalgebra.  The monoidal tables are checked once per command: the
+constructors read the verdicts the checks kept on the frozen monoidal
+records, and decide only what no check has.  Calls are counted by wrapping every binding of a
 check inside the package, so a check reached through any import path is
 seen; a cached property counts the computations of its value."""
 
@@ -15,13 +17,24 @@ import io
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from test_reconstruct import kz2_monoidal_seeds
 
 from coendforge.cli import main
+from coendforge.coend import (
+    WellDefinednessFailure,
+    antipode_from_monoidal,
+    bialgebra_from_monoidal,
+    bialgebra_on_coend,
+    coend_of_functor,
+)
 from coendforge.cohom import Bialgebra, Coalgebra, Comodule, HopfAlgebra
-from coendforge.reconstruct import reconstruct_coalgebra
+from coendforge.exactlinalg import LinearMap, Space
+from coendforge.fincat import DiagramFunctor, check_monoidal, validate_category
+from coendforge.reconstruct import reconstruct_bialgebra, reconstruct_coalgebra
 from coendforge.specfile import load_spec
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -30,7 +43,8 @@ FUNCTIONS = [("fincat", "check_monoidal"), ("fincat", "validate_functor"),
              ("fincat", "validate_category"), ("fincat", "natural_problems"),
              ("cohom", "intertwines"), ("cohom", "coalgebra_morphism_problems"),
              ("reconstruct", "comodule_hom_basis"), ("exactlinalg", "solve_through_injection"),
-             ("exactlinalg", "invert_map")]
+             ("exactlinalg", "invert_map"), ("fincat", "monoidal_table_problems"),
+             ("fincat", "tensor_associativity_failures")]
 METHODS = [(Coalgebra, "check"), (Comodule, "check"), (Comodule, "law_problems"),
            (Bialgebra, "algebra_problems"), (HopfAlgebra, "antipode_problems"),
            (HopfAlgebra, "check")]
@@ -105,6 +119,80 @@ def test_hopf_command_checks_the_antipode_when_the_duals_fail(monkeypatch, tmp_p
         '    "left antipode axiom fails; right antipode axiom fails"\n'
         '  ]\n}\n'
     )
+
+
+@pytest.mark.parametrize("command", ["bialgebra", "hopf"])
+def test_monoidal_commands_check_the_tables_once(monkeypatch, command):
+    # check_monoidal decides the table entries and validate_category the
+    # object tensor's laws; the constructors read both verdicts back
+    counts = count_checks(monkeypatch)
+    assert run([command, str(SPECS / "z3_grading.json"), "--functor", "F"]) == 0
+    assert counts["monoidal_table_problems"] == 1
+    assert counts["tensor_associativity_failures"] == 1
+
+
+def test_bialgebra_on_coend_checks_the_tables_once(monkeypatch):
+    F = load_spec(str(SPECS / "z3_grading.json")).functors["F"]
+    r = coend_of_functor(F)
+    counts = count_checks(monkeypatch)
+    bialgebra_on_coend(F, r)
+    assert counts["monoidal_table_problems"] == 1
+    assert counts["tensor_associativity_failures"] == 1
+
+
+def test_reconstruct_bialgebra_checks_the_tables_once(monkeypatch):
+    # its own entry check, read back by bialgebra_from_monoidal; no check
+    # has walked the tensor on the seeds, so the constructor does, once
+    h, seeds, cat_mon, fun_mon = kz2_monoidal_seeds()
+    counts = count_checks(monkeypatch)
+    res, _ = reconstruct_bialgebra(h, seeds, cat_mon, fun_mon)
+    assert res.iso
+    assert counts["monoidal_table_problems"] == 1
+    assert counts["tensor_associativity_failures"] == 1
+
+
+def test_a_kept_verdict_covers_no_edited_or_unchecked_tables():
+    # after the checks have kept their verdicts, an edited copy of a record
+    # and tables no check has seen are refused in the constructors' words
+    spec = load_spec(str(SPECS / "z3_grading.json"))
+    F = spec.functors["F"]
+    assert validate_category(F.source).ok and check_monoidal(F).ok
+    r = coend_of_functor(F)
+    bialgebra_on_coend(F, r)
+    cat_mon, fun_mon = F.source.monoidal, F.monoidal
+    zero = LinearMap(F.field, Space.std(1), Space.std(1), ((F.field.zero(),),))
+    zero_xi = replace(fun_mon, xi=fun_mon.xi | {("g1", "g2"): zero})
+    # g1 (x) g1 = g0 keeps every entry well formed but breaks associativity
+    g1_squared = replace(cat_mon, tensor_obj=cat_mon.tensor_obj | {("g1", "g1"): "g0"})
+    unchecked = load_spec(str(SPECS / "z3_grading.json")).functors["F"]
+    cases = [
+        (bialgebra_from_monoidal, cat_mon, zero_xi,
+         "functor is not monoidal: xi at (g1, g2) is not invertible"),
+        (antipode_from_monoidal, cat_mon, zero_xi,
+         "functor is not monoidal: xi at (g1, g2) is not invertible"),
+        (bialgebra_from_monoidal, g1_squared, fun_mon, "multiplication is not associative"),
+        (bialgebra_from_monoidal, replace(unchecked.source.monoidal, unit="zz"),
+         unchecked.monoidal, "functor is not monoidal: monoidal unit 'zz' is not an object"),
+        (antipode_from_monoidal, unchecked.source.monoidal,
+         replace(unchecked.monoidal, xi_unit=zero),
+         "functor is not monoidal: xi_unit is not an isomorphism K -> F(I)"),
+    ]
+    for construct, c, m, words in cases:
+        with pytest.raises(WellDefinednessFailure) as exc:
+            construct(r, c, m)
+        assert str(exc.value) == words
+    # the records the checks saw still build
+    bialgebra_from_monoidal(r, cat_mon, fun_mon)
+    # the same records under other dimensions: F(g1) = K^2
+    plane = {**F.ob, "g1": Space.std(2)}
+    checked = DiagramFunctor(F.source, F.field, plane, {}, fun_mon)
+    fresh = DiagramFunctor(unchecked.source, F.field, plane, {}, unchecked.monoidal)
+    assert check_monoidal(checked).problems == check_monoidal(fresh).problems == [
+        "xi at (g0, g1) has wrong shape", "xi at (g1, g0) has wrong shape",
+        "xi at (g1, g1) has wrong shape", "xi at (g1, g2) has wrong shape",
+        "xi at (g2, g1) has wrong shape", "xi at (g2, g2) has wrong shape",
+        "dual identification at 'g1' is not an isomorphism",
+        "dual identification at 'g2' is not an isomorphism"]
 
 
 def test_coend_command_checks_naturality_once(monkeypatch):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -510,7 +511,7 @@ def test_z3_antipode_is_inversion_permutation():
 
 def test_antipode_missing_duals_raises():
     F = grading_functor(2)
-    F.monoidal.dual_maps = None
+    F.monoidal = replace(F.monoidal, dual_maps=None)
     r = coend_of_functor(F)
     bialgebra_on_coend(F, r)
     with pytest.raises(MissingDual):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -289,8 +290,7 @@ def test_scaled_xi_in_tensor_chain_reported():
     # scaling xi at (g1, g1) breaks the cocycle condition on the
     # three-object chain g1 (x) g1 (x) g2
     F = z3_functor()
-    F.monoidal.xi = dict(F.monoidal.xi)
-    F.monoidal.xi[("g1", "g1")] = qmap([[2]], K, K)
+    F.monoidal = replace(F.monoidal, xi=F.monoidal.xi | {("g1", "g1"): qmap([[2]], K, K)})
     report = check_monoidal(F)
     assert not report.ok
     assert any("associativity" in p for p in report.problems)
@@ -325,8 +325,8 @@ def test_validators_idempotent_and_pure():
 def test_dual_identification_that_is_no_isomorphism_is_reported():
     # zero at g1, and a map from K^2 where F(g1) = K at g2
     F = z3_functor()
-    F.monoidal.dual_maps = dict(F.monoidal.dual_maps, g1=qmap([[0]], K, K),
-                                g2=qmap([[1, 1]], K2, K))
+    F.monoidal = replace(F.monoidal, dual_maps=dict(F.monoidal.dual_maps, g1=qmap([[0]], K, K),
+                                                    g2=qmap([[1, 1]], K2, K)))
     assert check_monoidal(F).problems == [
         "dual identification at 'g1' is not an isomorphism",
         "dual identification at 'g2' is not an isomorphism"]
@@ -403,9 +403,8 @@ def graded_cases(draw):
         xi[pair] = scalar(f, f.zero())
     elif mode == "missing":
         del xi[pair]
-    elif mode == "unit":
-        F.monoidal.xi_unit = F.monoidal.xi_unit.scale(s)
-    F.monoidal.xi = xi
+    xi_unit = F.monoidal.xi_unit.scale(s) if mode == "unit" else F.monoidal.xi_unit
+    F.monoidal = replace(F.monoidal, xi=xi, xi_unit=xi_unit)
     return F
 
 
@@ -430,18 +429,18 @@ def test_check_monoidal_names_every_broken_square_in_order(f):
     valid = F.monoidal.xi
     for pair, xi in valid.items():
         if "z" not in pair:
-            F.monoidal.xi = valid | {pair: xi.scale(f.from_int(2))}
+            F.monoidal = replace(F.monoidal, xi=valid | {pair: xi.scale(f.from_int(2))})
             problems = check_monoidal(F).problems
             assert problems and problems == reference_check_monoidal(F).problems
 
 
 @pytest.mark.parametrize("idem, extra", [(None, 0), ([1] + [0] * 7, 64)])
 def test_check_monoidal_builds_no_map_per_triple(monkeypatch, idem, extra):
-    # on Z/8, compose_kron runs only for the two unit squares per object and
-    # once per tensor_mor entry: 16 (+ 64) calls, against 2*8^3 + 16 for a
-    # per-triple check; and the squares themselves multiply no field
-    # scalars: fewer than 8^3 Rationals.mul calls, against 2*8^3 plus the
-    # unit squares for a product of xi scalars per triple
+    # on Z/8, compose_kron runs only once per tensor_mor entry: 0 (+ 64)
+    # calls, against 2*8^3 + 16 for a per-triple check with the unit squares
+    # built as maps; and the squares themselves multiply no field scalars:
+    # fewer than 8^3 Rationals.mul calls, against 2*8^3 plus the unit
+    # squares for a product of xi scalars per triple
     lam = [QQ.from_int(a) for a in (2, -3, 5, 7, 1, -1, 4, 9)]
     idem = None if idem is None else [QQ.from_int(a) for a in idem]
     F = graded_functor(QQ, lam, idem=idem)
@@ -460,5 +459,5 @@ def test_check_monoidal_builds_no_map_per_triple(monkeypatch, idem, extra):
     monkeypatch.setattr(Rationals, "mul", counting_mul)
     report = check_monoidal(F)
     assert report.ok == (idem is None)
-    assert len(calls) == 2 * 8 + extra
+    assert len(calls) == extra
     assert len(muls) < 8 ** 3

@@ -8,6 +8,8 @@ zero-dimensional absorbing object, over Q, F_7 and Q_3."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from hypothesis import given
 from hypothesis import strategies as st
 from test_fincat import graded_functor
@@ -130,8 +132,8 @@ def graded_hopf_cases(draw):
         duals["z"] = "z"
         zero = F.space("z")
         dual_maps["z"] = LinearMap(f, zero, dual_space(zero), ())
-    F.source.monoidal.duals = duals
-    F.monoidal.dual_maps = dual_maps
+    F.source.monoidal = replace(F.source.monoidal, duals=duals)
+    F.monoidal = replace(F.monoidal, dual_maps=dual_maps)
     return F
 
 

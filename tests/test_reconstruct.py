@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -303,22 +304,25 @@ def test_reconstruct_bialgebra_refuses_a_zero_xi():
     # a zero xi intertwines trivially, so only the constructor's own
     # invertibility test can refuse it; it names the pair
     h, seeds, cat_mon, fun_mon = kz2_monoidal_seeds()
-    fun_mon.xi[("k0", "k1")] = qmap([[0]], K, K)
+    fun_mon = replace(fun_mon, xi=fun_mon.xi | {("k0", "k1"): qmap([[0]], K, K)})
     with pytest.raises(WellDefinednessFailure, match=r"xi at \(k0, k1\) is not invertible"):
         reconstruct_bialgebra(h, seeds, cat_mon, fun_mon)
 
 
 def test_reconstruct_bialgebra_refuses_a_missing_xi():
     # a malformed table entry is refused, in fincat's words, before it is read:
-    # a missing xi, a tensor entry naming an unknown seed and a 2x1 xi
+    # a missing xi, a tensor entry naming an unknown seed and a 2x1 xi;
+    # each edit builds edited copies of the frozen records
     def drop_xi(cat_mon, fun_mon):
-        del fun_mon.xi[("k0", "k1")]
+        xi = {p: m for p, m in fun_mon.xi.items() if p != ("k0", "k1")}
+        return cat_mon, replace(fun_mon, xi=xi)
 
     def unknown_tensor(cat_mon, fun_mon):
-        cat_mon.tensor_obj[("k1", "k1")] = "zz"
+        return replace(cat_mon, tensor_obj=cat_mon.tensor_obj | {("k1", "k1"): "zz"}), fun_mon
 
     def tall_xi(cat_mon, fun_mon):
-        fun_mon.xi[("k0", "k1")] = qmap([[1], [0]], K, Space.std(2))
+        tall = qmap([[1], [0]], K, Space.std(2))
+        return cat_mon, replace(fun_mon, xi=fun_mon.xi | {("k0", "k1"): tall})
 
     for edit, problem in [
         (drop_xi, r"^missing xi at \(k0, k1\)$"),
@@ -326,7 +330,7 @@ def test_reconstruct_bialgebra_refuses_a_missing_xi():
         (tall_xi, r"^xi at \(k0, k1\) has wrong shape$"),
     ]:
         h, seeds, cat_mon, fun_mon = kz2_monoidal_seeds()
-        edit(cat_mon, fun_mon)
+        cat_mon, fun_mon = edit(cat_mon, fun_mon)
         with pytest.raises(WellDefinednessFailure, match=problem):
             reconstruct_bialgebra(h, seeds, cat_mon, fun_mon)
 
@@ -335,7 +339,7 @@ def test_reconstruct_bialgebra_refuses_an_xi_that_is_no_comodule_morphism():
     # k0 (x) k1 := k0: xi at (k0, k1) is a well-shaped isomorphism from a
     # line of degree 1 onto one of degree 0
     h, seeds, cat_mon, fun_mon = kz2_monoidal_seeds()
-    cat_mon.tensor_obj[("k0", "k1")] = "k0"
+    cat_mon = replace(cat_mon, tensor_obj=cat_mon.tensor_obj | {("k0", "k1"): "k0"})
     with pytest.raises(WellDefinednessFailure,
                        match=r"^xi at \(k0, k1\) is not a comodule morphism$"):
         reconstruct_bialgebra(h, seeds, cat_mon, fun_mon)

@@ -1,9 +1,14 @@
 """The sparse exact core: sparse elimination against a dense reference,
-maps built from dense rows against maps built from sparse columns, and a
-guard that reconstruction touches only nonzero entries."""
+maps built from dense rows against maps built from sparse columns, a guard
+that reconstruction touches only nonzero entries, and one that no caller in
+the package hands ``LinearMap.from_sparse`` a stored zero."""
 
+import contextlib
 import importlib
+import io
+import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -28,6 +33,7 @@ from coendforge.exactlinalg import (
     tensor,
     tensor_space,
 )
+from coendforge.cli import main
 from coendforge.reconstruct import reconstruct_coalgebra
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -231,3 +237,52 @@ def test_reconstruction_stores_integral_q_entries_as_ints(monkeypatch):
     entries = [a for m in (res.h, q.delta, q.counit) for col in m.cols for a in col.values()]
     assert entries and all(type(a) in (int, Fraction) for a in entries)
     assert all(type(a) is int for a in entries if a.denominator == 1)
+
+
+# a dense arrow K^2 -> K^2 over padic:3, for one certified bcoend
+DENSE_ARROW = {
+    "field": "padic:3",
+    "spaces": {"Ka": {"labels": ["a0", "a1"], "weights": [0, 1]},
+               "Kb": {"labels": ["b0", "b1"], "weights": [0, 0]}},
+    "categories": {"Arrow": {"objects": ["a", "b"],
+                             "morphisms": [{"name": "f", "dom": "a", "cod": "b"}]}},
+    "functors": {"F": {"source": "Arrow", "objects": {"a": "Ka", "b": "Kb"},
+                       "morphisms": {"f": [["1", "3"], ["2", "-1"]]}}},
+}
+
+
+def test_no_caller_in_the_package_stores_a_zero(monkeypatch, tmp_path):
+    # from_sparse takes its columns over as given, and a stored zero breaks
+    # rank, is_invertible and ==; so every caller in src/ drops its zeros,
+    # over the 22 corpus commands, a comatrix(5) reconstruction over F_7 and
+    # a certified bcoend over padic:3
+    src = str(ROOT / "src")
+    real = LinearMap.from_sparse.__func__
+    stored, calls = [], []
+
+    def checking(cls, field, dom, cod, cols):
+        caller = sys._getframe(1).f_code
+        calls.append(caller.co_filename.startswith(src))
+        if calls[-1] and any(
+                field.is_zero(v) for col in cols for v in col.values()):
+            stored.append(f"{Path(caller.co_filename).name}:{caller.co_name}")
+        return real(cls, field, dom, cod, cols)
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    pkg = SimpleNamespace(**{m: importlib.import_module(f"coendforge.{m}")
+                             for m in ("cohom", "exactlinalg")})
+    coalgebra, comodule = workloads.comatrix_input(pkg, PrimeField(7), 5, random.Random(0))
+    arrow = tmp_path / "arrow.json"
+    arrow.write_text(json.dumps(DENSE_ARROW))
+    corpus = json.loads((ROOT / "perfbench" / "corpus_expected.json").read_text())
+    monkeypatch.setattr(LinearMap, "from_sparse", classmethod(checking))
+    assert reconstruct_coalgebra(coalgebra, {"std": comodule}).verdict == "Isomorphism"
+    runs = [[e["args"][0], str(ROOT / "specs" / f"{e['spec']}.json"), *e["args"][1:]]
+            for e in corpus] + [["bcoend", str(arrow), "--functor", "F"]]
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    assert len(runs) == 23 and sum(calls) > 1000
+    assert stored == []

@@ -1,7 +1,9 @@
 """Each structure-isomorphism table rule is written once.  The monoidal
 entry rules live in ``fincat.monoidal_table_problems``: ``check_monoidal``,
 the coend's ``*_from_monoidal`` constructors and ``reconstruct_bialgebra``
-all refuse a malformed table in its words.  A control's action and xi are
+all refuse a malformed table in its words, once per command: the monoidal
+records are frozen, so an edit is a copy, and a verdict kept on the
+original covers no copy.  A control's action and xi are
 checked only in ``coend``, where its relation columns are built: the CLI
 and a library caller get the same words."""
 
@@ -10,11 +12,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from coendforge import coend, fincat
+from coendforge import fincat
 from coendforge.cli import main
 from coendforge.coend import (
     ControlData,
@@ -70,17 +73,25 @@ def _zero(f):
     return LinearMap(f, K, K, ((f.zero(),),))
 
 
+def _without(table, key):
+    return {k: v for k, v in table.items() if k != key}
+
+
+# each edit takes the field and the two frozen records and returns edited copies
 MONOIDAL_EDITS = {
-    "dropped tensor entry": lambda f, c, m: c.tensor_obj.pop(("e", "g")),
-    "tensor entry naming zz": lambda f, c, m: c.tensor_obj.__setitem__(("g", "g"), "zz"),
-    "unknown unit": lambda f, c, m: setattr(c, "unit", "zz"),
-    "dropped xi": lambda f, c, m: m.xi.pop(("e", "g")),
-    "2x1 xi": lambda f, c, m: m.xi.__setitem__(
-        ("e", "g"), LinearMap(f, K, Space.std(2), ((f.one(),), (f.zero(),)))),
-    "zero xi": lambda f, c, m: m.xi.__setitem__(("e", "g"), _zero(f)),
-    "zero xi_unit": lambda f, c, m: setattr(m, "xi_unit", _zero(f)),
-    "dual naming zz": lambda f, c, m: c.duals.__setitem__("g", "zz"),
-    "zero dual identification": lambda f, c, m: m.dual_maps.__setitem__("g", _zero(f)),
+    "dropped tensor entry": lambda f, c, m: (
+        replace(c, tensor_obj=_without(c.tensor_obj, ("e", "g"))), m),
+    "tensor entry naming zz": lambda f, c, m: (
+        replace(c, tensor_obj=c.tensor_obj | {("g", "g"): "zz"}), m),
+    "unknown unit": lambda f, c, m: (replace(c, unit="zz"), m),
+    "dropped xi": lambda f, c, m: (c, replace(m, xi=_without(m.xi, ("e", "g")))),
+    "2x1 xi": lambda f, c, m: (c, replace(m, xi=m.xi | {
+        ("e", "g"): LinearMap(f, K, Space.std(2), ((f.one(),), (f.zero(),)))})),
+    "zero xi": lambda f, c, m: (c, replace(m, xi=m.xi | {("e", "g"): _zero(f)})),
+    "zero xi_unit": lambda f, c, m: (c, replace(m, xi_unit=_zero(f))),
+    "dual naming zz": lambda f, c, m: (replace(c, duals=c.duals | {"g": "zz"}), m),
+    "zero dual identification": lambda f, c, m: (
+        c, replace(m, dual_maps=m.dual_maps | {"g": _zero(f)})),
 }
 FIELDS = [QQ, PrimeField(7)]
 
@@ -98,10 +109,10 @@ def test_unedited_tables_are_accepted(f):
 @pytest.mark.parametrize("f", FIELDS, ids=["q", "fp7"])
 def test_every_monoidal_constructor_refuses_in_check_monoidal_words(f, edit):
     h, seeds, F = z2_tables(f)
-    cat_mon, fun_mon = F.source.monoidal, F.monoidal
     built = coend_of_functor(F)
-    bialgebra_from_monoidal(built, cat_mon, fun_mon)
-    MONOIDAL_EDITS[edit](f, cat_mon, fun_mon)
+    bialgebra_from_monoidal(built, F.source.monoidal, F.monoidal)
+    cat_mon, fun_mon = MONOIDAL_EDITS[edit](f, F.source.monoidal, F.monoidal)
+    F.source.monoidal, F.monoidal = cat_mon, fun_mon
     problems = check_monoidal(F).problems
     assert len(problems) == 1
     refusal = "functor is not monoidal: " + problems[0]
@@ -127,13 +138,13 @@ def test_hopf_checks_the_tables_once_per_constructor_chain(monkeypatch):
         return original(*args)
 
     original = fincat.monoidal_table_problems
-    for module in (fincat, coend):
-        monkeypatch.setattr(module, "monoidal_table_problems", counted)
+    monkeypatch.setattr(fincat, "monoidal_table_problems", counted)
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(["hopf", str(ROOT / "specs" / "z3_grading.json"), "--functor", "F"])
     assert code == 0
-    # once in check_monoidal, once in bialgebra_from_monoidal on the antipode's behalf
-    assert len(calls) == 2
+    # once in check_monoidal; bialgebra_from_monoidal, on the antipode's
+    # behalf, reads the verdict kept on the functor's record
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
