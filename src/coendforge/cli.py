@@ -33,7 +33,7 @@ from .coend import (
     verify_cowedge,
 )
 from .cohom import cohom as cohom_op
-from .exactlinalg import ScalarError, format_matrix
+from .exactlinalg import LinearMap, ScalarError
 from .fincat import check_monoidal, diagram_of_functor, validate_category, validate_functor
 from .padic_banach import PrimeMismatch, bounded_coend
 from .reconstruct import equivalence_check, reconstruct_coalgebra
@@ -58,7 +58,9 @@ _quote = json.encoder.encode_basestring_ascii
 
 def _json_text(v, indent="\n") -> str:
     """v as ``json.dumps(v, indent=2, sort_keys=True)`` writes it, byte for
-    byte, for a JSON tree with string keys.  With ``indent`` set,
+    byte, for a JSON tree with string keys whose leaves may also be
+    LinearMaps; a LinearMap is written as its wire format, the row-major
+    list of rows of exact-scalar strings.  With ``indent`` set,
     ``json.dumps`` runs CPython's pure-Python encoder; this writer quotes
     each string with the C escaper and joins a row of strings at once: the
     escaper refuses a non-string with TypeError, and the row is then written
@@ -71,6 +73,8 @@ def _json_text(v, indent="\n") -> str:
             return "{}"
         items = (_quote(k) + ": " + _json_text(v[k], inner) for k in sorted(v))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(v, LinearMap):
+        return _matrix_text(v, indent)
     if isinstance(v, (list, tuple)):
         if not v:
             return "[]"
@@ -81,6 +85,35 @@ def _json_text(v, indent="\n") -> str:
             body = sep.join(_json_text(a, inner) for a in v)
         return "[" + inner + body + indent + "]"
     return json.dumps(v)
+
+
+def _matrix_text(m: LinearMap, indent: str) -> str:
+    """The wire format of m as ``_json_text`` writes it at indent, read off
+    the sparse columns: the zero and each distinct nonzero value are
+    formatted and quoted once (equal values print the same), and the text
+    of an all-zero row is built once."""
+    if not m.cod.dim:
+        return "[]"
+    f, n = m.field, m.dom.dim
+    inner = indent + "  "
+    cell = inner + "  "
+    sep = "," + cell
+    zero = _quote(f.fmt(f.zero()))
+    quoted = {}
+    rows = [None] * m.cod.dim
+    for j, col in enumerate(m.cols):
+        for i, a in col.items():
+            q = quoted.get(a)
+            if q is None:
+                q = quoted[a] = _quote(f.fmt(a))
+            row = rows[i]
+            if row is None:
+                row = rows[i] = [zero] * n
+            row[j] = q
+    zero_row = "[" + cell + sep.join([zero] * n) + inner + "]" if n else "[]"
+    body = ("," + inner).join(
+        zero_row if row is None else "[" + cell + sep.join(row) + inner + "]" for row in rows)
+    return "[" + inner + body + indent + "]"
 
 
 def _emit(payload, out_path=None) -> None:
@@ -124,12 +157,12 @@ def _coend_payload(r):
     return {
         "carrier_dim": r.carrier.dim,
         "objects": list(r.diagram.objects),
-        "pi": format_matrix(r.pi),
-        "section": format_matrix(r.section),
-        "injections": {x: format_matrix(m) for x, m in r.injections.items()},
-        "comultiplication": format_matrix(r.coalgebra.delta),
-        "counit": format_matrix(r.coalgebra.counit),
-        "delta": {x: format_matrix(m) for x, m in r.delta.items()},
+        "pi": r.pi,
+        "section": r.section,
+        "injections": r.injections,
+        "comultiplication": r.coalgebra.delta,
+        "counit": r.coalgebra.counit,
+        "delta": r.delta,
         "verification": {
             "cowedge": verify_cowedge(r),
             # the constructors raise unless these laws hold
@@ -154,7 +187,7 @@ def cmd_cohom(spec, args):
         {
             "carrier_dim": ch.carrier.dim,
             "carrier_labels": list(ch.carrier.labels),
-            "coev": format_matrix(ch.coev),
+            "coev": ch.coev,
         },
         args.out,
     )
@@ -184,7 +217,7 @@ def cmd_ccoend(spec, args):
     payload = _coend_payload(r)
     payload["controls"] = [c.name for c in controls]
     payload["plain_carrier_dim"] = r_plain.carrier.dim
-    payload["epi_from_plain"] = format_matrix(h)
+    payload["epi_from_plain"] = h
     _emit(payload, args.out)
     return 0
 
@@ -194,8 +227,8 @@ def cmd_bialgebra(spec, args):
     r = coend_of_functor(F)
     b = bialgebra_from_monoidal(r, F.source.monoidal, F.monoidal)
     payload = _coend_payload(r)
-    payload["multiplication"] = format_matrix(b.mult)
-    payload["unit"] = format_matrix(b.unit)
+    payload["multiplication"] = b.mult
+    payload["unit"] = b.unit
     payload["verification"]["bialgebra"] = []
     _emit(payload, args.out)
     return 0
@@ -206,9 +239,9 @@ def cmd_hopf(spec, args):
     r = coend_of_functor(F)
     h = antipode_from_monoidal(r, F.source.monoidal, F.monoidal)
     payload = _coend_payload(r)
-    payload["multiplication"] = format_matrix(h.mult)
-    payload["unit"] = format_matrix(h.unit)
-    payload["antipode"] = format_matrix(h.antipode)
+    payload["multiplication"] = h.mult
+    payload["unit"] = h.unit
+    payload["antipode"] = h.antipode
     payload["verification"]["hopf"] = []
     _emit(payload, args.out)
     return 0
@@ -249,7 +282,7 @@ def cmd_reconstruct(spec, args):
         "injective": res.injective,
         "carrier_dim": res.coend.carrier.dim,
         "base_dim": c.carrier.dim,
-        "h": format_matrix(res.h),
+        "h": res.h,
         "problems": res.problems,
     }
     _emit(payload, args.out)
@@ -304,7 +337,7 @@ def cmd_factor(spec, args):
     psi = factor_through_coend(r, t, target)
     _emit(
         {
-            "psi": format_matrix(psi),
+            "psi": psi,
             "carrier_dim": r.carrier.dim,
             "target_dim": target.dim,
         },

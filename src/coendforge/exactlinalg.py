@@ -7,7 +7,7 @@ rationals whose valuations are computed on demand.  No floating point
 anywhere.
 
 Maps are stored as sparse columns (dicts row -> nonzero entry); the dense
-row-major `entries` are a view built on demand for the JSON boundary.
+row-major `entries` are a view built on demand for callers that read rows.
 Composition, Kronecker products and echelon forms touch only nonzero
 entries, and Kronecker products are applied lazily: `kron_compose(a, b, m)`
 equals `tensor(a, b) @ m` and `compose_kron(m, a, b)` equals
@@ -387,8 +387,7 @@ class LinearMap:
     ``LinearMap(field, dom, cod, entries)`` takes the dense row-major form
     (cod.dim rows of dom.dim entries) and builds the columns on first use;
     ``LinearMap.from_sparse`` takes the columns.  ``entries`` is the dense
-    view, built on first use, for the JSON boundary and for callers that
-    read rows.
+    view, built on first use, for callers that read rows.
     """
 
     __slots__ = ("field", "dom", "cod", "_cols", "_entries", "_hash", "_ident")
@@ -871,14 +870,3 @@ def parse_matrix(f, rows, dom: Space, cod: Space, memo=None) -> LinearMap:
 
     return LinearMap(f, dom, cod, tuple(tuple(map(scalar, row)) for row in rows))
 
-
-def format_matrix(m: LinearMap):
-    """Row-major matrix as exact-scalar strings (the wire format); only the
-    nonzero entries are formatted, every other cell is the zero string."""
-    f = m.field
-    zero = f.fmt(f.zero())
-    rows = [[zero] * m.dom.dim for _ in range(m.cod.dim)]
-    for j, col in enumerate(m.cols):
-        for i, a in col.items():
-            rows[i][j] = f.fmt(a)
-    return rows

@@ -119,11 +119,18 @@ def _matrix(spec: SpecData, rows, dom: Space, cod: Space) -> LinearMap:
     pass over the entries.  Each distinct scalar string is parsed once into
     spec.scalars.  A faulty matrix raises _MatrixFault for the first of these
     that holds: rows is not a list of lists, its shape is wrong, a scalar
-    does not parse (the first one in row-major order)."""
-    if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
+    does not parse (the first one in row-major order).  Plain loops: this
+    runs on each of the n^2 xi matrices of a monoidal functor."""
+    if not isinstance(rows, list):
         raise _MatrixFault("matrix must be a list of rows")
     f, memo, n = spec.field, spec.scalars, dom.dim
-    if len(rows) != cod.dim or any(len(r) != n for r in rows):
+    shaped = len(rows) == cod.dim
+    for r in rows:
+        if not isinstance(r, list):
+            raise _MatrixFault("matrix must be a list of rows")
+        if len(r) != n:
+            shaped = False
+    if not shaped:
         got = f"{len(rows)}x{len(rows[0]) if rows else 0}"
         raise _MatrixFault(f"matrix is {got}, expected {cod.dim}x{n}")
     is_zero, parse = f.is_zero, f.parse
@@ -253,7 +260,8 @@ def _functor_from_json(spec: SpecData, name, data) -> DiagramFunctor:
         xi = {}
         pair_spaces = {}  # (space name, space name) -> their tensor space
         for entry in _expect(data.get("xi", []), list, f"functor {name!r}: 'xi'"):
-            if not (isinstance(entry, list) and len(entry) == 3 and _names(entry[:2], 2)):
+            if not (isinstance(entry, list) and len(entry) == 3
+                    and isinstance(entry[0], str) and isinstance(entry[1], str)):
                 raise SpecError(f"functor {name!r}: xi entries are [a, b, matrix]")
             a, b, rows = entry
             ab = cat.monoidal.tensor_obj.get((a, b))

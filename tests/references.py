@@ -1,5 +1,9 @@
 """Reference checks that only tests use.
 
+``format_matrix`` is the wire format of a map, read entry by entry off the
+dense rows: the reference for the CLI writer ``cli._json_text``, which
+prints a map straight from its sparse columns.
+
 ``check_natural`` is the general F => G naturality test, against which the
 library's ``natural_problems`` (F => F (x) M) is compared.
 ``comodule_category_problems`` checks a comodule category from
@@ -81,6 +85,11 @@ from coendforge.reconstruct import (
     diagram_of_comodule_category,
     reconstruct_coalgebra,
 )
+
+
+def format_matrix(m: LinearMap) -> list[list[str]]:
+    """m's rows as exact-scalar strings, each entry formatted by the field."""
+    return [[m.field.fmt(a) for a in row] for row in m.entries]
 
 
 def check_natural(t: Transformation, F: DiagramFunctor, G: DiagramFunctor) -> bool:

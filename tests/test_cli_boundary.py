@@ -1,8 +1,10 @@
 """The CLI boundary: one JSON writer equal to ``json.dumps(indent=2,
-sort_keys=True)``, one argument parser per process, spec files parsed once
-per distinct scalar string and matrices formatted once per nonzero entry,
-and a morphism tensor entry naming an unknown morphism reported by name,
-once, under its category."""
+sort_keys=True)`` with every LinearMap leaf written as its wire format
+(``references.format_matrix``), one argument parser per process, spec files
+parsed once per distinct scalar string, matrices written straight from
+their sparse columns with one format per distinct scalar, and a morphism
+tensor entry naming an unknown morphism reported by name, once, under its
+category."""
 
 from __future__ import annotations
 
@@ -11,8 +13,10 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coendforge import cli
 from coendforge.cli import _json_text, main
 from coendforge.exactlinalg import (
     QQ,
@@ -28,11 +33,11 @@ from coendforge.exactlinalg import (
     PrimeField,
     ScalarError,
     Space,
-    format_matrix,
     parse_matrix,
 )
 from coendforge.fincat import CategoryMonoidalData, FinCategory, validate_category
 from coendforge.specfile import load_spec
+from references import format_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -94,13 +99,117 @@ def test_writer_matches_json_dumps_with_indent(tree):
     assert _json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
 
+FIELDS = [QQ, PrimeField(7), PadicRationals(3)]
+
+
+@st.composite
+def sparse_maps(draw, f):
+    """A map over f with up to 4 rows and columns, possibly none, whose
+    nonzero values repeat; over Q an integral value is stored as an int or
+    as the equal Fraction, and over F_7 a value may be stored unreduced."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    pool = [f.parse(s) for s in ("1", "-1", "2", "-3/2", "1/3")]
+    if f.kind == "fp":
+        pool += [8, 13]
+    else:
+        pool += [Fraction(1), Fraction(2), Fraction(-1)]
+    columns = [{i: draw(st.sampled_from(pool))
+                for i in draw(st.sets(st.integers(0, rows - 1), max_size=rows))}
+               if rows else {} for _ in range(cols)]
+    return LinearMap.from_sparse(f, Space.std(cols), Space.std(rows), columns)
+
+
+def nested(leaf, depth):
+    """Lists and dicts nested depth deep over leaf and string leaves."""
+    if depth == 0:
+        return leaf
+    child = st.one_of(leaf, strings, nested(leaf, depth - 1))
+    return st.one_of(st.lists(child, max_size=3),
+                     st.dictionaries(strings, child, max_size=3))
+
+
+def formatted(tree):
+    """tree with every map replaced by its wire format."""
+    if isinstance(tree, LinearMap):
+        return format_matrix(tree)
+    if isinstance(tree, dict):
+        return {k: formatted(v) for k, v in tree.items()}
+    if isinstance(tree, list):
+        return [formatted(v) for v in tree]
+    return tree
+
+
+def zero_map(rows, cols):
+    return LinearMap.from_sparse(QQ, Space.std(cols), Space.std(rows), [{} for _ in range(cols)])
+
+
 @pytest.mark.parametrize("tree", [
     {}, [], (), "", {"": {}}, {"a": [], "b": ()}, [[[]]], [{}, {"k": {}}],
     [["0", "-1/2"], ["3", "0"]], {"z": 1, "a": [True, None, -0.0, 1e300]},
     [float("inf"), float("-inf"), float("nan"), -(2 ** 100)],
+    zero_map(0, 0), {"m": zero_map(0, 3), "l": [zero_map(3, 0), {"k": zero_map(2, 2)}]},
 ], ids=repr)
 def test_writer_matches_json_dumps_on_edge_trees(tree):
-    assert _json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+    assert _json_text(tree) == json.dumps(formatted(tree), indent=2, sort_keys=True)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(FIELDS), st.integers(0, 3), st.data())
+def test_writer_writes_a_map_as_json_dumps_writes_its_wire_format(f, depth, data):
+    tree = data.draw(nested(sparse_maps(f), depth))
+    assert _json_text(tree) == json.dumps(formatted(tree), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("desc", ["q", "fp:7"])
+def test_hopf_formats_each_distinct_scalar_once_per_matrix(monkeypatch, tmp_path, desc):
+    # each matrix of the payload formats its zero once and each distinct
+    # nonzero value once, however often they occur in it
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    path = write_spec(tmp_path, "z16", workloads.zn_grading_spec(desc, 16, random.Random(1)))
+    field_type = type(QQ) if desc == "q" else PrimeField
+    real_fmt, real_emit = field_type.fmt, cli._emit
+    calls, payloads = [], []
+
+    def counting(self, a):
+        calls.append(a)
+        return real_fmt(self, a)
+
+    def emit(payload, out_path=None):
+        payloads.append(payload)
+        return real_emit(payload, out_path)
+
+    monkeypatch.setattr(field_type, "fmt", counting)
+    monkeypatch.setattr(cli, "_emit", emit)
+    assert run_in_process(["hopf", path, "--functor", "F"])[0] == 0 and len(payloads) == 1
+
+    def maps(tree):
+        if isinstance(tree, LinearMap):
+            yield tree
+        elif isinstance(tree, dict):
+            for v in tree.values():
+                yield from maps(v)
+
+    expected = Counter()
+    found = list(maps(payloads[0]))
+    for m in found:
+        expected.update({0: 1, **{a: 1 for col in m.cols for a in col.values()}})
+    assert len(found) == 2 * 16 + 7  # injections, delta and seven structure maps
+    assert Counter(calls) == expected
+    assert len(calls) == sum(expected.values())
+
+
+def test_src_never_defines_or_calls_format_matrix():
+    # the writer prints maps itself; the entrywise wire format is a test reference
+    offenders = []
+    for path in sorted((SRC / "coendforge").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "name", None))
+            if name == "format_matrix":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_src_never_calls_json_dumps_with_indent():
@@ -181,7 +290,6 @@ def test_parse_matrix_raises_at_each_call_for_a_repeated_bad_scalar(f):
         assert str(exc.value) == str(ref.value)
 
 
-FIELDS = [QQ, PrimeField(7), PadicRationals(3)]
 entries = st.one_of(
     st.sampled_from(["0", "1", "-1", "0/5", "-0", "2/4", "-3/2", "-1/9", "7", "14/3", 1, -2]),
     st.fractions(max_denominator=12).map(str),

