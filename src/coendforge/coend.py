@@ -7,9 +7,11 @@ functorial images.  On top of the quotient the comatrix coalgebras of the
 blocks induce a coalgebra, every F(X) becomes a comodule, and natural
 transformations F -> F (x) M factor uniquely through the quotient.
 
-Control objects add further relation blocks (one per object and control),
-shrinking the quotient; a monoidal structure on the diagram induces a
-bialgebra, and declared duals induce an antipode.  Well-definedness of every
+A control object adds no relation of its own kind: each xi_X is a diagram
+morphism C.X -> X (``control_legs``), appended to the diagram's morphisms,
+so the morphism relations are the only ones and a control shrinks the
+quotient as any morphism does.  A monoidal structure on the diagram induces
+a bialgebra, and declared duals induce an antipode.  Well-definedness of every
 induced map is not trusted: each is built as psi = target o s for the section
 s of pi, and its defining equation psi o pi = target is then checked exactly.
 The descents of Delta and eps decide the coalgebra laws: Delta_N and eps_N
@@ -44,7 +46,7 @@ and ``check_monoidal`` first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .cohom import (
@@ -120,8 +122,9 @@ class ControlData:
 
 
 def unit_control(d: Diagram) -> ControlData:
-    """The trivial control: C = K acting identically; adds only zero
-    relations, so the coend is unchanged bit for bit."""
+    """The trivial control: C = K acting identically; its legs are the
+    identities X -> X, whose relations are zero, so the coend is unchanged
+    bit for bit."""
     xi = {
         x: identity(d.spaces[x], d.field) for x in d.objects
     }
@@ -178,22 +181,17 @@ def _morphism_relation_columns(d: Diagram, offsets, m: DiagramMorphism):
     return _difference_columns(f, p_block, offsets[m.dom], q_block, offsets[m.cod])
 
 
-def control_lambda(d: Diagram, ctrl: ControlData, x: str) -> LinearMap:
-    """The induced map cohom(F(C.X), C (x) F(X)) -> cohom(F(X), F(X)): the
-    coaction of (id_C (x) coev_{F(X)}) o xi_X."""
-    f = d.field
-    fx = d.spaces[x]
-    block = cohom(fx, fx, f)
-    xi = ctrl.xi[x]
-    chain = kron_compose(identity(ctrl.space, f), block.coev, xi)
-    return coact(chain, tensor_space(ctrl.space, fx), block.carrier)
-
-
-def _control_relation_columns(d: Diagram, offsets, ctrl: ControlData):
-    """Columns in N of p - q for one control.  Its tables are checked here
-    and nowhere else: each object's action and the shape of its xi first,
-    then each xi's invertibility."""
-    f = d.field
+def control_legs(d: Diagram, ctrl: ControlData) -> list[DiagramMorphism]:
+    """One leg C.X -> X per object, its map xi_X read as F(C.X) -> F(X).
+    As K (x) F(X) flattens like F(X) and the coaction of coev o g is
+    cohom(g, id), the leg's relation is, column for column, that of xi_X:
+    cohom(id, xi_X) into the block at C.X minus the coaction of
+    (id_C (x) coev) o xi_X into the block at X.  The tables are checked here
+    and nowhere else: each action and xi shape first, then each xi's
+    invertibility.  Shape lemma: invertible xi force
+    dim F(C.X) = dim C * dim F(X), so if dim C >= 2 the X of largest dim has
+    F(X) = 0, and if dim C = 0 every F(C.X) = 0.  Then every
+    cohom(F(C.X), C (x) F(X)) is 0, so a control with dim C != 1 adds no leg."""
     for x in d.objects:
         if x not in ctrl.action:
             raise MissingControlData(f"control {ctrl.name!r} has no action on {x!r}")
@@ -211,21 +209,20 @@ def _control_relation_columns(d: Diagram, offsets, ctrl: ControlData):
             raise MissingControlData(
                 f"control {ctrl.name!r}: xi at {x!r} has wrong shape"
             )
-    cols = []
+    legs = []
     for x in d.objects:
         cx, xi = ctrl.action[x], ctrl.xi[x]
         if not xi.is_invertible():
             raise MissingControlData(
                 f"control {ctrl.name!r}: xi at {x!r} is not an isomorphism"
             )
-        # p: into the block at C.X via cohom(id, xi); q: into the block at X
-        p_block = cohom_on_maps(identity(d.spaces[cx], f), xi)
-        q_block = control_lambda(d, ctrl, x)
-        cols.extend(_difference_columns(f, p_block, offsets[cx], q_block, offsets[x]))
-    return cols
+        if ctrl.space.dim == 1:
+            leg = LinearMap.from_sparse(d.field, d.spaces[cx], d.spaces[x], xi.cols)
+            legs.append(DiagramMorphism(f"{ctrl.name}.xi[{x}]", cx, x, leg))
+    return legs
 
 
-def coend_of_diagram(d: Diagram, controls: list[ControlData] | None = None) -> CoendResult:
+def coend_of_diagram(d: Diagram) -> CoendResult:
     """The coequalizer presentation of the coend, with its induced coalgebra
     and the universal comodule family."""
     f = d.field
@@ -241,8 +238,6 @@ def coend_of_diagram(d: Diagram, controls: list[ControlData] | None = None) -> C
     cols = []
     for m in d.morphisms:
         cols.extend(_morphism_relation_columns(d, offsets, m))
-    for ctrl in controls or []:
-        cols.extend(_control_relation_columns(d, offsets, ctrl))
     pi, section = cokernel(
         LinearMap.from_sparse(f, Space.std(len(cols), prefix="r"), nspace, cols))
     injections = {}
@@ -275,9 +270,13 @@ def coend_of_functor(F: DiagramFunctor) -> CoendResult:
 
 
 def c_coend(F: DiagramFunctor, controls: list[ControlData]) -> CoendResult:
-    """Coend with control relations; with controls = [unit_control] the
-    result is bit-identical to the plain coend."""
-    return coend_of_diagram(diagram_of_functor(F), controls)
+    """The coend of F's diagram with the legs of every control appended to
+    its morphisms, so ``verify_cowedge`` and the universal family's
+    naturality cover them too; with controls = [unit_control] the result is
+    bit-identical to the plain coend."""
+    d = diagram_of_functor(F)
+    legs = [leg for ctrl in controls for leg in control_legs(d, ctrl)]
+    return coend_of_diagram(replace(d, morphisms=d.morphisms + legs))
 
 
 def verify_cowedge(r: CoendResult) -> list[str]:

@@ -852,21 +852,3 @@ def invert_map(m: LinearMap) -> LinearMap:
         raise NoSolution("only square maps can be inverted")
     return solve_factor(identity(m.dom, m.field), m)
 
-
-def parse_matrix(f, rows, dom: Space, cod: Space, memo=None) -> LinearMap:
-    """Build a map from row-major string (or numeric) entries.  Each distinct
-    entry string is parsed once, by ``f.parse``, and kept in memo (a dict
-    string -> scalar of f, which callers may share across matrices over f;
-    a fresh one per call by default).  Only values are kept, so the values
-    and the first error are those of parsing every entry in turn."""
-    memo = {} if memo is None else memo
-
-    def scalar(a):
-        s = str(a)
-        v = memo.get(s)
-        if v is None:
-            v = memo[s] = f.parse(s)
-        return v
-
-    return LinearMap(f, dom, cod, tuple(tuple(map(scalar, row)) for row in rows))
-

@@ -42,6 +42,12 @@ orthogonal class basis: t o pi, t o i_x, (t (x) t) o Delta_Q o t^-1,
 eps_Q o t^-1 and (id (x) t) o delta_x.  ``padic_banach.bounded_coend``
 composes none of them; it decides them from the quotient norm.
 
+``reference_control_relation_columns`` builds a control's relations by the
+adjunction, as a second kind of relation: per object X, cohom(id, xi_X) into
+the block at C.X minus the coaction of (id_C (x) coev) o xi_X into the block
+at X.  ``coend.control_legs`` reads each xi_X as a diagram morphism
+C.X -> X instead, whose morphism relation is the same column for column.
+
 ``reference_equivalence_check`` is ``reconstruct.equivalence_check``
 computed in full once h is an isomorphism: it inverts h, pulls every lawful
 probe back to the coend, lifts it through the equalizer of
@@ -53,7 +59,15 @@ side from the reconstruction and reuses the seed category's hom bases.
 from __future__ import annotations
 
 from coendforge.coend import comodule_on
-from coendforge.cohom import Bialgebra, Coalgebra, Comodule, intertwines
+from coendforge.cohom import (
+    Bialgebra,
+    Coalgebra,
+    Comodule,
+    coact,
+    cohom,
+    cohom_on_maps,
+    intertwines,
+)
 from coendforge.exactlinalg import (
     LinearMap,
     NoSolution,
@@ -68,8 +82,10 @@ from coendforge.exactlinalg import (
     solve_through_injection,
     swap_map,
     tensor,
+    tensor_space,
 )
 from coendforge.fincat import (
+    Diagram,
     DiagramFunctor,
     FinCategory,
     Transformation,
@@ -90,6 +106,26 @@ from coendforge.reconstruct import (
 def format_matrix(m: LinearMap) -> list[list[str]]:
     """m's rows as exact-scalar strings, each entry formatted by the field."""
     return [[m.field.fmt(a) for a in row] for row in m.entries]
+
+
+def reference_control_relation_columns(d: Diagram, offsets, ctrl) -> list[dict]:
+    """Sparse columns in N of p - q for one valid control, one per basis
+    vector of each cohom(F(C.X), C (x) F(X)): p = cohom(id, xi_X) into the
+    block at C.X, q = coact((id_C (x) coev) o xi_X) into the block at X."""
+    f = d.field
+    cols = []
+    for x in d.objects:
+        cx, xi, fx = ctrl.action[x], ctrl.xi[x], d.spaces[x]
+        block = cohom(fx, fx, f)
+        p = cohom_on_maps(identity(d.spaces[cx], f), xi)
+        chain = kron_compose(identity(ctrl.space, f), block.coev, xi)
+        q = coact(chain, tensor_space(ctrl.space, fx), block.carrier)
+        for pcol, qcol in zip(p.cols, q.cols):
+            col = {offsets[cx] + i: v for i, v in pcol.items()}
+            for i, v in qcol.items():
+                _add_into(col, offsets[x] + i, f.neg(v), f)
+            cols.append(col)
+    return cols
 
 
 def check_natural(t: Transformation, F: DiagramFunctor, G: DiagramFunctor) -> bool:

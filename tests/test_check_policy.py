@@ -7,7 +7,9 @@ descents, running the full algebra or antipode check on the quotient only
 when a table law fails, and `equiv` solves each hom space once, over the
 base coalgebra.  The monoidal tables are checked once per command: the
 constructors read the verdicts the checks kept on the frozen monoidal
-records, and decide only what no check has.  Calls are counted by wrapping every binding of a
+records, and decide only what no check has.  `ccoend` reads each control's
+relations off its legs, diagram morphisms C.X -> X, and takes no coaction.
+Calls are counted by wrapping every binding of a
 check inside the package, so a check reached through any import path is
 seen; a cached property counts the computations of its value."""
 
@@ -44,7 +46,7 @@ FUNCTIONS = [("fincat", "check_monoidal"), ("fincat", "validate_functor"),
              ("cohom", "intertwines"), ("cohom", "coalgebra_morphism_problems"),
              ("reconstruct", "comodule_hom_basis"), ("exactlinalg", "solve_through_injection"),
              ("exactlinalg", "invert_map"), ("fincat", "monoidal_table_problems"),
-             ("fincat", "tensor_associativity_failures")]
+             ("fincat", "tensor_associativity_failures"), ("cohom", "coact")]
 METHODS = [(Coalgebra, "check"), (Comodule, "check"), (Comodule, "law_problems"),
            (Bialgebra, "algebra_problems"), (HopfAlgebra, "antipode_problems"),
            (HopfAlgebra, "check")]
@@ -129,6 +131,15 @@ def test_monoidal_commands_check_the_tables_once(monkeypatch, command):
     assert run([command, str(SPECS / "z3_grading.json"), "--functor", "F"]) == 0
     assert counts["monoidal_table_problems"] == 1
     assert counts["tensor_associativity_failures"] == 1
+
+
+def test_ccoend_builds_the_control_relations_from_its_legs(monkeypatch):
+    # each xi_X is a morphism C.X -> X of the diagram, so its relation is a
+    # morphism relation and the adjunction is not used
+    counts = count_checks(monkeypatch)
+    assert run(["ccoend", str(SPECS / "discrete_points.json"), "--functor", "F",
+                "--controls", "merge01"]) == 0
+    assert counts["coact"] == 0
 
 
 def test_bialgebra_on_coend_checks_the_tables_once(monkeypatch):

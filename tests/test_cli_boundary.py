@@ -31,9 +31,7 @@ from coendforge.exactlinalg import (
     LinearMap,
     PadicRationals,
     PrimeField,
-    ScalarError,
     Space,
-    parse_matrix,
 )
 from coendforge.fincat import CategoryMonoidalData, FinCategory, validate_category
 from coendforge.specfile import load_spec
@@ -279,17 +277,6 @@ def test_a_repeated_bad_scalar_is_refused_as_before(tmp_path, field, row, proble
     assert json.loads(out) == {"ok": False, "problems": [problem]}
 
 
-@pytest.mark.parametrize("f", [QQ, PrimeField(7)], ids=repr)
-def test_parse_matrix_raises_at_each_call_for_a_repeated_bad_scalar(f):
-    bad = "1/0" if f is QQ else "1/7"
-    for _ in range(2):
-        with pytest.raises(ScalarError) as exc:
-            parse_matrix(f, [["1", bad], [bad, "1"]], Space.std(2), Space.std(2))
-        with pytest.raises(ScalarError) as ref:
-            f.parse(bad)
-        assert str(exc.value) == str(ref.value)
-
-
 entries = st.one_of(
     st.sampled_from(["0", "1", "-1", "0/5", "-0", "2/4", "-3/2", "-1/9", "7", "14/3", 1, -2]),
     st.fractions(max_denominator=12).map(str),
@@ -305,13 +292,13 @@ def test_parse_and_format_agree_with_the_entrywise_definitions(f, rows, cols, da
     grid = data.draw(st.lists(st.lists(scalars, min_size=cols, max_size=cols),
                               min_size=rows, max_size=rows))
     dom, cod = Space.std(cols), Space.std(rows)
-    dense = parse_matrix(f, grid, dom, cod)
     values = [[f.parse(str(a)) for a in row] for row in grid]
-    assert dense.entries == tuple(map(tuple, values))
+    dense = LinearMap(f, dom, cod, values)
     sparse = LinearMap.from_sparse(
         f, dom, cod,
         [{i: values[i][j] for i in range(rows) if not f.is_zero(values[i][j])}
          for j in range(cols)])
+    assert dense == sparse
     expected = [[f.fmt(a) for a in row] for row in values]
     assert format_matrix(dense) == format_matrix(sparse) == expected
 
@@ -348,20 +335,6 @@ def test_validate_category_names_an_unknown_morphism_in_the_tensor_table(entry, 
 def test_known_morphisms_in_the_tensor_table_still_validate():
     mon = CategoryMonoidalData("a", {("a", "a"): "a"}, {("id:a", "id:a"): "id:a"})
     assert validate_category(FinCategory(["a"], [], monoidal=mon)).ok
-
-
-def test_parse_matrix_parses_each_distinct_string_once():
-    calls = []
-
-    class CountingRationals(type(QQ)):
-        def parse(self, s):
-            calls.append(s)
-            return super().parse(s)
-
-    m = parse_matrix(CountingRationals(), [["0", "1", "0"], ["1", "0", 1], ["-1/2", "0", "1"]],
-                     Space.std(3), Space.std(3))
-    assert sorted(calls) == ["-1/2", "0", "1"]
-    assert m.entries == ((0, 1, 0), (1, 0, 1), (Fraction(-1, 2), 0, 1))
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SPECS.glob("*.json")))

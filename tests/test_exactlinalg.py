@@ -27,7 +27,6 @@ from coendforge.exactlinalg import (
     kernel,
     kron_compose,
     padic_valuation,
-    parse_matrix,
     solve_factor,
     tensor,
     tensor_space,
@@ -426,7 +425,8 @@ def test_solve_factor_unique_when_surjective(rng):
 # -- parsing ----------------------------------------------------------------
 
 def test_parse_and_format_roundtrip():
-    m = parse_matrix(QQ, [["3/4", "-2"], ["0", "1/3"]], Space.std(2), Space.std(2))
+    m = LinearMap(QQ, Space.std(2), Space.std(2),
+                  [[QQ.parse(s) for s in row] for row in [["3/4", "-2"], ["0", "1/3"]]])
     assert m.entries[0][0] == Fraction(3, 4)
     from references import format_matrix
 

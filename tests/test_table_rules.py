@@ -29,7 +29,7 @@ from coendforge.coend import (
     coend_of_functor,
 )
 from coendforge.cohom import Comodule, group_hopf_algebra
-from coendforge.exactlinalg import QQ, LinearMap, PrimeField, Space, parse_matrix, tensor_space
+from coendforge.exactlinalg import QQ, LinearMap, PrimeField, Space, tensor_space
 from coendforge.fincat import (
     CategoryMonoidalData,
     DiagramFunctor,
@@ -205,7 +205,8 @@ def test_c_coend_names_each_control_fault(fault):
     tables = {"action": {"p0": "p1", "p1": "p0", "p2": "p2"},
               "xi": {x: [["1"]] for x in objects}}
     _apply(tables, edits)
-    xi = {x: parse_matrix(QQ, rows, Space.std(len(rows[0])), Space.std(len(rows)))
+    xi = {x: LinearMap(QQ, Space.std(len(rows[0])), Space.std(len(rows)),
+                       [[QQ.parse(s) for s in row] for row in rows])
           for x, rows in tables["xi"].items()}
     with pytest.raises(MissingControlData) as exc:
         c_coend(F, [ControlData("merge01", K, tables["action"], xi)])
