@@ -510,12 +510,14 @@ class LinearMap:
         return not any(self.cols)
 
     def rank(self) -> int:
-        return echelon(self)[0]
+        """The dimension of the image, by forward elimination on the
+        columns (``_rank``)."""
+        return _rank(self.field, self.cols)
 
     def is_invertible(self) -> bool:
         """Square and of full rank.  A map with at most one column is read
         off its column (0x0 is invertible, 1x1 iff its entry is nonzero);
-        larger maps are row-reduced."""
+        larger maps have their rank taken."""
         n = self.dom.dim
         if n != self.cod.dim:
             return False
@@ -625,7 +627,9 @@ def _rref(f, rows):
     row, in the current row order, that is nonzero in its column.  Only
     nonzero entries are touched: `holders` indexes the rows by column, an
     eliminated row `pop`s its pivot entry, and empty rows keep their places
-    in the row order but are never copied."""
+    in the row order but are never copied.  A pivot row is scaled only when
+    scaling changes it: a row with one entry becomes {c: one}, and a row
+    whose pivot is already one is kept as it is."""
     order = list(range(len(rows)))  # row at each position
     pos = list(range(len(rows)))  # position of each row
     rows = {i: dict(r) for i, r in enumerate(rows) if r}
@@ -633,7 +637,7 @@ def _rref(f, rows):
     for i, row in rows.items():
         for c in row:
             holders.setdefault(c, set()).add(i)
-    sub, mul, is_zero, zero = f.sub, f.mul, f.is_zero, f.zero()
+    sub, mul, is_zero, zero, one = f.sub, f.mul, f.is_zero, f.zero(), f.one()
     pivots = []
     for c in sorted(holders):
         r = len(pivots)
@@ -645,9 +649,12 @@ def _rref(f, rows):
         order[r], order[pos[sel]] = sel, moved
         pos[moved], pos[sel] = pos[sel], r
         prow = rows[sel]
-        inv = f.invert(prow[c])
-        for k in prow:
-            prow[k] = mul(inv, prow[k])
+        if len(prow) == 1:
+            prow = rows[sel] = {c: one}
+        elif prow[c] != one:
+            inv = f.invert(prow[c])
+            for k in prow:
+                prow[k] = mul(inv, prow[k])
         rest = [(k, b) for k, b in prow.items() if k != c]
         for i in holders[c]:
             if i == sel:
@@ -668,6 +675,39 @@ def _rref(f, rows):
     return [rows[i] for i in order[:len(pivots)]], pivots
 
 
+def _rank(f, vecs) -> int:
+    """The dimension of the span of the sparse vectors vecs, by forward
+    elimination on leading (smallest) keys: each vector is reduced by the
+    kept vectors whose leading keys it reaches, until it is zero or leads
+    at a new key, where it is kept as it is.  No vector is scaled, nothing
+    is back-substituted, and a kept vector's leading entry is inverted only
+    when a later vector reaches its key.  The vectors are not modified."""
+    sub, mul, is_zero, zero = f.sub, f.mul, f.is_zero, f.zero()
+    kept: dict = {}  # leading key -> [vector, inverse of its leading entry]
+    for vec in vecs:
+        v = vec
+        while v:
+            k = min(v)
+            hit = kept.get(k)
+            if hit is None:
+                kept[k] = [v, None]
+                break
+            w, inv = hit
+            if inv is None:
+                inv = hit[1] = f.invert(w[k])
+            if v is vec:
+                v = dict(vec)
+            coef = mul(v.pop(k), inv)
+            for j, b in w.items():
+                if j != k:
+                    x = sub(v.get(j, zero), mul(coef, b))
+                    if is_zero(x):
+                        v.pop(j, None)
+                    else:
+                        v[j] = x
+    return len(kept)
+
+
 def echelon(m: LinearMap):
     """Reduced row echelon form.  Returns (rank, pivot columns, reduced rows)."""
     f, n = m.field, m.dom.dim
@@ -675,20 +715,29 @@ def echelon(m: LinearMap):
     return len(pivots), pivots, [tuple(_dense(r, n, f)) for r in rows]
 
 
-def kernel(m: LinearMap) -> LinearMap:
-    """Inclusion of ker(m) into the domain; columns form a kernel basis."""
-    f = m.field
-    rows, pivots = _rref(f, _transpose(m.cols, m.cod.dim))
+def _null_space(f, rows, n: int) -> list[dict]:
+    """A basis of the solutions of the sparse equations rows (dicts unknown
+    -> nonzero coefficient) in n unknowns, as sparse vectors: one per free
+    unknown j of the reduced echelon form, e_j minus the pivot coordinates
+    its column carries."""
+    rows, pivots = _rref(f, rows)
     pivot_set = set(pivots)
-    free = [j for j in range(m.dom.dim) if j not in pivot_set]
-    cols = {j: {j: f.one()} for j in free}
+    free = [j for j in range(n) if j not in pivot_set]
+    one = f.one()
+    vecs = {j: {j: one} for j in free}
     for row, p in zip(rows, pivots):
         # a reduced row is zero at every other pivot, so j is free
         for j, a in row.items():
             if j != p:
-                cols[j][p] = f.neg(a)
-    ker_space = Space.std(len(free), prefix="k")
-    return LinearMap.from_sparse(f, ker_space, m.dom, [cols[j] for j in free])
+                vecs[j][p] = f.neg(a)
+    return [vecs[j] for j in free]
+
+
+def kernel(m: LinearMap) -> LinearMap:
+    """Inclusion of ker(m) into the domain; columns form a kernel basis."""
+    f = m.field
+    cols = _null_space(f, _transpose(m.cols, m.cod.dim), m.dom.dim)
+    return LinearMap.from_sparse(f, Space.std(len(cols), prefix="k"), m.dom, cols)
 
 
 def cokernel(m: LinearMap):

@@ -38,11 +38,10 @@ from .coend import (
 )
 from .exactlinalg import (
     LinearMap,
-    Space,
     _add_into,
+    _null_space,
     compose_kron,
     identity,
-    kernel,
 )
 from .fincat import (
     CategoryMonoidalData,
@@ -72,7 +71,8 @@ def comodule_hom_basis(m: Comodule, n: Comodule) -> list[LinearMap]:
     intertwines are closed under sums and products, so intertwining each
     generator is intertwining all of C*.  The system keeps its kernel,
     hence its reduced echelon form, and the basis is that of all dim C
-    coordinates.
+    coordinates.  Each equation is written as one sparse row, and the rows
+    go straight to the elimination.
     """
     f = m.over.field
     dm, dn = m.space.dim, n.space.dim
@@ -85,31 +85,40 @@ def comodule_hom_basis(m: Comodule, n: Comodule) -> list[LinearMap]:
             raise AxiomError("; ".join(com.law_problems))
     slot = {c: s for s, c in enumerate(m.over.dual_generators)}
     ds = len(slot)
-    # unknown g[b, a] is variable b * dm + a; equation ((b, c), a) with c
-    # the s-th generator is row (b * ds + s) * dm + a; the system is built
-    # column by column from the nonzero entries of the two coactions
-    cols = [{} for _ in range(dn * dm)]
+    # unknown g[b, a] is variable b * dm + a.  Equation ((b, c), a), with c
+    # the s-th generator, is the sparse row
+    #   sum_a' rhoM[(a', c), a] g[b, a'] - sum_b' rhoN[(b, c), b'] g[b', a],
+    # (g (x) id) o rho_M minus rho_N o g at ((b, c), a); the entries of the
+    # two coactions are first grouped by (a, s) and by (b, s)
+    m_terms = [[[] for _ in range(ds)] for _ in range(dm)]
     for a, col in enumerate(m.rho.cols):
-        # (g (x) id) o rho_M at ((b,c), a): sum_a' g[b,a'] rhoM[(a',c),a]
         for k, v in col.items():
             a2, c = divmod(k, dc)
             if c in slot:
-                s = slot[c]
-                for b in range(dn):
-                    _add_into(cols[b * dm + a2], (b * ds + s) * dm + a, v, f)
+                m_terms[a][slot[c]].append((a2, v))
+    n_terms = [[[] for _ in range(ds)] for _ in range(dn)]
     for b2, col in enumerate(n.rho.cols):
-        # rho_N o g at ((b,c), a): sum_b' rhoN[(b,c),b'] g[b',a]
         for k, v in col.items():
             b, c = divmod(k, dc)
             if c in slot:
-                row = (b * ds + slot[c]) * dm
-                for a in range(dm):
-                    _add_into(cols[b2 * dm + a], row + a, f.neg(v), f)
-    system = LinearMap.from_sparse(
-        f, Space.std(dn * dm, prefix="v"), Space.std(dn * ds * dm, prefix="eq"), cols
-    )
+                n_terms[b][slot[c]].append((b2 * dm, f.neg(v)))
+    # the a whose row can be nonzero when rho_N has no term at (b, s)
+    m_live = [[a for a in range(dm) if m_terms[a][s]] for s in range(ds)]
+    rows = []
+    for b in range(dn):
+        base = b * dm
+        for s in range(ds):
+            n_bs = n_terms[b][s]
+            for a in range(dm) if n_bs else m_live[s]:
+                row: dict = {}
+                for a2, v in m_terms[a][s]:
+                    _add_into(row, base + a2, v, f)
+                for var, v in n_bs:
+                    _add_into(row, var + a, v, f)
+                if row:
+                    rows.append(row)
     basis = []
-    for vec in kernel(system).cols:
+    for vec in _null_space(f, rows, dn * dm):
         g_cols = [{} for _ in range(dm)]
         for k, v in vec.items():
             b, a = divmod(k, dm)

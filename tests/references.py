@@ -34,7 +34,10 @@ their references use every basis vector.  ``reference_coalgebra_problems``
 is ``cohom.Coalgebra.check`` with coassociativity compared on all n^3
 coordinates of each side.  ``reference_comodule_hom_basis`` is
 ``reconstruct.comodule_hom_basis`` with an equation at every coordinate of
-C.
+C, by the column route: the equations are the rows of a ``LinearMap``
+built column by column and solved by ``kernel``.  Given the generators of
+C* as its coordinates, it solves the library's own system by that second
+route; the library writes each equation straight as a sparse row.
 
 ``reference_bounded_norms`` computes the five coalgebra-map norms of a
 bounded coend as operator norms of composites through t, the inverse of the
@@ -60,6 +63,7 @@ from __future__ import annotations
 
 from coendforge.coend import comodule_on
 from coendforge.cohom import (
+    AxiomError,
     Bialgebra,
     Coalgebra,
     Comodule,
@@ -328,26 +332,43 @@ def reference_coalgebra_problems(c: Coalgebra) -> list[str]:
     return problems
 
 
-def reference_comodule_hom_basis(m: Comodule, n: Comodule) -> list[LinearMap]:
-    """``comodule_hom_basis`` with the equation ((b, c), a) written at every
-    coordinate c of the coalgebra."""
+def reference_comodule_hom_basis(m: Comodule, n: Comodule, coords=None) -> list[LinearMap]:
+    """``comodule_hom_basis`` by the column route: the system is built
+    column by column as a ``LinearMap`` through ``from_sparse`` and solved
+    by ``kernel``, with the equation ((b, c), a) written at every
+    coordinate c of coords, which defaults to every coordinate of the
+    coalgebra.  Refuses as the library does: ValueError for comodules over
+    different coalgebras, AxiomError for an unlawful coaction."""
     f = m.over.field
     dm, dn = m.space.dim, n.space.dim
     dc = m.over.carrier.dim
-    # unknown g[b, a] is variable b * dm + a; equation ((b, c), a) is row
-    # (b * dc + c) * dm + a
+    if m.over is not n.over and (
+            dc != n.over.carrier.dim or m.over.delta != n.over.delta):
+        raise ValueError("comodules live over different coalgebras")
+    for com in (m, n):
+        if com.law_problems:
+            raise AxiomError("; ".join(com.law_problems))
+    slot = {c: s for s, c in enumerate(range(dc) if coords is None else coords)}
+    ds = len(slot)
+    # unknown g[b, a] is variable b * dm + a; equation ((b, c), a) with c
+    # the s-th coordinate is row (b * ds + s) * dm + a
     cols = [{} for _ in range(dn * dm)]
     for a, col in enumerate(m.rho.cols):
         for k, v in col.items():
             a2, c = divmod(k, dc)
-            for b in range(dn):
-                _add_into(cols[b * dm + a2], (b * dc + c) * dm + a, v, f)
+            if c in slot:
+                s = slot[c]
+                for b in range(dn):
+                    _add_into(cols[b * dm + a2], (b * ds + s) * dm + a, v, f)
     for b2, col in enumerate(n.rho.cols):
         for k, v in col.items():
-            for a in range(dm):
-                _add_into(cols[b2 * dm + a], k * dm + a, f.neg(v), f)
+            b, c = divmod(k, dc)
+            if c in slot:
+                row = (b * ds + slot[c]) * dm
+                for a in range(dm):
+                    _add_into(cols[b2 * dm + a], row + a, f.neg(v), f)
     system = LinearMap.from_sparse(
-        f, Space.std(dn * dm, prefix="v"), Space.std(dn * dc * dm, prefix="eq"), cols)
+        f, Space.std(dn * dm, prefix="v"), Space.std(dn * ds * dm, prefix="eq"), cols)
     basis = []
     for vec in kernel(system).cols:
         g_cols = [{} for _ in range(dm)]

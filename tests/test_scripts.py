@@ -71,3 +71,21 @@ def test_reconstruction_sweep_script_prints_its_verdicts():
         "comatrix(2x2)     -> Isomorphism   (coend dim 4)",
         "   equivalence with regular probe -> ok=True",
     ]
+
+
+def test_comatrix_ladder_script_reproduces_its_hashes():
+    # comatrix(4) from one seeded monomial comodule over q and fp:7: the
+    # digests of h and of the coend's comultiplication, kept fixed so that a
+    # change to the hom solve, the descent or the rank shows here (the
+    # seeded scalars differ between the fields, and so does h)
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "comatrix_ladder.py"), "4"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rungs = re.findall(r"comatrix\((\d+)\) over (\S+): (\w+), carrier_dim (\d+), [0-9.]+ ms, "
+                       r"maxrss \d+ kB, sha256 ([0-9a-f]{64})", proc.stdout)
+    assert rungs == [
+        ("4", "q", "Isomorphism", "16",
+         "4ab23a10678561992ce552ac3b2b345135d142c3e303992c8cd79062db6b58cf"),
+        ("4", "fp:7", "Isomorphism", "16",
+         "f4d93913b684be0b5389a7916e9415b64323a1cfdd2868eb412f823db083fe1d"),
+    ]

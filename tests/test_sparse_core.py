@@ -121,13 +121,18 @@ def test_sparse_rref_matches_dense_reference(case):
 
 
 def test_rref_does_no_arithmetic_on_the_pivot_column(monkeypatch):
-    # the eliminated rows lose their pivot-column entry without a product;
-    # only the two pivot rows are scaled (5 products when the elimination
-    # multiplies through the pivot column)
+    # the eliminated rows lose their pivot-column entry without a product,
+    # and a pivot row is scaled only when scaling changes it: {0: 2} has one
+    # entry and {1: 1} a unit pivot, so the first input costs no product (5
+    # when the elimination multiplies through the pivot column, 2 when every
+    # pivot row is scaled); {0: 2, 1: 4} costs one product per entry, and
+    # the single entry {1: 3} again none
     calls = []
     real = Rationals.mul
     monkeypatch.setattr(Rationals, "mul", lambda self, a, b: calls.append(1) or real(self, a, b))
     assert _rref(QQ, [{0: 2}, {0: 3}, {0: 5}, {0: 7, 1: 1}, {}]) == ([{0: 1}, {1: 1}], [0, 1])
+    assert len(calls) == 0
+    assert _rref(QQ, [{0: 2, 1: 4}, {1: 3}]) == ([{0: 1}, {1: 1}], [0, 1])
     assert len(calls) == 2
 
 
