@@ -4,17 +4,14 @@ seeded monomial comodule.
 
 Usage: python scripts/comatrix_ladder.py [N]
 
-For d = 4..N (default 8), over q and over fp:7, this builds comatrix(d) on
-the basis e_ji (flat index j * d + i) with Delta(e_ji) = sum_k e_jk (x) e_ki
-and eps(e_ji) = [i = j], and the standard comodule K^d seen through a
-seeded monomial change of basis g (a permutation sigma times nonzero
-scalars s): rho' = (g^-1 (x) id) o coev o g, so that
-rho'(x_i) = sum_j (s_i / s_l) x_l (x) e_(j, sigma(i)) with sigma(l) = j.
-Both are written as sparse columns and handed to `LinearMap.from_sparse`,
-so no dense input is converted inside the timed step.  Each rung draws its
-permutation and scalars from `random.Random(d)`: small signed integers over
-q, units mod 7 over fp:7.  The comodule is the only seed; reconstruction
-must give back comatrix(d), of dimension d^2.
+For d = 4..N (default 8), over q and over fp:7, this takes comatrix(d) and
+the standard comodule K^d seen through a seeded monomial change of basis
+(a permutation times nonzero scalars) from the reconstruct_ladder
+workload's input builder (`perfbench/workloads.comatrix_input`), seeded
+with `random.Random(d)`.  The inputs are written densely there; their
+sparse columns are built before the clock starts, so no dense input is
+converted inside the timed step.  The comodule is the only seed;
+reconstruction must give back comatrix(d), of dimension d^2.
 
 Each rung prints the verdict, the carrier dimension, the wall time of
 `reconstruct_coalgebra` in ms, the peak resident set size of the process
@@ -25,52 +22,26 @@ checkout's src/, installed or not.
 """
 
 import hashlib
+import importlib
 import random
 import resource
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-from coendforge.cohom import Coalgebra, Comodule  # noqa: E402
-from coendforge.exactlinalg import (  # noqa: E402
-    QQ, LinearMap, PrimeField, Space, tensor_space,
-)
+from coendforge.exactlinalg import QQ, LinearMap, PrimeField  # noqa: E402
 from coendforge.reconstruct import reconstruct_coalgebra  # noqa: E402
+from workloads import comatrix_input  # noqa: E402
 
 FIELDS = [("q", QQ), ("fp:7", PrimeField(7))]
-
-
-def comatrix(field, d: int) -> Coalgebra:
-    """comatrix(d) on the basis e_ji = index j * d + i."""
-    n = d * d
-    one = field.one()
-    delta = [{(j * d + k) * n + k * d + i: one for k in range(d)}
-             for j in range(d) for i in range(d)]
-    counit = [{0: one} if i == j else {} for j in range(d) for i in range(d)]
-    carrier = Space.std(n, prefix="c")
-    return Coalgebra(
-        carrier,
-        LinearMap.from_sparse(field, carrier, tensor_space(carrier, carrier), delta),
-        LinearMap.from_sparse(field, carrier, Space.std(1, prefix="k"), counit),
-    )
-
-
-def monomial_comodule(field, c: Coalgebra, d: int, rng) -> Comodule:
-    """K^d through the seeded monomial basis change g x_i = s_i x_sigma(i)."""
-    sigma = list(range(d))
-    rng.shuffle(sigma)
-    sigma_inv = [sigma.index(j) for j in range(d)]
-    if field.p is None:
-        s = [rng.choice((-1, 1)) * rng.randint(1, 5) for _ in range(d)]
-    else:
-        s = [rng.randint(1, field.p - 1) for _ in range(d)]
-    cols = [{sigma_inv[j] * d * d + j * d + sigma[i]:
-             field.mul(s[i], field.invert(s[sigma_inv[j]])) for j in range(d)}
-            for i in range(d)]
-    x = Space.std(d)
-    return Comodule(x, c, LinearMap.from_sparse(field, x, tensor_space(x, c.carrier), cols))
+# the modules comatrix_input reads, as perfbench hands them over
+PKG = SimpleNamespace(**{m: importlib.import_module(f"coendforge.{m}")
+                         for m in ("cohom", "exactlinalg")})
 
 
 def digest(field, *maps: LinearMap) -> str:
@@ -88,8 +59,9 @@ def main(argv) -> int:
     failures = 0
     for d in range(4, top + 1):
         for fname, field in FIELDS:
-            c = comatrix(field, d)
-            seed = monomial_comodule(field, c, d, random.Random(d))
+            c, seed = comatrix_input(PKG, field, d, random.Random(d))
+            for m in (c.delta, c.counit, seed.rho):
+                m.cols  # the dense-to-sparse conversion, outside the clock
             t0 = time.perf_counter()
             res = reconstruct_coalgebra(c, {"std": seed})
             dt = time.perf_counter() - t0

@@ -510,9 +510,9 @@ class LinearMap:
         return not any(self.cols)
 
     def rank(self) -> int:
-        """The dimension of the image, by forward elimination on the
-        columns (``_rank``)."""
-        return _rank(self.field, self.cols)
+        """The dimension of the image: the number of pivots of the map's
+        own columns read as rows (column rank is row rank)."""
+        return len(_rref(self.field, self.cols)[1])
 
     def is_invertible(self) -> bool:
         """Square and of full rank.  A map with at most one column is read
@@ -673,39 +673,6 @@ def _rref(f, rows):
                     row[k] = v
         pivots.append(c)
     return [rows[i] for i in order[:len(pivots)]], pivots
-
-
-def _rank(f, vecs) -> int:
-    """The dimension of the span of the sparse vectors vecs, by forward
-    elimination on leading (smallest) keys: each vector is reduced by the
-    kept vectors whose leading keys it reaches, until it is zero or leads
-    at a new key, where it is kept as it is.  No vector is scaled, nothing
-    is back-substituted, and a kept vector's leading entry is inverted only
-    when a later vector reaches its key.  The vectors are not modified."""
-    sub, mul, is_zero, zero = f.sub, f.mul, f.is_zero, f.zero()
-    kept: dict = {}  # leading key -> [vector, inverse of its leading entry]
-    for vec in vecs:
-        v = vec
-        while v:
-            k = min(v)
-            hit = kept.get(k)
-            if hit is None:
-                kept[k] = [v, None]
-                break
-            w, inv = hit
-            if inv is None:
-                inv = hit[1] = f.invert(w[k])
-            if v is vec:
-                v = dict(vec)
-            coef = mul(v.pop(k), inv)
-            for j, b in w.items():
-                if j != k:
-                    x = sub(v.get(j, zero), mul(coef, b))
-                    if is_zero(x):
-                        v.pop(j, None)
-                    else:
-                        v[j] = x
-    return len(kept)
 
 
 def echelon(m: LinearMap):

@@ -1,13 +1,13 @@
 """The elimination under reconstruction does only the work its callers read.
 
-``exactlinalg._rank`` takes the rank of a span by forward elimination on
-leading keys, with no scaling and no back-substitution; ``LinearMap.rank``
-and ``is_invertible`` read it.  This pins it against the reduced echelon
-form (`_rref` on the columns and on the rows) and against the dense
-Gauss-Jordan reference of ``test_sparse_core``, and counts the work it
-saves.  ``reconstruct.comodule_hom_basis`` writes each intertwiner
-equation as a sparse row; this pins it, map for map and key for key,
-against the column route (``reference_comodule_hom_basis`` at
+``LinearMap.rank`` counts the pivots of the map's own columns read as
+rows, and ``_rref`` does not scale a pivot row when scaling changes
+nothing, so the rank of a monomial map inverts nothing.  This pins the
+rank and ``is_invertible`` against the reduced echelon form of the rows
+and against the dense Gauss-Jordan reference of ``test_sparse_core``, and
+counts the work they save.  ``reconstruct.comodule_hom_basis`` writes each
+intertwiner equation as a sparse row; this pins it, map for map and key
+for key, against the column route (``reference_comodule_hom_basis`` at
 the generators of C*), refusals included, over comatrix, group, O(S3) and
 the non-cosemisimple triangular coalgebra."""
 
@@ -32,7 +32,6 @@ from coendforge.exactlinalg import (
     PrimeField,
     Rationals,
     Space,
-    _rank,
     _rref,
     _transpose,
     tensor_space,
@@ -48,7 +47,7 @@ HOM_FIELDS = [QQ, PrimeField(7)]
 
 
 # ---------------------------------------------------------------------------
-# _rank against the reduced echelon form
+# the rank against the reduced echelon form
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -87,13 +86,11 @@ def rank_cases(draw):
 def test_rank_matches_the_reduced_echelon_form(case):
     f, m, rows = case
     before = copy.deepcopy(m.cols)
-    r = _rank(f, m.cols)
+    r = m.rank()
     assert m.cols == before  # the columns are read, never written
-    assert r == m.rank()
-    assert r == len(_rref(f, m.cols)[1])
     assert r == len(_rref(f, _transpose(m.cols, m.cod.dim))[1])
     assert r == len(dense_rref(f, rows)[1])
-    assert r == _rank(f, m.cols[::-1])
+    assert r == len(_rref(f, m.cols[::-1])[1])
     square = m.dom.dim == m.cod.dim
     assert m.is_invertible() == (square and r == m.dom.dim)
 
@@ -103,19 +100,20 @@ def test_rank_matches_the_reduced_echelon_form(case):
 def test_rank_of_empty_shapes(f, shape):
     nrows, ncols = shape
     m = LinearMap.from_sparse(f, Space.std(ncols), Space.std(nrows), [{} for _ in range(ncols)])
-    assert m.rank() == 0 == _rank(f, m.cols)
+    assert m.rank() == 0
     assert m.is_invertible() == (shape == (0, 0))
 
 
-def test_rank_reduces_through_a_chain_of_kept_vectors():
-    # each vector reaches the kept ones in turn and cancels to zero at the
-    # end; 1/3 is p in a denominator over padic:3
+def test_rank_reduces_through_a_chain_of_pivot_rows():
+    # the third column is reduced by the first two in turn and cancels to
+    # zero at the end; 1/3 is p in a denominator over padic:3
     for f in FIELDS:
         third = f.parse("1/3")
         vecs = [{0: third, 2: f.one()}, {1: f.from_int(2), 2: f.from_int(3)},
                 {0: f.one(), 1: f.one(), 2: f.parse("9/2")}]
-        assert _rank(f, vecs) == 2
-        assert _rank(f, vecs + [{2: f.one()}]) == 3
+        for cols, rank in ((vecs, 2), (vecs + [{2: f.one()}], 3)):
+            m = LinearMap.from_sparse(f, Space.std(len(cols)), Space.std(3), cols)
+            assert m.rank() == rank
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +121,9 @@ def test_rank_reduces_through_a_chain_of_kept_vectors():
 # ---------------------------------------------------------------------------
 
 def test_rank_of_a_monomial_map_inverts_nothing(monkeypatch):
-    # a 49x49 permutation times scalars 2..6 over Q: every column leads at
-    # its own key, so no vector reaches another (the reduced echelon form
-    # inverts each of the 49 pivots)
+    # a 49x49 permutation times scalars 2..6 over Q: every column is a
+    # single entry, so each becomes a unit pivot row with no inverse taken
+    # (scaling each pivot row inverts all 49 pivots)
     n, rng = 49, random.Random(7)
     perm = list(range(n))
     rng.shuffle(perm)
