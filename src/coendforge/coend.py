@@ -64,6 +64,7 @@ from .cohom import (
 from .exactlinalg import (
     LinearMap,
     NoSolution,
+    ScalarError,
     Space,
     _add_into,
     cokernel,
@@ -300,16 +301,21 @@ def _descend(r: CoendResult, target: LinearMap, pair: bool = False) -> LinearMap
 
     The defining equation is then checked exactly.  It holds exactly when
     target kills ker(pi), since v - s(pi(v)) lies in ker(pi) for every v.
-    With no relations pi and s are identities and psi = target by
-    construction, so nothing is checked.  Raises NoSolution otherwise, as
-    solve_factor would.
+    Raises NoSolution otherwise, as solve_factor would.  With no relations
+    ``cokernel`` returns pi and s as flagged identities, and psi = target:
+    its columns are returned on the domain of s (of s (x) s when pair is
+    set), with no composition and nothing to check.
     """
-    pi = r.pi
-    psi = compose_kron(target, r.section, r.section) if pair else target @ r.section
-    if pi.cod.dim != pi.dom.dim:
-        back = compose_kron(psi, pi, pi) if pair else psi @ pi
-        if back != target:
-            raise NoSolution("kernel of 'through' is not contained in kernel of 'target'")
+    pi, s = r.pi, r.section
+    if pi.cod.dim == pi.dom.dim:
+        if target.field != pi.field:
+            raise ScalarError("composing maps over different fields")
+        dom = tensor_space(s.dom, s.dom) if pair else s.dom
+        return LinearMap.from_sparse(target.field, dom, target.cod, target.cols)
+    psi = compose_kron(target, s, s) if pair else target @ s
+    back = compose_kron(psi, pi, pi) if pair else psi @ pi
+    if back != target:
+        raise NoSolution("kernel of 'through' is not contained in kernel of 'target'")
     return psi
 
 

@@ -470,9 +470,13 @@ def comatrix(carrier: Space, dims, field) -> Coalgebra:
     delta, counit = [], []  # sparse columns
     off = 0
     for d in dims:
+        # e_(j,k) (x) e_(k,i) sits at (off + j*d + k) * n + off + k*d + i,
+        # which steps by n + d as k does
+        step = n + d
         for j in range(d):
             for i in range(d):
-                delta.append({(off + j * d + k) * n + off + k * d + i: one for k in range(d)})
+                base = (off + j * d) * n + off + i
+                delta.append(dict.fromkeys(range(base, base + d * step, step), one))
                 counit.append({0: one} if i == j else {})
         off += d * d
     return Coalgebra(carrier,

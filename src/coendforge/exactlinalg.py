@@ -624,42 +624,80 @@ def _rref(f, rows):
     """Reduced row echelon form of sparse rows (dicts column -> nonzero
     value).  Returns (the nonzero reduced rows, their pivot columns), in
     pivot order.  Gauss-Jordan by increasing column; each pivot is the first
-    row, in the current row order, that is nonzero in its column.  Only
-    nonzero entries are touched: `holders` indexes the rows by column, an
-    eliminated row `pop`s its pivot entry, and empty rows keep their places
-    in the row order but are never copied.  A pivot row is scaled only when
-    scaling changes it: a row with one entry becomes {c: one}, and a row
-    whose pivot is already one is kept as it is."""
-    order = list(range(len(rows)))  # row at each position
-    pos = list(range(len(rows)))  # position of each row
-    rows = {i: dict(r) for i, r in enumerate(rows) if r}
-    holders: dict = {}
-    for i, row in rows.items():
-        for c in row:
-            holders.setdefault(c, set()).add(i)
+    row, in the current row order, that is nonzero in its column: the one
+    row that holds the column, or else the least position at or past the
+    pivot count, found in one scan of `holders`, which indexes the rows by
+    column.  Only nonzero entries are touched, and empty rows keep their
+    places in the row order.  A pivot row is scaled only when scaling
+    changes it: a row with one entry becomes {c: one}, and a row whose
+    pivot is already one is kept as it is.  A single-entry pivot row clears
+    its column from the other rows by deletion alone; otherwise each other
+    holder `pop`s its pivot entry and takes the rest of the pivot row.  The
+    input rows are never written: a row is copied when it is first
+    eliminated, so a returned row may be an input row."""
+    n = len(rows)
+    src = rows
+    order = list(range(n))  # row at each position
+    pos = list(range(n))  # position of each row
+    rows = {}
+    holders: dict = {}  # column -> the rows that hold it
+    for i, row in enumerate(src):
+        if row:
+            rows[i] = row
+            for c in row:
+                h = holders.get(c)
+                if h is None:
+                    holders[c] = {i}
+                else:
+                    h.add(i)
     sub, mul, is_zero, zero, one = f.sub, f.mul, f.is_zero, f.zero(), f.one()
     pivots = []
     for c in sorted(holders):
         r = len(pivots)
-        below = [i for i in holders[c] if pos[i] >= r]
-        if not below:
-            continue
-        sel = min(below, key=pos.__getitem__)
-        moved = order[r]
-        order[r], order[pos[sel]] = sel, moved
-        pos[moved], pos[sel] = pos[sel], r
+        h = holders[c]
+        if len(h) == 1:
+            (sel,) = h
+            if pos[sel] < r:
+                continue
+        else:
+            sel, best = None, n
+            for i in h:
+                p = pos[i]
+                if r <= p < best:
+                    sel, best = i, p
+            if sel is None:
+                continue
+        p = pos[sel]
+        if p != r:
+            moved = order[r]
+            order[r], order[p] = sel, moved
+            pos[moved], pos[sel] = p, r
+        pivots.append(c)
         prow = rows[sel]
         if len(prow) == 1:
-            prow = rows[sel] = {c: one}
-        elif prow[c] != one:
+            rows[sel] = {c: one}
+            for i in h:
+                row = rows[i]
+                # a row that would be left empty is never read again, so
+                # it is left as it is
+                if len(row) > 1:
+                    if row is src[i]:
+                        rows[i] = {k: b for k, b in row.items() if k != c}
+                    else:
+                        del row[c]
+            continue
+        if prow[c] != one:
             inv = f.invert(prow[c])
-            for k in prow:
-                prow[k] = mul(inv, prow[k])
+            prow = rows[sel] = {k: mul(inv, b) for k, b in prow.items()}
+        if len(h) == 1:
+            continue
         rest = [(k, b) for k, b in prow.items() if k != c]
-        for i in holders[c]:
+        for i in h:
             if i == sel:
                 continue
             row = rows[i]
+            if row is src[i]:
+                row = rows[i] = dict(row)
             coef = row.pop(c)
             for k, b in rest:
                 v = sub(row.get(k, zero), mul(coef, b))
@@ -671,7 +709,6 @@ def _rref(f, rows):
                     if k not in row:
                         holders[k].add(i)
                     row[k] = v
-        pivots.append(c)
     return [rows[i] for i in order[:len(pivots)]], pivots
 
 
@@ -713,7 +750,9 @@ def cokernel(m: LinearMap):
     Returns (pi, s): pi surjective with pi o m = 0 and ker(pi) = im(m);
     s a section with pi o s = id.  The quotient basis is the set of
     non-pivot coordinates of im(m) in reduced echelon form, so the result
-    is deterministic.
+    is deterministic.  When im(m) = 0, pi and s are identities and are
+    flagged as such, as ``identity`` flags its maps, so a Kronecker
+    product skips them without a scan.
     """
     f = m.field
     n = m.cod.dim
@@ -734,6 +773,8 @@ def cokernel(m: LinearMap):
         pi_cols[p] = {index[j]: f.neg(a) for j, a in row.items() if j != p}
     pi = LinearMap.from_sparse(f, m.cod, q_space, pi_cols)
     s = LinearMap.from_sparse(f, q_space, m.cod, [{j: one} for j in free])
+    if not pivots:
+        pi._ident = s._ident = True
     return pi, s
 
 

@@ -57,6 +57,13 @@ probe back to the coend, lifts it through the equalizer of
 (rho (x) id, id (x) Delta), and solves every hom space again on both sides,
 over C and over the coend.  The library decides the lifts and the coend
 side from the reconstruction and reuses the seed category's hom bases.
+
+``reference_rref`` is the sparse elimination with its bookkeeping written
+out: every row copied up front, a ``holders`` set per column built by
+``setdefault``, the rows at or past the pivot count listed per column and
+the pivot picked by ``min`` on the position.  ``exactlinalg._rref`` finds
+the pivot in one scan and copies a row only when it first writes it; it
+must return the same rows, pivots and key order.
 """
 
 from __future__ import annotations
@@ -105,6 +112,61 @@ from coendforge.reconstruct import (
     diagram_of_comodule_category,
     reconstruct_coalgebra,
 )
+
+
+def reference_rref(f, rows):
+    """Reduced row echelon form of sparse rows (dicts column -> nonzero
+    value).  Returns (the nonzero reduced rows, their pivot columns), in
+    pivot order.  Gauss-Jordan by increasing column; each pivot is the first
+    row, in the current row order, that is nonzero in its column.  Only
+    nonzero entries are touched: `holders` indexes the rows by column, an
+    eliminated row `pop`s its pivot entry, and empty rows keep their places
+    in the row order but are never copied.  A pivot row is scaled only when
+    scaling changes it: a row with one entry becomes {c: one}, and a row
+    whose pivot is already one is kept as it is."""
+    order = list(range(len(rows)))  # row at each position
+    pos = list(range(len(rows)))  # position of each row
+    rows = {i: dict(r) for i, r in enumerate(rows) if r}
+    holders: dict = {}
+    for i, row in rows.items():
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+    sub, mul, is_zero, zero, one = f.sub, f.mul, f.is_zero, f.zero(), f.one()
+    pivots = []
+    for c in sorted(holders):
+        r = len(pivots)
+        below = [i for i in holders[c] if pos[i] >= r]
+        if not below:
+            continue
+        sel = min(below, key=pos.__getitem__)
+        moved = order[r]
+        order[r], order[pos[sel]] = sel, moved
+        pos[moved], pos[sel] = pos[sel], r
+        prow = rows[sel]
+        if len(prow) == 1:
+            prow = rows[sel] = {c: one}
+        elif prow[c] != one:
+            inv = f.invert(prow[c])
+            for k in prow:
+                prow[k] = mul(inv, prow[k])
+        rest = [(k, b) for k, b in prow.items() if k != c]
+        for i in holders[c]:
+            if i == sel:
+                continue
+            row = rows[i]
+            coef = row.pop(c)
+            for k, b in rest:
+                v = sub(row.get(k, zero), mul(coef, b))
+                if is_zero(v):
+                    if k in row:
+                        del row[k]
+                        holders[k].discard(i)
+                else:
+                    if k not in row:
+                        holders[k].add(i)
+                    row[k] = v
+        pivots.append(c)
+    return [rows[i] for i in order[:len(pivots)]], pivots
 
 
 def format_matrix(m: LinearMap) -> list[list[str]]:

@@ -640,10 +640,11 @@ DESCEND_FIELDS = [QQ, PrimeField(7), PadicRationals(3)]
 
 
 @st.composite
-def descent_problems(draw):
+def descent_problems(draw, relation_free=False):
     """A relation matrix rel into N, and a target on N (or on N (x) N) that
     factors through N / im(rel), that does not, or that factors and then has
-    one column outside the section's image altered, which breaks it."""
+    one column outside the section's image altered, which breaks it.  With
+    relation_free set, rel is a zero matrix with 0..4 columns."""
     f = draw(st.sampled_from(DESCEND_FIELDS))
     pair = draw(st.booleans())
     n = draw(st.integers(0, 3 if pair else 4))
@@ -657,7 +658,10 @@ def descent_problems(draw):
         return LinearMap(f, dom, cod, tuple(tuple(f.from_int(a) for a in r) for r in entries))
 
     nspace = Space.std(n, prefix="n")
-    rel = mat(n, k, Space.std(k, prefix="r"), nspace)
+    if relation_free:
+        rel = LinearMap.from_sparse(f, Space.std(k, prefix="r"), nspace, [{} for _ in range(k)])
+    else:
+        rel = mat(n, k, Space.std(k, prefix="r"), nspace)
     pi, s = cokernel(rel)
     through = tensor(pi, pi) if pair else pi
     tspace = Space.std(t, prefix="t")
@@ -690,6 +694,18 @@ def test_descend_matches_solve_factor(problem):
             _descend(r, target, pair=pair)
         assert str(info.value) == str(exc)
         return
+    got = _descend(r, target, pair=pair)
+    assert (got.dom, got.cod) == (expected.dom, expected.cod)
+    assert got.entries == expected.entries
+
+
+@given(descent_problems(relation_free=True))
+def test_relation_free_descent_matches_solve_factor(problem):
+    # cokernel returns flagged identities, and _descend reads the target
+    # on the quotient, in the single and the pair form
+    r, target, through, pair = problem
+    assert r.pi._ident and r.section._ident
+    expected = solve_factor(target, through)
     got = _descend(r, target, pair=pair)
     assert (got.dom, got.cod) == (expected.dom, expected.cod)
     assert got.entries == expected.entries

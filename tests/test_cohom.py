@@ -454,3 +454,19 @@ def test_cohom_uses_only_the_public_exactlinalg_surface(module):
                 if isinstance(node, ast.ImportFrom) and node.module == "exactlinalg"
                 for alias in node.names]
     assert imported and not [name for name in imported if name.startswith("_")]
+
+
+@pytest.mark.parametrize("dims", [[1], [3], [2, 1, 3], [0, 2, 0], [4, 4], [1, 1, 1, 1]])
+def test_comatrix_delta_columns_follow_the_index_formula_key_for_key(dims):
+    # each column is built by its stride; its keys are those of
+    # e_(j,k) (x) e_(k,i) at (off + j*d + k) * n + off + k*d + i, in k order
+    n = sum(d * d for d in dims)
+    c = comatrix(Space.std(n, prefix="c"), dims, QQ)
+    expected, off = [], 0
+    for d in dims:
+        for j in range(d):
+            for i in range(d):
+                expected.append([(off + j * d + k) * n + off + k * d + i for k in range(d)])
+        off += d * d
+    assert [list(col) for col in c.delta.cols] == expected
+    assert all(v == 1 for col in c.delta.cols for v in col.values())
