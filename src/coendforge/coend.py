@@ -3,9 +3,13 @@
 The coend of a diagram F is the cokernel of a single relation matrix into
 N = (+)_X cohom(F(X), F(X)): every morphism f: X -> Y contributes, per basis
 vector of the mixed block cohom(F(X), F(Y)), the difference of its two
-functorial images.  On top of the quotient the comatrix coalgebras of the
-blocks induce a coalgebra, every F(X) becomes a comodule, and natural
-transformations F -> F (x) M factor uniquely through the quotient.
+functorial images.  The diagram keeps that matrix, block by block
+(``fincat.Diagram.relations``), and ``verify_cowedge`` and the naturality of
+the universal family test W o R_f = 0 on the same blocks, so each relation
+is built once per diagram; a diagram with no morphisms has none, and its
+cokernel is the identity.  On top of the quotient the comatrix coalgebras
+of the blocks induce a coalgebra, every F(X) becomes a comodule, and
+natural transformations F -> F (x) M factor uniquely through the quotient.
 
 A control object adds no relation of its own kind: each xi_X is a diagram
 morphism C.X -> X (``control_legs``), appended to the diagram's morphisms,
@@ -57,7 +61,6 @@ from .cohom import (
     HopfAlgebra,
     coact,
     cohom,
-    cohom_on_maps,
     comatrix,
     unit_space,
 )
@@ -66,7 +69,6 @@ from .exactlinalg import (
     NoSolution,
     ScalarError,
     Space,
-    _add_into,
     cokernel,
     compose_kron,
     direct_sum_space,
@@ -160,28 +162,6 @@ class CoendResult:
         return [f"universal family: {p}" for p in universal]
 
 
-def _difference_columns(f, p_block: LinearMap, p_off: int, q_block: LinearMap, q_off: int):
-    """Sparse columns in N of p - q, one per domain basis vector, where p and
-    q land in the blocks starting at p_off and q_off."""
-    cols = []
-    for pcol, qcol in zip(p_block.cols, q_block.cols):
-        col = {p_off + i: v for i, v in pcol.items()}
-        for i, v in qcol.items():
-            _add_into(col, q_off + i, f.neg(v), f)
-        cols.append(col)
-    return cols
-
-
-def _morphism_relation_columns(d: Diagram, offsets, m: DiagramMorphism):
-    """Columns in N of p - q for one morphism, one per basis vector of the
-    mixed block cohom(F(dom), F(cod))."""
-    f = d.field
-    # p: into the dom block via cohom(id, f); q: into the cod block via cohom(f, id)
-    p_block = cohom_on_maps(identity(d.spaces[m.dom], f), m.map)
-    q_block = cohom_on_maps(m.map, identity(d.spaces[m.cod], f))
-    return _difference_columns(f, p_block, offsets[m.dom], q_block, offsets[m.cod])
-
-
 def control_legs(d: Diagram, ctrl: ControlData) -> list[DiagramMorphism]:
     """One leg C.X -> X per object, its map xi_X read as F(C.X) -> F(X).
     As K (x) F(X) flattens like F(X) and the coaction of coev o g is
@@ -227,20 +207,11 @@ def coend_of_diagram(d: Diagram) -> CoendResult:
     """The coequalizer presentation of the coend, with its induced coalgebra
     and the universal comodule family."""
     f = d.field
-    blocks: dict[str, CohomObject] = {}
-    offsets: dict[str, int] = {}
-    off = 0
-    for x in d.objects:
-        fx = d.spaces[x]
-        blocks[x] = cohom(fx, fx, f)
-        offsets[x] = off
-        off += blocks[x].carrier.dim
+    blocks = {x: cohom(d.spaces[x], d.spaces[x], f) for x in d.objects}
+    offsets = d.offsets
     nspace = direct_sum_space([blocks[x].carrier for x in d.objects])
-    cols = []
-    for m in d.morphisms:
-        cols.extend(_morphism_relation_columns(d, offsets, m))
-    pi, section = cokernel(
-        LinearMap.from_sparse(f, Space.std(len(cols), prefix="r"), nspace, cols))
+    rel = d.relations  # the diagram's own columns, not a copy
+    pi, section = cokernel(LinearMap.from_sparse(f, Space.std(len(rel), prefix="r"), nspace, rel))
     injections = {}
     for x in d.objects:
         # i_X = pi restricted to block X: that block's columns of pi

@@ -750,11 +750,16 @@ def cokernel(m: LinearMap):
     Returns (pi, s): pi surjective with pi o m = 0 and ker(pi) = im(m);
     s a section with pi o s = id.  The quotient basis is the set of
     non-pivot coordinates of im(m) in reduced echelon form, so the result
-    is deterministic.  When im(m) = 0, pi and s are identities and are
-    flagged as such, as ``identity`` flags its maps, so a Kronecker
-    product skips them without a scan.
+    is deterministic.  When m has no nonzero column, im(m) = 0 and pi and s
+    are both ``identity(m.cod)``, flagged as such, so a Kronecker product
+    skips them without a scan; no elimination runs, and the quotient is
+    m.cod itself, whose labels and weights those of the quotient basis
+    would repeat.
     """
     f = m.field
+    if not any(m.cols):
+        ident = identity(m.cod, f)
+        return ident, ident
     n = m.cod.dim
     rows, pivots = _rref(f, m.cols)
     pivot_set = set(pivots)
@@ -773,8 +778,6 @@ def cokernel(m: LinearMap):
         pi_cols[p] = {index[j]: f.neg(a) for j, a in row.items() if j != p}
     pi = LinearMap.from_sparse(f, m.cod, q_space, pi_cols)
     s = LinearMap.from_sparse(f, q_space, m.cod, [{j: one} for j in free])
-    if not pivots:
-        pi._ident = s._ident = True
     return pi, s
 
 

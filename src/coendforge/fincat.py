@@ -3,14 +3,20 @@
 Categories are given by total composition tables rather than generators and
 relations, which keeps every law decidable by exhaustive enumeration at desk
 scale.  Identity morphisms are implicit in input data and synthesized at
-construction under the reserved names ``id:<object>``.  Monoidal structure,
-when present, is strict: tensor tables, no associators.
+construction under the reserved names ``id:<object>``; a listed morphism may
+not take that prefix.  ``compose`` returns the other factor of an identity,
+so the composition laws skip every pair and triple with an identity in it.
+Monoidal structure, when present, is strict: tensor tables, no associators.
 
 A ``Diagram`` is the minimal input of a coend: based spaces and maps, with no
-composition table.  The laws a family over a diagram can satisfy are checked
-here and nowhere else: ``natural_problems`` (a family F => F (x) M, each
-morphism tested by ``cohom.intertwines``) and ``cowedge_problems`` (a family
-cohom(F(X), F(X)) -> M).  So is every monoidal table entry, once:
+composition table.  It keeps one relation matrix: the relation block R_f of
+each morphism f: X -> Y, the map cohom(F(X), F(Y)) -> N whose columns are
+cohom(id, F(f)) minus cohom(F(f), id), read straight off F(f)
+(``relation_columns``).  The laws a family over a diagram can satisfy are
+checked here and nowhere else, both as W o R_f = 0 on those blocks:
+``cowedge_problems`` (a family w_X: cohom(F(X), F(X)) -> M, W = [w_x]_x) and
+``natural_problems`` (a family t: F => F (x) M, W = [coact(t_x)]_x, exact by
+the coact bijection).  So is every monoidal table entry, once:
 ``monoidal_table_problems``.  The tables are checked once per command: the
 monoidal records are frozen, with read-only tables, and keep the verdicts
 reached on them.  ``validate_category`` keeps whether the object tensor is
@@ -24,10 +30,19 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
-from .cohom import cohom_on_maps, intertwines, product_generators
-from .exactlinalg import LinearMap, Space, compose_kron, identity, tensor, tensor_space
+from .cohom import coact, product_generators
+from .exactlinalg import (
+    LinearMap,
+    ScalarError,
+    Space,
+    compose_kron,
+    identity,
+    tensor,
+    tensor_space,
+)
 
 
 @dataclass(frozen=True)
@@ -83,7 +98,9 @@ def _id_name(obj: str) -> str:
 class FinCategory:
     """A finite category: objects, named morphisms and a composition table.
 
-    ``morphisms`` lists the non-identity arrows; identities are synthesized.
+    ``morphisms`` lists the non-identity arrows; identities are synthesized,
+    and a listed arrow may not take their reserved prefix ``id:``, so
+    ``is_identity`` reads a name exactly.
     ``composition`` maps composable non-identity pairs (g, f) to the name of
     g o f (which may itself be an identity name).
     """
@@ -98,6 +115,8 @@ class FinCategory:
             self.morphisms[name] = Morphism(name, obj, obj)
         for m in morphisms:
             m = m if isinstance(m, Morphism) else Morphism(*m)
+            if self.is_identity(m.name):
+                raise ValueError(f"morphism {m.name!r} uses the reserved identity prefix 'id:'")
             if m.name in self.morphisms:
                 raise ValueError(f"duplicate morphism name {m.name!r}")
             if m.dom not in self.objects or m.cod not in self.objects:
@@ -116,11 +135,18 @@ class FinCategory:
     def non_identity(self) -> list[Morphism]:
         return [m for m in self.morphisms.values() if not self.is_identity(m.name)]
 
+    def by_codomain(self, morphisms) -> dict[str, list[Morphism]]:
+        """The given morphisms listed under their codomains, in order."""
+        index = {obj: [] for obj in self.objects}
+        for m in morphisms:
+            index[m.cod].append(m)
+        return index
+
     def composable_pairs(self):
+        into = self.by_codomain(self.morphisms.values())
         for g in self.morphisms.values():
-            for f in self.morphisms.values():
-                if f.cod == g.dom:
-                    yield g, f
+            for f in into[g.dom]:
+                yield g, f
 
     def compose(self, g: str, f: str) -> str:
         """Name of g o f for a composable pair."""
@@ -167,13 +193,13 @@ def validate_category(cat: FinCategory) -> ValidationReport:
             )
     if problems:
         return ValidationReport(False, problems)
-    for h in cat.morphisms.values():
-        for g in cat.morphisms.values():
-            if g.cod != h.dom:
-                continue
-            for f in cat.morphisms.values():
-                if f.cod != g.dom:
-                    continue
+    # compose returns the other factor of an identity, so a triple with an
+    # identity in it associates trivially
+    arrows = cat.non_identity()
+    into = cat.by_codomain(arrows)
+    for h in arrows:
+        for g in into[h.dom]:
+            for f in into[g.dom]:
                 left = cat.compose(cat.compose(h.name, g.name), f.name)
                 right = cat.compose(h.name, cat.compose(g.name, f.name))
                 if left != right:
@@ -369,12 +395,15 @@ def validate_functor(F: DiagramFunctor) -> ValidationReport:
             )
     if problems:
         return ValidationReport(False, problems)
-    for g, f in cat.composable_pairs():
-        if cat.is_identity(g.name) and cat.is_identity(f.name):
-            continue
-        h = cat.compose(g.name, f.name)
-        if F.map(g.name) @ F.map(f.name) != F.map(h):
-            problems.append(f"F({g.name} o {f.name}) != F({g.name}) F({f.name})")
+    # F(id) is the identity and compose returns the other factor of an
+    # identity, so a pair with an identity in it holds trivially
+    arrows = cat.non_identity()
+    into = cat.by_codomain(arrows)
+    for g in arrows:
+        for f in into[g.dom]:
+            h = cat.compose(g.name, f.name)
+            if F.map(g.name) @ F.map(f.name) != F.map(h):
+                problems.append(f"F({g.name} o {f.name}) != F({g.name}) F({f.name})")
     return ValidationReport(not problems, problems)
 
 
@@ -389,12 +418,68 @@ class DiagramMorphism:
 @dataclass
 class Diagram:
     """A finite family of based spaces and maps between them; the minimal
-    input the coequalizer needs."""
+    input the coequalizer needs.
+
+    ``offsets`` places the block cohom(F(x), F(x)) of each object in
+    N = (+)_x cohom(F(x), F(x)), and ``relations`` holds the columns of the
+    relation matrix R = [R_f]_f: the relation block of each morphism
+    (``relation_columns``), in order, that of f: X -> Y taking
+    dim F(X) * dim F(Y) columns.  Both are built on first read and kept, so
+    the coend's relation matrix, its cowedge check and the naturality of its
+    universal family read the same columns."""
 
     field: object
     objects: list[str]
     spaces: dict[str, Space]
     morphisms: list[DiagramMorphism]
+
+    @cached_property
+    def offsets(self) -> dict[str, int]:
+        offsets, off = {}, 0
+        for x in self.objects:
+            offsets[x] = off
+            off += self.spaces[x].dim ** 2
+        return offsets
+
+    @cached_property
+    def relations(self) -> list[dict]:
+        cols = []
+        for m in self.morphisms:
+            cols.extend(relation_columns(self, m))
+        return cols
+
+
+def relation_columns(d: Diagram, m: DiagramMorphism) -> list[dict]:
+    """The relation block R_f of f = m: X -> Y, the map cohom(F(X), F(Y)) -> N
+    whose column at the basis vector (j, i) ~ y'_j (x) x_i is p - q, with
+    p = cohom(id, F(f)) e_(j,i) = sum_k F(f)[j, k] e_(k,i) in the block at X
+    and q = cohom(F(f), id) e_(j,i) = sum_r F(f)[r, i] e_(j,r) in the block at
+    Y, as sparse columns.  They are read straight off the columns of F(f):
+    p walks row j, q column i.  For an endomorphism p and q share a block,
+    and an entry where they cancel is dropped."""
+    f = d.field
+    add, neg, is_zero = f.add, f.neg, f.is_zero
+    n, k = d.spaces[m.dom].dim, d.spaces[m.cod].dim
+    at_x, at_y = d.offsets[m.dom], d.offsets[m.cod]
+    cols = m.map.cols
+    rows = [[] for _ in range(k)]  # row j of F(f) as (column, value), in order
+    for c, col in enumerate(cols):
+        for r, v in col.items():
+            rows[r].append((c, v))
+    out = []
+    for j, row in enumerate(rows):
+        for i in range(n):
+            rel = {at_x + c * n + i: v for c, v in row}
+            for r, v in cols[i].items():
+                key, v = at_y + j * k + r, neg(v)
+                if key in rel:
+                    v = add(rel[key], v)
+                    if is_zero(v):
+                        del rel[key]
+                        continue
+                rel[key] = v
+            out.append(rel)
+    return out
 
 
 def diagram_of_functor(F: DiagramFunctor) -> Diagram:
@@ -441,34 +526,61 @@ def _shape_problems(family: dict[str, LinearMap], shapes: dict[str, tuple[int, i
     return problems
 
 
+def _relation_failures(d: Diagram, family: dict[str, LinearMap], m_space: Space) -> list[str]:
+    """The names of the morphisms f, in order, with W o R_f != 0, where
+    W = [w_x]_x: N -> M is the family side by side, one block of columns
+    per object, and R_f is f's relation block.  W o R_f is
+    w_X o cohom(id, F(f)) - w_Y o cohom(F(f), id), so this is the cowedge
+    relation at f.  It is one composition with the relation matrix, whose
+    columns are the diagram's own; a diagram with no morphisms builds
+    nothing."""
+    if not d.morphisms:
+        return []
+    fld = d.field
+    if any(family[x].field != fld for x in d.objects):
+        raise ScalarError("composing maps over different fields")
+    w_cols = [col for x in d.objects for col in family[x].cols]
+    nspace = Space.std(len(w_cols))
+    w = LinearMap.from_sparse(fld, nspace, m_space, w_cols)
+    rel = LinearMap.from_sparse(fld, Space.std(len(d.relations)), nspace, d.relations)
+    image = (w @ rel).cols
+    failures, lo = [], 0
+    for m in d.morphisms:
+        hi = lo + d.spaces[m.dom].dim * d.spaces[m.cod].dim
+        if any(image[lo:hi]):
+            failures.append(m.name)
+        lo = hi
+    return failures
+
+
 def natural_problems(d: Diagram, t: Transformation, m_space: Space) -> list[str]:
     """Why t: F -> F (x) M is not natural, or [] if it is: shapes first, then
-    (F(f) (x) id_M) o t_X = t_Y o F(f) for every morphism f: X -> Y."""
+    (F(f) (x) id_M) o t_X = t_Y o F(f) for every morphism f: X -> Y.
+
+    coact is a bijection Hom(X, Y (x) M) -> Hom(cohom(X, Y), M) with
+    coact((F(f) (x) id) o t_X) = coact(t_X) o cohom(id, F(f)) and
+    coact(t_Y o F(f)) = coact(t_Y) o cohom(F(f), id), so t is natural at f
+    exactly when [coact(t_x)]_x is a cowedge there: the relation test of
+    ``cowedge_problems``, on the same relation blocks."""
     shapes = {x: (d.spaces[x].dim * m_space.dim, d.spaces[x].dim) for x in d.objects}
     problems = _shape_problems(t.components, shapes)
     if problems:
         return problems
-    return [
-        f"naturality fails at morphism {m.name}"
-        for m in d.morphisms
-        if not intertwines(m.map, t[m.dom], t[m.cod], m_space)
-    ]
+    w = {x: coact(t[x], d.spaces[x], m_space) for x in d.objects}
+    return [f"naturality fails at morphism {name}" for name in _relation_failures(d, w, m_space)]
 
 
 def cowedge_problems(d: Diagram, w: dict[str, LinearMap], m_space: Space) -> list[str]:
     """Why w_X: cohom(F(X), F(X)) -> M is not a cowedge, or [] if it is:
     shapes first, then for every f: X -> Y both routes out of
-    cohom(F(X), F(Y)) agree, w_X o cohom(id, F(f)) = w_Y o cohom(F(f), id)."""
+    cohom(F(X), F(Y)) agree, w_X o cohom(id, F(f)) = w_Y o cohom(F(f), id),
+    that is W o R_f = 0 for W = [w_x]_x and f's relation block R_f."""
     shapes = {x: (m_space.dim, d.spaces[x].dim ** 2) for x in d.objects}
     problems = _shape_problems(w, shapes)
     if problems:
         return problems
-    for m in d.morphisms:
-        into_dom = cohom_on_maps(identity(d.spaces[m.dom], d.field), m.map)  # -> cohom(FX, FX)
-        into_cod = cohom_on_maps(m.map, identity(d.spaces[m.cod], d.field))  # -> cohom(FY, FY)
-        if w[m.dom] @ into_dom != w[m.cod] @ into_cod:
-            problems.append(f"cowedge relation fails at morphism {m.name}")
-    return problems
+    return [f"cowedge relation fails at morphism {name}"
+            for name in _relation_failures(d, w, m_space)]
 
 
 def check_monoidal(F: DiagramFunctor) -> ValidationReport:

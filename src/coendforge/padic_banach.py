@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coend import CoendResult, _difference_columns, coend_of_functor
+from .coend import CoendResult, coend_of_functor
 from .exactlinalg import (
     LinearMap,
     PadicRationals,
@@ -520,11 +520,15 @@ def banach_colimit(F: DiagramFunctor) -> BanachColimit:
     total = banach_sum([NormedSpace(F.space(x), p) for x in F.source.objects])
     offsets = dict(zip(F.source.objects, itertools.accumulate(
         (F.space(x).dim for x in F.source.objects), initial=0)))
-    rel_cols = []
+    rel_cols, one = [], f.one()
     for m in F.source.non_identity():
         # x - F(m) x for each basis vector x of F(dom m)
-        rel_cols.extend(_difference_columns(f, identity(F.space(m.dom), f), offsets[m.dom],
-                                            F.map(m.name), offsets[m.cod]))
+        lo, hi = offsets[m.dom], offsets[m.cod]
+        for i, col in enumerate(F.map(m.name).cols):
+            rel = {lo + i: one}
+            for r, v in col.items():
+                _add_into(rel, hi + r, f.neg(v), f)
+            rel_cols.append(rel)
     rel = LinearMap.from_sparse(f, Space.std(len(rel_cols), prefix="r"), total.space, rel_cols)
     pi, section = cokernel(rel)
     orth = _orthogonalize_quotient(total, pi, section)

@@ -205,6 +205,10 @@ def reconstruct_coalgebra(c: Coalgebra, seeds: dict[str, Comodule]) -> Reconstru
     r = coend_of_diagram(diagram_of_comodule_category(cat))
     t = Transformation({name: com.rho for name, com in cat.objects.items()})
     h = factor_through_coend(r, t, c.carrier)
+    # the cokernel and the naturality check of t have read the relation
+    # blocks; the result keeps the quotient, not them (a later check of r
+    # builds them again)
+    del r.diagram.relations
     rank = h.rank()
     generated = rank == c.carrier.dim
     injective = rank == r.carrier.dim

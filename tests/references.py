@@ -45,6 +45,21 @@ orthogonal class basis: t o pi, t o i_x, (t (x) t) o Delta_Q o t^-1,
 eps_Q o t^-1 and (id (x) t) o delta_x.  ``padic_banach.bounded_coend``
 composes none of them; it decides them from the quotient norm.
 
+``reference_relation_columns`` builds a morphism's relation block as maps,
+cohom(id, F(f)) into the block at its domain minus cohom(F(f), id) into the
+block at its codomain, each a ``tensor`` of a ``dual`` and an ``identity``;
+``fincat.relation_columns`` reads the same columns straight off F(f).
+``reference_cowedge_problems`` composes both routes out of each mixed block,
+and ``reference_natural_problems`` tests each morphism with
+``cohom.intertwines``; the library runs both laws as one relation test,
+W o R_f = 0, on the diagram's relation blocks.
+
+``reference_composition_problems`` and ``reference_functor_law_problems``
+walk every pair and triple of a composition table, identities included;
+``fincat.validate_category`` and ``fincat.validate_functor`` skip those
+with an identity in them, which hold because ``compose`` returns the other
+factor.
+
 ``reference_control_relation_columns`` builds a control's relations by the
 adjunction, as a second kind of relation: per object X, cohom(id, xi_X) into
 the block at C.X minus the coaction of (id_C (x) coev) o xi_X into the block
@@ -102,6 +117,7 @@ from coendforge.fincat import (
     Transformation,
     ValidationReport,
     _entry_problems,
+    _shape_problems,
     natural_problems,
 )
 from coendforge.padic_banach import BoundedCoendResult, NormValue, operator_norm
@@ -186,12 +202,96 @@ def reference_control_relation_columns(d: Diagram, offsets, ctrl) -> list[dict]:
         p = cohom_on_maps(identity(d.spaces[cx], f), xi)
         chain = kron_compose(identity(ctrl.space, f), block.coev, xi)
         q = coact(chain, tensor_space(ctrl.space, fx), block.carrier)
-        for pcol, qcol in zip(p.cols, q.cols):
-            col = {offsets[cx] + i: v for i, v in pcol.items()}
-            for i, v in qcol.items():
-                _add_into(col, offsets[x] + i, f.neg(v), f)
-            cols.append(col)
+        cols.extend(_difference_columns(f, p, offsets[cx], q, offsets[x]))
     return cols
+
+
+def _difference_columns(f, p_block: LinearMap, p_off: int, q_block: LinearMap, q_off: int):
+    """Sparse columns in N of p - q, one per domain basis vector, where p and
+    q land in the blocks starting at p_off and q_off."""
+    cols = []
+    for pcol, qcol in zip(p_block.cols, q_block.cols):
+        col = {p_off + i: v for i, v in pcol.items()}
+        for i, v in qcol.items():
+            _add_into(col, q_off + i, f.neg(v), f)
+        cols.append(col)
+    return cols
+
+
+def reference_relation_columns(d: Diagram, offsets, m) -> list[dict]:
+    """Columns in N of p - q for one morphism, one per basis vector of the
+    mixed block cohom(F(dom), F(cod)), built as maps: p = cohom(id, F(f))
+    into the dom block, q = cohom(F(f), id) into the cod block."""
+    f = d.field
+    p_block = cohom_on_maps(identity(d.spaces[m.dom], f), m.map)
+    q_block = cohom_on_maps(m.map, identity(d.spaces[m.cod], f))
+    return _difference_columns(f, p_block, offsets[m.dom], q_block, offsets[m.cod])
+
+
+def reference_cowedge_problems(d: Diagram, w: dict, m_space: Space) -> list[str]:
+    """``fincat.cowedge_problems`` with both routes out of each mixed block
+    built and composed: w_X o cohom(id, F(f)) = w_Y o cohom(F(f), id)."""
+    shapes = {x: (m_space.dim, d.spaces[x].dim ** 2) for x in d.objects}
+    problems = _shape_problems(w, shapes)
+    if problems:
+        return problems
+    for m in d.morphisms:
+        into_dom = cohom_on_maps(identity(d.spaces[m.dom], d.field), m.map)
+        into_cod = cohom_on_maps(m.map, identity(d.spaces[m.cod], d.field))
+        if w[m.dom] @ into_dom != w[m.cod] @ into_cod:
+            problems.append(f"cowedge relation fails at morphism {m.name}")
+    return problems
+
+
+def reference_natural_problems(d: Diagram, t: Transformation, m_space: Space) -> list[str]:
+    """``fincat.natural_problems`` with each morphism tested by
+    ``cohom.intertwines``: (F(f) (x) id_M) o t_X = t_Y o F(f)."""
+    shapes = {x: (d.spaces[x].dim * m_space.dim, d.spaces[x].dim) for x in d.objects}
+    problems = _shape_problems(t.components, shapes)
+    if problems:
+        return problems
+    return [f"naturality fails at morphism {m.name}" for m in d.morphisms
+            if not intertwines(m.map, t[m.dom], t[m.cod], m_space)]
+
+
+def reference_composition_problems(cat: FinCategory) -> list[str]:
+    """The composition-table part of ``fincat.validate_category`` with every
+    pair and every triple walked, identities included."""
+    problems = []
+    morphisms = list(cat.morphisms.values())
+    pairs = [(g, f) for g in morphisms for f in morphisms if f.cod == g.dom]
+    for g, f in pairs:
+        try:
+            h = cat.compose(g.name, f.name)
+        except KeyError:
+            problems.append(f"missing composite ({g.name}, {f.name})")
+            continue
+        if h not in cat.morphisms:
+            problems.append(f"composite ({g.name}, {f.name}) -> unknown morphism {h!r}")
+        elif (cat.morphisms[h].dom, cat.morphisms[h].cod) != (f.dom, g.cod):
+            problems.append(f"composite ({g.name}, {f.name}) = {h} has wrong endpoints")
+    if problems:
+        return problems
+    for h, g in pairs:
+        for f in morphisms:
+            if f.cod != g.dom:
+                continue
+            left = cat.compose(cat.compose(h.name, g.name), f.name)
+            right = cat.compose(h.name, cat.compose(g.name, f.name))
+            if left != right:
+                problems.append(f"associativity fails on triple ({h.name}, {g.name}, {f.name}):"
+                                f" {left} != {right}")
+    return problems
+
+
+def reference_functor_law_problems(F: DiagramFunctor) -> list[str]:
+    """F(g o f) = F(g) F(f) on every composable pair but (id, id), identities
+    included; ``fincat.validate_functor`` skips every pair with an identity."""
+    cat = F.source
+    return [f"F({g.name} o {f.name}) != F({g.name}) F({f.name})"
+            for g in cat.morphisms.values() for f in cat.morphisms.values()
+            if f.cod == g.dom and not (cat.is_identity(g.name) and cat.is_identity(f.name))
+            and F.map(g.name) @ F.map(f.name) != F.map(cat.compose(g.name, f.name))]
 
 
 def check_natural(t: Transformation, F: DiagramFunctor, G: DiagramFunctor) -> bool:

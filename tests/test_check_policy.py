@@ -32,6 +32,7 @@ from coendforge.coend import (
     bialgebra_from_monoidal,
     bialgebra_on_coend,
     coend_of_functor,
+    verify_cowedge,
 )
 from coendforge.cohom import Bialgebra, Coalgebra, Comodule, HopfAlgebra
 from coendforge.exactlinalg import LinearMap, Space
@@ -46,7 +47,9 @@ FUNCTIONS = [("fincat", "check_monoidal"), ("fincat", "validate_functor"),
              ("cohom", "intertwines"), ("cohom", "coalgebra_morphism_problems"),
              ("reconstruct", "comodule_hom_basis"), ("exactlinalg", "solve_through_injection"),
              ("exactlinalg", "invert_map"), ("fincat", "monoidal_table_problems"),
-             ("fincat", "tensor_associativity_failures"), ("cohom", "coact")]
+             ("fincat", "tensor_associativity_failures"), ("cohom", "coact"),
+             ("fincat", "relation_columns"), ("cohom", "cohom_on_maps"),
+             ("exactlinalg", "tensor")]
 METHODS = [(Coalgebra, "check"), (Comodule, "check"), (Comodule, "law_problems"),
            (Bialgebra, "algebra_problems"), (HopfAlgebra, "antipode_problems"),
            (HopfAlgebra, "check")]
@@ -135,11 +138,14 @@ def test_monoidal_commands_check_the_tables_once(monkeypatch, command):
 
 def test_ccoend_builds_the_control_relations_from_its_legs(monkeypatch):
     # each xi_X is a morphism C.X -> X of the diagram, so its relation is a
-    # morphism relation and the adjunction is not used
+    # morphism relation, one block per leg, and the adjunction is not used:
+    # the only coactions are the naturality check's, one per component of
+    # the universal family on the three points
     counts = count_checks(monkeypatch)
     assert run(["ccoend", str(SPECS / "discrete_points.json"), "--functor", "F",
                 "--controls", "merge01"]) == 0
-    assert counts["coact"] == 0
+    assert counts["relation_columns"] == 3
+    assert counts["coact"] == 3
 
 
 def test_bialgebra_on_coend_checks_the_tables_once(monkeypatch):
@@ -207,11 +213,48 @@ def test_a_kept_verdict_covers_no_edited_or_unchecked_tables():
 
 
 def test_coend_command_checks_naturality_once(monkeypatch):
+    # one morphism: its relation block is built once and read by the
+    # relation matrix, the cowedge check and the one naturality check
     counts = count_checks(monkeypatch)
     assert run(["coend", str(SPECS / "glued_pair.json"), "--functor", "F"]) == 0
-    assert counts["intertwines"] == 1  # one morphism, checked once
+    assert counts["natural_problems"] == 1
+    assert counts["relation_columns"] == 1
+    assert counts["intertwines"] == 0
     assert counts["Coalgebra.check"] == 0
     assert counts["Comodule.check"] == 0
+
+
+ZIGZAG = {
+    "field": "padic:3",
+    "spaces": {"L": {"dim": 1, "weights": [0]}, "M": {"dim": 1, "weights": [1]}},
+    "categories": {"Zig": {"objects": ["a", "b", "c"], "composition": [],
+                           "morphisms": [{"name": "f", "dom": "a", "cod": "b"},
+                                         {"name": "g", "dom": "c", "cod": "b"}]}},
+    "functors": {"F": {"source": "Zig", "objects": {"a": "L", "b": "M", "c": "L"},
+                       "morphisms": {"f": [["3"]], "g": [["1/3"]]}}},
+}
+
+
+def test_bcoend_builds_each_relation_once(monkeypatch, tmp_path):
+    # the coend's relation matrix, verify_cowedge and the universal family's
+    # naturality read the diagram's relation blocks; no mixed-block map is
+    # built as a tensor product
+    path = tmp_path / "zigzag.json"
+    path.write_text(json.dumps(ZIGZAG))
+    counts = count_checks(monkeypatch)
+    assert run(["bcoend", str(path), "--functor", "F"]) == 0
+    assert counts["relation_columns"] == 2
+    assert counts["natural_problems"] == 1
+    assert counts["cohom_on_maps"] == counts["tensor"] == counts["intertwines"] == 0
+
+
+def test_the_coend_checks_compose_no_mixed_block_map(monkeypatch):
+    F = load_spec(str(SPECS / "glued_pair.json")).functors["F"]
+    r = coend_of_functor(F)
+    counts = count_checks(monkeypatch)
+    assert verify_cowedge(r) == [] and r.naturality_problems == []
+    assert counts["relation_columns"] == 0  # kept on the diagram
+    assert counts["cohom_on_maps"] == counts["tensor"] == counts["intertwines"] == 0
 
 
 def test_ccoend_command_trusts_the_descents(monkeypatch):

@@ -31,7 +31,6 @@ from references import reference_control_relation_columns
 from coendforge.coend import (
     ControlData,
     MissingControlData,
-    _morphism_relation_columns,
     c_coend,
     coalgebra_on_coend,
     coend_of_functor,
@@ -151,11 +150,11 @@ def test_legs_give_the_control_relations_column_for_column(case):
     F, controls = case
     r = coend_of_functor(F)
     d = diagram_of_functor(F)
-    cols = [c for m in d.morphisms for c in _morphism_relation_columns(d, r.offsets, m)]
+    cols = list(d.relations)
     for ctrl in controls:
         legs = control_legs(d, ctrl)
         assert len(legs) == (len(d.objects) if ctrl.space.dim == 1 else 0)
-        got = [c for leg in legs for c in _morphism_relation_columns(d, r.offsets, leg)]
+        got = replace(d, morphisms=legs).relations
         expected = reference_control_relation_columns(d, r.offsets, ctrl)
         assert got == expected
         cols += expected

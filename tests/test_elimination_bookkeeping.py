@@ -133,7 +133,8 @@ def test_rref_parity_on_the_hand_made_shapes():
 @pytest.mark.parametrize("desc", ["q", "fp:7"])
 def test_rref_parity_on_the_systems_of_a_comatrix_reconstruction(monkeypatch, desc):
     # every elimination of reconstruct_coalgebra on comatrix(d), d = 2..7:
-    # the hom solve, the coend's cokernel and the rank of h
+    # the hom solve and the rank of h (the coend has no relations, so its
+    # cokernel eliminates nothing)
     f = exactlinalg.field_from_descriptor(desc)
     captured = []
     real = exactlinalg._rref
@@ -147,7 +148,7 @@ def test_rref_parity_on_the_systems_of_a_comatrix_reconstruction(monkeypatch, de
         coalgebra, comodule = comatrix_input(monkeypatch, f, d)
         assert reconstruct_coalgebra(coalgebra, {"std": comodule}).verdict == "Isomorphism"
     monkeypatch.setattr(exactlinalg, "_rref", real)
-    assert len(captured) >= 3 * 6
+    assert len(captured) >= 2 * 6
     # the hom solve of comatrix(7) has 168 equations
     assert max(len(rows) for _, rows in captured) >= 168
     for field, rows in captured:
@@ -188,7 +189,9 @@ def test_rref_never_writes_the_rows_it_is_given(monkeypatch, tmp_path):
     for argv in runs:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0, argv
-    assert len(runs) == 23 and len(calls) > 50
+    # a relation-free cokernel eliminates nothing, so only the coends with
+    # relations reach _rref through cokernel
+    assert len(runs) == 23 and len(calls) > 30
     assert set(calls) >= {"_check_certificate", "_null_space", "cokernel", "rank"}
     assert written == []
 

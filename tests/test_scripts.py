@@ -89,3 +89,17 @@ def test_comatrix_ladder_script_reproduces_its_hashes():
         ("4", "fp:7", "Isomorphism", "16",
          "f4d93913b684be0b5389a7916e9415b64323a1cfdd2868eb412f823db083fe1d"),
     ]
+
+
+def test_zigzag_ladder_script_reproduces_its_hashes():
+    # the stdout digest of the certified bcoend on the 10-line zigzag of the
+    # bcoend_certified workload's builder, kept fixed so that a change to
+    # the coend's relations or to the normed coend's output shows here
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "zigzag_ladder.py"), "10"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rungs = re.findall(r"zigzag of (\d+) lines over padic:2: exit (\d+), carrier_dim (\d+), "
+                       r"[0-9.]+ ms, stdout sha256 ([0-9a-f]{64})", proc.stdout)
+    assert rungs == [
+        ("10", "0", "1", "c693c41734c191717d460be465ed40bbd2d93d57fabf1d333ea8a732282c8821"),
+    ]

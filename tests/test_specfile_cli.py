@@ -457,6 +457,27 @@ def test_a_non_string_name_in_a_table_entry_is_named(tmp_path, spec, problem):
     assert json.loads(out) == {"ok": False, "problems": [problem]}
 
 
+def _reserved_name_spec(with_matrix: bool) -> dict:
+    mor = {"id:q": [["1"]]} if with_matrix else {}
+    return _one_dim_spec(
+        categories={"C": {"objects": ["a", "b"],
+                          "morphisms": [{"name": "id:q", "dom": "a", "cod": "b"}]}},
+        functors={"F": {"source": "C", "objects": {"a": "V", "b": "V"}, "morphisms": mor}})
+
+
+@pytest.mark.parametrize("command", [["validate"], ["coend", "--functor", "F"]])
+@pytest.mark.parametrize("with_matrix", [True, False])
+def test_a_morphism_named_with_the_identity_prefix_is_refused(tmp_path, command, with_matrix):
+    # identities are synthesized as id:<object>, and is_identity reads the
+    # prefix, so a listed arrow may not take it
+    path = tmp_path / "reserved.json"
+    path.write_text(json.dumps(_reserved_name_spec(with_matrix)))
+    code, out = run_cli([command[0], str(path), *command[1:]])
+    assert code == 2
+    assert json.loads(out) == {"ok": False, "problems": [
+        "category 'C': morphism 'id:q' uses the reserved identity prefix 'id:'"]}
+
+
 COALGEBRA_K = {"space": "V", "delta": [["1"]], "epsilon": [["1"]]}
 
 
